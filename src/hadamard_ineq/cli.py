@@ -2,9 +2,9 @@
 
 Subcommands: ``model``, ``sweep``, ``poincare``, ``rayleigh``,
 ``certificate``, ``pme``.  Outputs are deterministic: identical resolved
-configurations (flags > config file > defaults, seed included) produce
-byte-identical files at any parallelism degree; worker fan-out is over
-independent parameter points and results are assembled in parameter order.
+configurations (flags > config file > defaults) produce byte-identical
+files at any parallelism degree; worker fan-out is over independent
+parameter points and results are assembled in parameter order.
 
 Exit codes: 0 success (divergence flags are results, not failures),
 1 numerical failure, 2 validation error.
@@ -32,7 +32,6 @@ def _add_common(sub):
                      help="output directory (default: $HADAMARD_INEQ_OUT or ./out)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="format of the summary printed to stdout")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--jobs", type=int, default=1, help="parallel parameter points")
     sub.add_argument("--config", default=None, help="key = value config file")
     sub.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
@@ -203,7 +202,7 @@ def _parallel_map(fn, items, jobs: int):
         return list(ex.map(fn, items))
 
 
-def _print_summary(args, payload, json_path, csv_line=None):
+def _print_summary(args, json_path, csv_line=None):
     if args.format == "json":
         print(json_path.read_text(), end="")
     elif csv_line:
@@ -219,8 +218,7 @@ def cmd_model(args) -> int:
     out = _out_dir(args)
     h = report_io.config_hash(_resolved(args))
     report_io.write_csv(out / "model.csv", h, "model-warping-table",
-                        ("r", "psi", "dpsi"),
-                        zip(model.grid_r, model.grid_psi, model.grid_dpsi))
+                        ("r", "psi", "dpsi"), model.table())
     sample = model.grid_r[1:][:: max(1, len(model.grid_r) // 256)]
     reports = [geometry.curvature_at(model, float(r)) for r in sample]
     report_io.write_csv(out / "curvature.csv", h, "curvature-report",
@@ -237,7 +235,7 @@ def cmd_model(args) -> int:
         rep = geometry.check_comparison(model, geometry.Lemma31Bound(c, r0, args.beta))
         payload["laplacian_lower_bound"] = {"c": c, "r0": r0, "holds": rep.holds}
     jp = report_io.write_json(out / "model.json", h, "model-summary", payload)
-    _print_summary(args, payload, jp,
+    _print_summary(args, jp,
                    f"model written: CH={flag} nodes={len(model.grid_r)}")
     return 0
 
@@ -305,7 +303,7 @@ def cmd_sweep(args) -> int:
                                  "residual_rms": fit.residual_rms,
                                  "predicted_slope": predicted}
     jp = report_io.write_json(out / "sweep.json", h, "weighted-supremum-sweep", payload)
-    _print_summary(args, payload, jp,
+    _print_summary(args, jp,
                    f"sweep of {len(p_values)} exponents written")
     return 0
 
@@ -326,7 +324,7 @@ def cmd_poincare(args) -> int:
         payload["mckean"] = dict(zip(("sup_bound", "poincare_constant", "spectral_gap"),
                                      weighted.mckean_bounds(args.n, args.k)))
     jp = report_io.write_json(out / "poincare.json", h, "spectral-gap", payload)
-    _print_summary(args, payload, jp,
+    _print_summary(args, jp,
                    f"lambda1={res.lambda1:.6g} best_constant={res.best_constant:.6g}")
     return 0
 
@@ -350,7 +348,7 @@ def cmd_rayleigh(args) -> int:
         payload["supremum_B"] = rep.B
         payload["sandwich_upper"] = rep.sandwich_upper
     jp = report_io.write_json(out / "rayleigh.json", h, "rayleigh-ratio", payload)
-    _print_summary(args, payload, jp, f"ratio={res.ratio:.8g}")
+    _print_summary(args, jp, f"ratio={res.ratio:.8g}")
     return 0
 
 
@@ -377,7 +375,7 @@ def cmd_certificate(args) -> int:
                "conclusion": "grows" if grows else "bounded"}
     jp = report_io.write_json(out / "certificate.json", h,
                               "nonradial-failure-certificate", payload)
-    _print_summary(args, payload, jp, f"conclusion={payload['conclusion']}")
+    _print_summary(args, jp, f"conclusion={payload['conclusion']}")
     return 0
 
 
@@ -441,7 +439,7 @@ def cmd_pme(args) -> int:
     elif args.profile == "euclidean":
         payload["predicted_power_exponent"] = -pme.smoothing_exponent(args.n, args.m)
     jp = report_io.write_json(out / "pme_fit.json", h, "pme-decay-fit", payload)
-    _print_summary(args, payload, jp,
+    _print_summary(args, jp,
                    f"pme run: steps={run.steps} stopped_early={run.stopped_early}")
     return 0
 

@@ -17,16 +17,31 @@ log variables (y, z) = (log psi, psi'/psi), which stay well scaled even
 when psi itself grows to ~1e300:
 
     y' = z ,    z' = K(r) - z^2 .
+
+A curvature profile is any object that supplies
+
+* ``curvature(r)``  -- its law K(r), vectorised over r;
+* ``flat_cap``      -- the radius of its flat cap psi(r) = r (0 for none);
+* ``tail(model)``   -- the :class:`TailModel` its warping follows past
+  ``model.Rmax``.
+
+and optionally
+
+* ``psi``, ``dpsi``, ``logpsi``, ``dlogpsi`` -- a closed form.  Without
+  one, the law is checked to be nonnegative and integrated as above;
+* ``tail_integral(model)`` -- the exact integral of psi^(1-N) over
+  (Rmax, infinity).  Without it the generic formula of the tail family,
+  :meth:`TailModel.integral`, is used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import (
@@ -48,6 +63,7 @@ __all__ = [
     "Polynomial",
     "ExponentialPower",
     "CurvatureProfile",
+    "TailModel",
     "GridSpec",
     "ModelFunction",
     "CurvatureReport",
@@ -71,6 +87,85 @@ _ODE_ATOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
+# large-radius tails
+# ---------------------------------------------------------------------------
+
+def _fit_residual(y, y_fit):
+    return float(np.sqrt(np.mean((y - y_fit) ** 2)) / max(1.0, np.sqrt(np.mean(y * y))))
+
+
+@dataclass(frozen=True)
+class TailModel:
+    """Large-radius form of psi.
+
+    family 'exponential': psi ~ amplitude * r^prefactor * exp(rate * r^shape)
+    family 'power':       psi ~ amplitude * r^shape
+    family 'divergent':   1/psi^(N-1) is not integrable at infinity
+    """
+
+    family: str
+    shape: float = 0.0
+    rate: float = 0.0
+    amplitude: float = 1.0
+    prefactor: float = 0.0
+    residual: float = 0.0
+
+    @staticmethod
+    def _samples(model):
+        rr = np.geomspace(model.Rmax / 10.0, model.Rmax, 160)
+        return rr, np.asarray(model.logpsi(rr), float)
+
+    @classmethod
+    def fit_exponential(cls, model, shape: float, prefactor: float) -> "TailModel":
+        """Least squares of log psi - prefactor log r against [r^shape, 1] on
+        [Rmax/10, Rmax]."""
+        rr, y = cls._samples(model)
+        rhs = y - prefactor * np.log(rr)
+        A = np.stack([rr ** shape, np.ones_like(rr)], axis=1)
+        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        return cls("exponential", shape=shape, rate=float(coef[0]),
+                   amplitude=float(math.exp(coef[1])), prefactor=prefactor,
+                   residual=_fit_residual(rhs, A @ coef))
+
+    @classmethod
+    def fit_power(cls, model, shape: Optional[float] = None) -> "TailModel":
+        """Least squares of log psi against shape log r + const on [Rmax/10, Rmax];
+        the shape is fitted too when not given."""
+        rr, y = cls._samples(model)
+        A = (np.stack([np.log(rr), np.ones_like(rr)], axis=1) if shape is None
+             else np.stack([np.ones_like(rr)], axis=1))
+        rhs = y if shape is None else y - shape * np.log(rr)
+        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        if shape is None:
+            shape, logamp = float(coef[0]), float(coef[1])
+        else:
+            logamp = float(coef[0])
+        fit = shape * np.log(rr) + logamp
+        return cls("power", shape=shape, amplitude=float(math.exp(logamp)),
+                   residual=_fit_residual(y, fit))
+
+    def integral(self, model) -> float:
+        """Integral of psi^(1-N) over (Rmax, infinity), anchored at psi(Rmax)."""
+        if self.family == "divergent":
+            return math.inf
+        R, N = model.Rmax, model.N
+        yR = float(model.logpsi(np.float64(R)))
+        if self.family == "power":
+            g = self.shape * (N - 1)
+            return R * math.exp((1.0 - N) * yR) / (g - 1.0)
+        # exponential family: integrate the anchored, shifted integrand
+        s, a, pf = self.shape, self.rate, self.prefactor
+
+        def shifted(r):
+            d = pf * math.log(r / R) + a * (r ** s - R ** s)
+            return math.exp(-(N - 1.0) * d)
+
+        span = (R ** s + 45.0 / ((N - 1.0) * a)) ** (1.0 / s) - R
+        val, _ = quad(shifted, R, R + span, limit=200)
+        return val * math.exp((1.0 - N) * yR)
+
+
+# ---------------------------------------------------------------------------
 # curvature profiles
 # ---------------------------------------------------------------------------
 
@@ -84,15 +179,16 @@ class Constant:
         if self.k < 0:
             raise ValidationError(f"constant curvature needs k >= 0, got {self.k}")
 
-    label = "constant"
     flat_cap = 0.0
 
     def curvature(self, r):
         return np.full_like(np.asarray(r, float), float(self.k))
 
-    @property
-    def has_closed_form(self):
-        return True
+    def tail(self, model) -> TailModel:
+        if self.k == 0.0:
+            return TailModel("power", shape=1.0, amplitude=1.0)
+        s = math.sqrt(self.k)
+        return TailModel("exponential", shape=1.0, rate=s, amplitude=0.5 / s)
 
     def psi(self, r):
         r = np.asarray(r, float)
@@ -160,8 +256,6 @@ class PowerLaw:
         if self.r0 <= 0:
             raise ValidationError(f"power law needs r0 > 0, got {self.r0}")
 
-    label = "power"
-
     @property
     def flat_cap(self):
         return self.r0
@@ -171,77 +265,13 @@ class PowerLaw:
         return np.where(r >= self.r0,
                         self.c0 * np.maximum(r, self.r0) ** (-self.beta), 0.0)
 
-    has_closed_form = False
-
-
-@dataclass(frozen=True)
-class QuasiEuclideanOptimal:
-    """K = c1 r^(-2) outside r0, flat cap inside.
-
-    Beyond the cap the warping is exactly a1 r^q1 + a2 r^q2 with
-    q_{1,2} = (1 +/- sqrt(1 + 4 c1)) / 2 and (a1, a2) fixed by the C^1
-    glue psi(r0) = r0, psi'(r0) = 1.
-    """
-
-    c1: float
-    r0: float = 1.0
-
-    def __post_init__(self):
-        if self.c1 <= 0:
-            raise ValidationError(f"quasi-Euclidean law needs c1 > 0, got {self.c1}")
-        if self.r0 <= 0:
-            raise ValidationError(f"quasi-Euclidean law needs r0 > 0, got {self.r0}")
-
-    label = "quasi"
-
-    @property
-    def flat_cap(self):
-        return self.r0
-
-    @property
-    def exponents(self):
-        d = math.sqrt(1.0 + 4.0 * self.c1)
-        return (1.0 + d) / 2.0, (1.0 - d) / 2.0
-
-    @property
-    def coefficients(self):
-        q1, q2 = self.exponents
-        a1 = (1.0 - q2) * self.r0 ** (1.0 - q1) / (q1 - q2)
-        a2 = (q1 - 1.0) * self.r0 ** (1.0 - q2) / (q1 - q2)
-        return a1, a2
-
-    def curvature(self, r):
-        r = np.asarray(r, float)
-        return np.where(r >= self.r0, self.c1 * np.maximum(r, self.r0) ** -2.0, 0.0)
-
-    has_closed_form = True
-
-    def _tail(self, r):
-        q1, q2 = self.exponents
-        a1, a2 = self.coefficients
-        p = a1 * r ** q1 + a2 * r ** q2
-        dp = a1 * q1 * r ** (q1 - 1.0) + a2 * q2 * r ** (q2 - 1.0)
-        return p, dp
-
-    def psi(self, r):
-        r = np.asarray(r, float)
-        p, _ = self._tail(np.maximum(r, self.r0))
-        return np.where(r >= self.r0, p, r)
-
-    def dpsi(self, r):
-        r = np.asarray(r, float)
-        _, dp = self._tail(np.maximum(r, self.r0))
-        return np.where(r >= self.r0, dp, 1.0)
-
-    def logpsi(self, r):
-        with np.errstate(divide="ignore"):
-            return np.log(self.psi(r))
-
-    def dlogpsi(self, r):
-        r = np.asarray(r, float)
-        p, dp = self._tail(np.maximum(r, self.r0))
-        with np.errstate(divide="ignore"):
-            return np.where(r >= self.r0, dp / p, 1.0 / r)
+    def tail(self, model) -> TailModel:
+        """log psi ~ rate r^(1 - beta/2) + (beta/4) log r for beta < 2, psi ~ r^q1
+        with q1 (q1 - 1) = c0 at beta = 2; the free constants are fitted."""
+        if self.beta < 2.0:
+            s = 1.0 - self.beta / 2.0
+            return TailModel.fit_exponential(model, s, (1.0 - s) / 2.0)
+        return TailModel.fit_power(model, (1.0 + math.sqrt(1.0 + 4.0 * self.c0)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -265,29 +295,23 @@ class Polynomial:
         if p0 <= 0:
             raise ValidationError("polynomial warping must be positive at r0")
 
-    label = "polynomial"
-
     @property
     def flat_cap(self):
         return self.r0
 
-    has_closed_form = True
-
-    def _tail(self, r):
+    def _terms(self, r):
         p = self.a1 * r ** self.q1 + self.a2 * r ** self.q2
         dp = self.a1 * self.q1 * r ** (self.q1 - 1.0) + self.a2 * self.q2 * r ** (self.q2 - 1.0)
-        d2 = (self.a1 * self.q1 * (self.q1 - 1.0) * r ** (self.q1 - 2.0)
-              + self.a2 * self.q2 * (self.q2 - 1.0) * r ** (self.q2 - 2.0))
-        return p, dp, d2
+        return p, dp
 
     def psi(self, r):
         r = np.asarray(r, float)
-        p, _, _ = self._tail(np.maximum(r, self.r0))
+        p, _ = self._terms(np.maximum(r, self.r0))
         return np.where(r >= self.r0, p, r)
 
     def dpsi(self, r):
         r = np.asarray(r, float)
-        _, dp, _ = self._tail(np.maximum(r, self.r0))
+        _, dp = self._terms(np.maximum(r, self.r0))
         return np.where(r >= self.r0, dp, 1.0)
 
     def logpsi(self, r):
@@ -296,23 +320,77 @@ class Polynomial:
 
     def dlogpsi(self, r):
         r = np.asarray(r, float)
-        p, dp, _ = self._tail(np.maximum(r, self.r0))
+        p, dp = self._terms(np.maximum(r, self.r0))
         with np.errstate(divide="ignore"):
             return np.where(r >= self.r0, dp / p, 1.0 / r)
 
     def curvature(self, r):
         r = np.asarray(r, float)
-        p, _, d2 = self._tail(np.maximum(r, self.r0))
-        return np.where(r >= self.r0, d2 / p, 0.0)
+        rc = np.maximum(r, self.r0)
+        d2 = (self.a1 * self.q1 * (self.q1 - 1.0) * rc ** (self.q1 - 2.0)
+              + self.a2 * self.q2 * (self.q2 - 1.0) * rc ** (self.q2 - 2.0))
+        return np.where(r >= self.r0, d2 / self._terms(rc)[0], 0.0)
+
+    def tail(self, model) -> TailModel:
+        """The dominant nonzero term; divergent unless it grows."""
+        q, a = max(((q, a) for q, a in ((self.q1, self.a1), (self.q2, self.a2))
+                    if a != 0.0), key=lambda t: t[0])
+        if q <= 0 or a < 0:
+            return TailModel("divergent")
+        return TailModel("power", shape=q, amplitude=a)
+
+    def tail_integral(self, model) -> float:
+        N = model.N
+        # substitute u = 1/s: finite interval, integrand u^(g-2) at 0
+        val, _ = quad(lambda u: (self.a1 * u ** -self.q1 + self.a2 * u ** -self.q2) ** (1.0 - N)
+                      / (u * u), 0.0, 1.0 / model.Rmax)
+        return val
+
+
+def _glue_coefficients(q1: float, q2: float, r0: float):
+    """(a1, a2) making a1 r^q1 + a2 r^q2 meet psi = r with equal value and slope at r0."""
+    a1 = (1.0 - q2) * r0 ** (1.0 - q1) / (q1 - q2)
+    a2 = (q1 - 1.0) * r0 ** (1.0 - q2) / (q1 - q2)
+    return a1, a2
 
 
 def polynomial_c1_glue(q1: float, q2: float, r0: float = 1.0) -> Polynomial:
     """Two-power warping whose coefficients join psi = r with a C^1 glue."""
     if q1 == q2:
         raise ValidationError("glue needs distinct exponents")
-    a1 = (1.0 - q2) * r0 ** (1.0 - q1) / (q1 - q2)
-    a2 = (q1 - 1.0) * r0 ** (1.0 - q2) / (q1 - q2)
-    return Polynomial(a1, a2, q1, q2, r0)
+    return Polynomial(*_glue_coefficients(q1, q2, r0), q1, q2, r0)
+
+
+class QuasiEuclideanOptimal(Polynomial):
+    """K = c1 r^(-2) outside r0, flat cap inside.
+
+    Beyond the cap the warping is exactly the C^1-glued two-power warping
+    a1 r^q1 + a2 r^q2 with q_{1,2} = (1 +/- sqrt(1 + 4 c1)) / 2, the roots of
+    q (q - 1) = c1.  Everything but the curvature comes from
+    :class:`Polynomial`; the curvature is the law itself, exact.
+    """
+
+    def __init__(self, c1: float, r0: float = 1.0):
+        if c1 <= 0:
+            raise ValidationError(f"quasi-Euclidean law needs c1 > 0, got {c1}")
+        if r0 <= 0:
+            raise ValidationError(f"quasi-Euclidean law needs r0 > 0, got {r0}")
+        d = math.sqrt(1.0 + 4.0 * c1)
+        q1, q2 = (1.0 + d) / 2.0, (1.0 - d) / 2.0
+        super().__init__(*_glue_coefficients(q1, q2, r0), q1, q2, r0)
+        object.__setattr__(self, "c1", c1)
+
+    @property
+    def exponents(self):
+        return self.q1, self.q2
+
+    @property
+    def coefficients(self):
+        return self.a1, self.a2
+
+    def curvature(self, r):
+        r = np.asarray(r, float)
+        return np.where(r >= self.r0, self.c1 * np.maximum(r, self.r0) ** -2.0, 0.0)
 
 
 def _smoothstep(x):
@@ -342,9 +420,10 @@ class ExponentialPower:
         if not (0.0 < ra < rb):
             raise ValidationError("glue window must satisfy 0 < ra < rb")
 
-    label = "exppower"
     flat_cap = 0.0
-    has_closed_form = True
+
+    def tail(self, model) -> TailModel:
+        return TailModel("divergent")
 
     def _triplet(self, r):
         r = np.asarray(r, float)
@@ -390,9 +469,6 @@ class ExponentialPower:
 
 
 CurvatureProfile = Union[Constant, PowerLaw, QuasiEuclideanOptimal, Polynomial, ExponentialPower]
-
-# profiles whose K is a prescribed nonnegative law (no closed psi needed)
-_LAW_PROFILES = (PowerLaw,)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +518,8 @@ class ModelFunction:
 
     Evaluation methods accept scalars or arrays in [0, Rmax].  ``grid_*``
     arrays are the export table (first row is the exact origin values).
+    ``warping`` evaluates psi, psi', log psi, psi'/psi and K: the profile
+    itself when it has a closed form, else a :class:`_LogSpline`.
     """
 
     profile: Optional[CurvatureProfile]
@@ -451,11 +529,7 @@ class ModelFunction:
     grid_psi: np.ndarray
     grid_dpsi: np.ndarray
     built_by: str
-    _psi: Callable = None
-    _dpsi: Callable = None
-    _y: Callable = None
-    _z: Callable = None
-    _K: Callable = None
+    warping: object
 
     def _check(self, r):
         r = np.asarray(r, float)
@@ -464,23 +538,33 @@ class ModelFunction:
         return r
 
     def psi(self, r):
-        return self._psi(self._check(r))
+        return self.warping.psi(self._check(r))
 
     def dpsi(self, r):
-        return self._dpsi(self._check(r))
+        return self.warping.dpsi(self._check(r))
 
     def logpsi(self, r):
-        return self._y(self._check(r))
+        return self.warping.logpsi(self._check(r))
 
     def dlogpsi(self, r):
-        return self._z(self._check(r))
+        return self.warping.dlogpsi(self._check(r))
 
     def curvature(self, r):
         """K(r) = psi''/psi; the radial sectional curvature is -K."""
-        return self._K(self._check(r))
+        return self.warping.curvature(self._check(r))
 
-    def ddpsi(self, r):
-        return self.curvature(r) * self.psi(r)
+    def table(self):
+        """Rows (r, psi, psi') of the export table.
+
+        Refuses a table that overflows float64, naming the first radius
+        where psi or psi' is not finite.
+        """
+        bad = ~(np.isfinite(self.grid_psi) & np.isfinite(self.grid_dpsi))
+        if np.any(bad):
+            raise ValidationError(
+                f"warping table overflows float64 at r = {self.grid_r[np.argmax(bad)]:.6g}; "
+                "reduce Rmax or the curvature scale")
+        return zip(self.grid_r, self.grid_psi, self.grid_dpsi)
 
 
 @dataclass(frozen=True)
@@ -492,6 +576,65 @@ class CurvatureReport:
     laplacian_density: float
 
 
+class _LogSpline:
+    """Warping interpolated from node values of y = log psi and z = psi'/psi.
+
+    y is the cubic Hermite spline through (y, z).  Given the curvature law
+    K, z is the Hermite spline through (z, K - z^2) and K stays the law.
+    Without one, as for an imported table, u = r z is splined in log r and
+    K = (du/dlog r + u (u - 1)) / r^2: near the pole z' ~ -1/r^2 and
+    z^2 ~ 1/r^2 would cancel in K = z' + z^2.  Below the first node psi
+    continues linearly through its value there, y = log r + const and
+    z = 1/r, so the K taken from u is 0 there.
+    """
+
+    def __init__(self, r, y, z, K=None):
+        self.r1 = float(r[0])
+        self.y_shift = float(y[0]) - math.log(self.r1)
+        self.y_spl = CubicHermiteSpline(r, y, z)
+        if K is None:
+            self.u_spl = CubicSpline(np.log(r), r * z)
+            self.z_spl = lambda q: self.u_spl(np.log(q)) / q
+            self.curvature = self._u_curvature
+        else:
+            self.z_spl = CubicHermiteSpline(r, z, np.asarray(K(r), float) - z * z)
+            self.curvature = K
+
+    def _past_first_node(self, spline, q, below):
+        hi = q >= self.r1
+        if np.any(hi):
+            return np.where(hi, spline(np.maximum(q, self.r1)), below)
+        return below
+
+    def logpsi(self, q):
+        q = np.asarray(q, float)
+        with np.errstate(divide="ignore"):
+            below = np.where(q < self.r1, np.log(np.maximum(q, 0.0)) + self.y_shift, 0.0)
+        return self._past_first_node(self.y_spl, q, below)
+
+    def dlogpsi(self, q):
+        q = np.asarray(q, float)
+        with np.errstate(divide="ignore"):
+            below = np.where(q < self.r1, 1.0 / q, 0.0)
+        return self._past_first_node(self.z_spl, q, below)
+
+    def psi(self, q):
+        q = np.asarray(q, float)
+        return np.where(q == 0.0, 0.0, np.exp(self.logpsi(np.maximum(q, 1e-300))))
+
+    def dpsi(self, q):
+        q = np.asarray(q, float)
+        qq = np.maximum(q, 1e-300)
+        return np.where(q == 0.0, 1.0, np.exp(self.logpsi(qq)) * self.dlogpsi(qq))
+
+    def _u_curvature(self, q):
+        q = np.asarray(q, float)
+        qq = np.maximum(q, self.r1)
+        s = np.log(qq)
+        u = self.u_spl(s)
+        return np.where(q < self.r1, 0.0, (self.u_spl(s, 1) + u * (u - 1.0)) / (qq * qq))
+
+
 def _series_start(K0: float, r: float):
     # psi = r + K0 r^3 / 6 + O(r^5) near the pole
     y = math.log(r) + math.log1p(K0 * r * r / 6.0)
@@ -499,8 +642,8 @@ def _series_start(K0: float, r: float):
     return y, z
 
 
-def _integrate_profile(profile, rmax, r_a, n_nodes):
-    """Integrate y' = z, z' = K - z^2 from r_a and return Hermite splines."""
+def _integrate_profile(profile, rmax, r_a, n_nodes) -> _LogSpline:
+    """Integrate y' = z, z' = K - z^2 from r_a and spline the result."""
     Kf = profile.curvature
 
     def rhs(r, state):
@@ -519,94 +662,58 @@ def _integrate_profile(profile, rmax, r_a, n_nodes):
     if not sol.success:
         raise NumericalError(f"warping integration failed: {sol.message}")
     yv, zv = sol.y
-    y_spl = CubicHermiteSpline(nodes, yv, zv)
-    z_spl = CubicHermiteSpline(nodes, zv, np.asarray(Kf(nodes), float) - zv * zv)
+    spline = _LogSpline(nodes, yv, zv, K=Kf)
     # a-posteriori consistency estimate: the two splines must agree on y' = z
     mid = np.sqrt(nodes[:-1] * nodes[1:])
     h = np.diff(nodes)
-    defect = np.abs(y_spl(mid, 1) - z_spl(mid)) * h
+    defect = np.abs(spline.y_spl(mid, 1) - spline.z_spl(mid)) * h
     if np.max(defect) > 1e-6 * max(1.0, np.max(np.abs(yv))):
         raise GridTooCoarse(
             f"warping table defect {np.max(defect):.2e}; increase grid nodes")
-    return nodes, y_spl, z_spl
+    return spline
 
 
 def build_model(profile: CurvatureProfile, N: int, Rmax: float,
                 grid: Optional[GridSpec] = None, method: str = "auto") -> ModelFunction:
     """Construct the warping function of a model geometry.
 
-    ``method="ode"`` forces numerical integration of psi'' = K psi even when
-    a closed form exists (used to cross-validate the integrator).
+    A profile with a closed form is evaluated through it.  One without has
+    its law probed for K >= 0 and is integrated; ``method="ode"`` forces the
+    integration for any profile (used to cross-validate the integrator).
     """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValidationError(f"dimension must be an integer >= 2, got {N}")
     if not np.isfinite(Rmax) or Rmax <= 0:
         raise ValidationError(f"Rmax must be positive, got {Rmax}")
-    cap = float(getattr(profile, "flat_cap", 0.0))
+    if method not in ("auto", "ode"):
+        raise ValidationError(f"unknown build method {method!r}")
+    cap = float(profile.flat_cap)
     if cap > 0 and Rmax <= cap:
         raise ValidationError(f"Rmax = {Rmax} must exceed the cap radius {cap}")
     grid = grid or GridSpec()
 
-    if isinstance(profile, _LAW_PROFILES):
+    closed = hasattr(profile, "psi")
+    if not closed:
         probe = np.geomspace(max(cap, 1e-8 * Rmax), Rmax, 2048)
         kk = np.asarray(profile.curvature(probe), float)
         if np.any(kk < -1e-12 * max(1.0, np.max(np.abs(kk)))):
             bad = probe[np.argmax(kk < 0)]
             raise NonHadamardProfile(f"curvature law is negative near r = {bad:.6g}")
 
-    use_closed = getattr(profile, "has_closed_form", False) and method != "ode"
-    if method not in ("auto", "ode", "closed"):
-        raise ValidationError(f"unknown build method {method!r}")
-    if method == "closed" and not getattr(profile, "has_closed_form", False):
-        raise ValidationError("profile has no closed form")
-
-    if use_closed:
-        psi_f, dpsi_f = profile.psi, profile.dpsi
-        y_f, z_f = profile.logpsi, profile.dlogpsi
-        built_by = "closed"
+    if closed and method == "auto":
+        warping, built_by = profile, "closed"
     else:
         r_a = cap if cap > 0 else grid.start(Rmax)
-        n_int = max(grid.n, 6144)
-        _, y_spl, z_spl = _integrate_profile(profile, Rmax, r_a, n_int)
-
-        def y_f(r, _ra=r_a, _s=y_spl):
-            r = np.asarray(r, float)
-            with np.errstate(divide="ignore"):
-                out = np.where(r < _ra, np.log(np.maximum(r, 0.0)), 0.0)
-            hi = r >= _ra
-            if np.any(hi):
-                out = np.where(hi, _s(np.maximum(r, _ra)), out)
-            return out
-
-        def z_f(r, _ra=r_a, _s=z_spl):
-            r = np.asarray(r, float)
-            with np.errstate(divide="ignore"):
-                out = np.where(r < _ra, 1.0 / r, 0.0)
-            hi = r >= _ra
-            if np.any(hi):
-                out = np.where(hi, _s(np.maximum(r, _ra)), out)
-            return out
-
-        def psi_f(r, _y=y_f):
-            r = np.asarray(r, float)
-            return np.where(r == 0.0, 0.0, np.exp(_y(np.maximum(r, 1e-300))))
-
-        def dpsi_f(r, _y=y_f, _z=z_f):
-            r = np.asarray(r, float)
-            return np.where(r == 0.0, 1.0,
-                            np.exp(_y(np.maximum(r, 1e-300))) * _z(np.maximum(r, 1e-300)))
-
+        warping = _integrate_profile(profile, Rmax, r_a, max(grid.n, 6144))
         built_by = "ode"
 
-    K_f = profile.curvature
     rg = np.concatenate([[0.0], grid.nodes(Rmax)])
-    gp = np.asarray(psi_f(rg), float)
-    gdp = np.asarray(dpsi_f(rg), float)
+    gp = np.asarray(warping.psi(rg), float)
+    gdp = np.asarray(warping.dpsi(rg), float)
     gp[0], gdp[0] = 0.0, 1.0
     return ModelFunction(profile=profile, N=int(N), Rmax=float(Rmax),
                          grid_r=rg, grid_psi=gp, grid_dpsi=gdp,
-                         built_by=built_by,
-                         _psi=psi_f, _dpsi=dpsi_f, _y=y_f, _z=z_f, _K=K_f)
+                         built_by=built_by, warping=warping)
 
 
 # ---------------------------------------------------------------------------
@@ -803,19 +910,21 @@ def ricci_uniformization(model: ModelFunction, R: float,
 
 def model_to_csv(model: ModelFunction, path, header_comment: Optional[str] = None):
     """Write the sampled table as ``r,psi,dpsi`` at full double precision."""
+    rows = model.table()
     with open(path, "w", newline="") as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         f.write("r,psi,dpsi\n")
-        for r, p, dp in zip(model.grid_r, model.grid_psi, model.grid_dpsi):
+        for r, p, dp in rows:
             f.write(f"{r:.17g},{p:.17g},{dp:.17g}\n")
 
 
 def model_from_csv(path, N: int) -> ModelFunction:
     """Rebuild a model from an exported table.
 
-    Curvature for imported tables comes from differentiating the sampled
-    psi' once (never psi twice); closed-form provenance is lost.
+    The warping is the log spline of the sampled (log psi, psi'/psi), whose
+    curvature comes from differentiating r psi'/psi once in log r (never
+    psi twice); closed-form provenance is lost.
     """
     r_l, p_l, dp_l = [], [], []
     with open(path) as f:
@@ -834,39 +943,6 @@ def model_from_csv(path, N: int) -> ModelFunction:
     if np.any(p[1:] <= 0):
         raise ValidationError("imported psi must be positive for r > 0")
     rn, pn, dpn = r[1:], p[1:], dp[1:]
-    y = np.log(pn)
-    z = dpn / pn
-    y_spl = CubicHermiteSpline(rn, y, z)
-    z_spl = CubicSpline(rn, z)
-    r1 = rn[0]
-
-    def y_f(q):
-        q = np.asarray(q, float)
-        with np.errstate(divide="ignore"):
-            below = np.log(np.maximum(q, 0.0)) + (y[0] - math.log(r1))
-        return np.where(q < r1, below, y_spl(np.maximum(q, r1)))
-
-    def z_f(q):
-        q = np.asarray(q, float)
-        with np.errstate(divide="ignore"):
-            below = 1.0 / q
-        return np.where(q < r1, below, z_spl(np.maximum(q, r1)))
-
-    def psi_f(q):
-        q = np.asarray(q, float)
-        return np.where(q == 0.0, 0.0, np.exp(y_f(np.maximum(q, 1e-300))))
-
-    def dpsi_f(q):
-        q = np.asarray(q, float)
-        return np.where(q == 0.0, 1.0,
-                        np.exp(y_f(np.maximum(q, 1e-300))) * z_f(np.maximum(q, 1e-300)))
-
-    def K_f(q):
-        q = np.asarray(q, float)
-        zq = z_f(q)
-        dz = np.where(q < r1, 0.0, z_spl(np.maximum(q, r1), 1))
-        return dz + zq * zq
-
     return ModelFunction(profile=None, N=int(N), Rmax=float(rn[-1]),
                          grid_r=r, grid_psi=p, grid_dpsi=dp, built_by="table",
-                         _psi=psi_f, _dpsi=dpsi_f, _y=y_f, _z=z_f, _K=K_f)
+                         warping=_LogSpline(rn, np.log(pn), dpn / pn))

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import ModelFunction
-from .weighted import sobolev_critical
+from .weighted import _gl5, sobolev_critical, unit_sphere_area
 
 __all__ = [
     "Characteristic",
@@ -46,9 +46,6 @@ __all__ = [
     "smoothing_exponent",
     "quasi_smoothing_exponent",
 ]
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -156,12 +153,8 @@ def pme_run(config: PMEConfig) -> PMERun:
     centers = 0.5 * (faces[:-1] + faces[1:])
 
     # cell volumes int w dr and face conductivities w(face)/dx
-    mid = 0.5 * (faces[:-1] + faces[1:])
-    half = 0.5 * dx
-    vol = np.zeros(config.n_cells)
-    for x, wgt in zip(_GL_X, _GL_W):
-        vol += wgt * np.exp((N - 1.0) * np.asarray(model.logpsi(mid + half * x), float))
-    vol *= half
+    vol = _gl5(lambda s: np.exp((N - 1.0) * np.asarray(model.logpsi(s), float)),
+              centers, 0.5 * dx)
     wf = np.exp((N - 1.0) * np.asarray(model.logpsi(faces[1:-1]), float))
     cond = wf / dx  # interior faces only; flux vanishes at r = 0 and the wall
 
@@ -169,7 +162,7 @@ def pme_run(config: PMEConfig) -> PMERun:
     sup0 = float(np.max(u))
     if sup0 > 0 and _support_edge(u, faces, config.support_threshold * sup0) > config.R_domain / 2 + dx:
         raise ValidationError("initial datum must be supported in [0, R_domain/2]")
-    omega = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    omega = unit_sphere_area(N)
     thr = config.support_threshold * sup0 if sup0 > 0 else 0.0
 
     if config.output_times is None:

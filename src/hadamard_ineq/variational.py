@@ -27,7 +27,8 @@ from scipy.sparse.linalg import eigsh, splu
 
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 from .geometry import ModelFunction, ricci_uniformization
-from .weighted import WeightMeasure, plin_norms, near_extremal, sobolev_critical
+from .weighted import (GL5_NODES, GL5_WEIGHTS, WeightMeasure, near_extremal, plin_norms,
+                       sobolev_critical, unit_sphere_area)
 
 __all__ = [
     "DiscreteFunction",
@@ -42,9 +43,6 @@ __all__ = [
     "unit_sphere_area",
     "sinh_moment",
 ]
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
-
 
 @dataclass
 class DiscreteFunction:
@@ -86,8 +84,8 @@ class _Mesh:
         # Gauss data per element for mass / Lp quadrature
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         half = 0.5 * self.h
-        self.qpts = mid[None, :] + half[None, :] * _GL_X[:, None]
-        self.qw = _GL_W[:, None] * half[None, :]
+        self.qpts = mid[None, :] + half[None, :] * GL5_NODES[:, None]
+        self.qw = GL5_WEIGHTS[:, None] * half[None, :]
         self.wq = weight.w_at(self.qpts)
         # hat function values at quadrature points: phi_left, phi_right
         self.phi_r = (self.qpts - nodes[None, :-1]) / self.h[None, :]
@@ -290,11 +288,6 @@ def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list,
 # ---------------------------------------------------------------------------
 # nonradial failure certificate
 # ---------------------------------------------------------------------------
-
-def unit_sphere_area(N: int) -> float:
-    """Surface area of the unit sphere in R^N."""
-    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
-
 
 def sinh_moment(N: int) -> float:
     """integral_0^1 sinh(s)^(N-1) ds."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BelowCriticalExponent,
@@ -31,7 +30,7 @@ from .errors import (
     TailUnclassifiable,
     ValidationError,
 )
-from .geometry import Constant, ExponentialPower, ModelFunction, Polynomial, PowerLaw, QuasiEuclideanOptimal
+from .geometry import ModelFunction, QuasiEuclideanOptimal, TailModel
 
 __all__ = [
     "WeightMeasure",
@@ -52,9 +51,23 @@ __all__ = [
     "near_extremal",
     "plin_norms",
     "sobolev_critical",
+    "unit_sphere_area",
 ]
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def _gl5(f, mid, half):
+    """5-point Gauss-Legendre of f over [mid - half, mid + half], elementwise."""
+    acc = np.zeros_like(mid)
+    for x, w in zip(GL5_NODES, GL5_WEIGHTS):
+        acc = acc + w * f(mid + half * x)
+    return acc * half
+
+
+def unit_sphere_area(N: int) -> float:
+    """Surface area of the unit sphere in R^N."""
+    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
 def sobolev_critical(N: int) -> float:
@@ -66,84 +79,13 @@ def sobolev_critical(N: int) -> float:
 # analytic tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailModel:
-    """Fitted large-radius form of psi.
-
-    family 'exponential': psi ~ amplitude * r^prefactor * exp(rate * r^shape)
-    family 'power':       psi ~ amplitude * r^shape
-    family 'divergent':   1/psi^(N-1) is not integrable at infinity
-    """
-
-    family: str
-    shape: float = 0.0
-    rate: float = 0.0
-    amplitude: float = 1.0
-    prefactor: float = 0.0
-    residual: float = 0.0
-
-
-def _fit_residual(rr, y, y_fit):
-    return float(np.sqrt(np.mean((y - y_fit) ** 2)) / max(1.0, np.sqrt(np.mean(y * y))))
-
-
 def _classify_tail(model: ModelFunction) -> TailModel:
-    prof = model.profile
-    rr = np.geomspace(model.Rmax / 10.0, model.Rmax, 160)
-    y = np.asarray(model.logpsi(rr), float)
-
-    def exp_fit(s, pf):
-        # least squares of (y - pf log r) against [r^s, 1]
-        rhs = y - pf * np.log(rr)
-        A = np.stack([rr ** s, np.ones_like(rr)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        resid = _fit_residual(rr, rhs, A @ coef)
-        return TailModel("exponential", shape=s, rate=float(coef[0]),
-                         amplitude=float(math.exp(coef[1])), prefactor=pf,
-                         residual=resid)
-
-    def power_fit(gamma=None):
-        A = (np.stack([np.log(rr), np.ones_like(rr)], axis=1) if gamma is None
-             else np.stack([np.ones_like(rr)], axis=1))
-        rhs = y if gamma is None else y - gamma * np.log(rr)
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        if gamma is None:
-            gamma, logamp = float(coef[0]), float(coef[1])
-        else:
-            logamp = float(coef[0])
-        fit = gamma * np.log(rr) + logamp
-        return TailModel("power", shape=gamma, amplitude=float(math.exp(logamp)),
-                         residual=_fit_residual(rr, y, fit))
-
-    if isinstance(prof, Constant):
-        if prof.k == 0.0:
-            tm = TailModel("power", shape=1.0, amplitude=1.0)
-        else:
-            s = math.sqrt(prof.k)
-            tm = TailModel("exponential", shape=1.0, rate=s, amplitude=0.5 / s)
-    elif isinstance(prof, PowerLaw):
-        if prof.beta < 2.0:
-            s = 1.0 - prof.beta / 2.0
-            tm = exp_fit(s, (1.0 - s) / 2.0)
-        else:
-            q1 = (1.0 + math.sqrt(1.0 + 4.0 * prof.c0)) / 2.0
-            tm = power_fit(q1)
-    elif isinstance(prof, QuasiEuclideanOptimal):
-        q1, _ = prof.exponents
-        a1, _ = prof.coefficients
-        tm = TailModel("power", shape=q1, amplitude=a1)
-    elif isinstance(prof, Polynomial):
-        cands = [(q, a) for q, a in ((prof.q1, prof.a1), (prof.q2, prof.a2)) if a != 0.0]
-        q, a = max(cands, key=lambda t: t[0])
-        if q <= 0 or a < 0:
-            tm = TailModel("divergent")
-        else:
-            tm = TailModel("power", shape=q, amplitude=a)
-    elif isinstance(prof, ExponentialPower):
-        tm = TailModel("divergent")
+    if model.profile is not None:
+        tm = model.profile.tail(model)
     else:
         # imported table: choose whichever analytic family explains the tail
-        tm = min((power_fit(), exp_fit(1.0, 0.0)), key=lambda t: t.residual)
+        tm = min((TailModel.fit_power(model), TailModel.fit_exponential(model, 1.0, 0.0)),
+                 key=lambda t: t.residual)
         if tm.residual > 1e-3:
             raise TailUnclassifiable(
                 f"tail fit residual {tm.residual:.2e} exceeds 1e-3")
@@ -161,34 +103,10 @@ def _classify_tail(model: ModelFunction) -> TailModel:
 
 def _tail_integral(model: ModelFunction, tail: TailModel) -> float:
     """T(Rmax) = integral of psi^(1-N) past the sampled range."""
-    R, N = model.Rmax, model.N
-    yR = float(model.logpsi(np.float64(R)))
-    if tail.family == "divergent":
-        return math.inf
-    if tail.family == "power":
-        g = tail.shape * (N - 1)
-        if isinstance(model.profile, (QuasiEuclideanOptimal, Polynomial)):
-            if isinstance(model.profile, QuasiEuclideanOptimal):
-                q1, q2 = model.profile.exponents
-                a1, a2 = model.profile.coefficients
-            else:
-                q1, q2, a1, a2 = (model.profile.q1, model.profile.q2,
-                                  model.profile.a1, model.profile.a2)
-            # substitute u = 1/s: finite interval, integrand u^(g-2) at 0
-            val, _ = quad(lambda u: (a1 * u ** -q1 + a2 * u ** -q2) ** (1.0 - N)
-                          / (u * u), 0.0, 1.0 / R)
-            return val
-        return R * math.exp((1.0 - N) * yR) / (g - 1.0)
-    # exponential family: integrate the anchored, shifted integrand
-    s, a, pf = tail.shape, tail.rate, tail.prefactor
-
-    def shifted(r):
-        d = pf * math.log(r / R) + a * (r ** s - R ** s)
-        return math.exp(-(N - 1.0) * d)
-
-    span = (R ** s + 45.0 / ((N - 1.0) * a)) ** (1.0 / s) - R
-    val, _ = quad(shifted, R, R + span, limit=200)
-    return val * math.exp((1.0 - N) * yR)
+    exact = getattr(model.profile, "tail_integral", None)
+    if exact is None or tail.family == "divergent":
+        return tail.integral(model)
+    return exact(model)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +117,7 @@ def _gl5_between(f, lo, hi):
     """Vectorized 5-point Gauss-Legendre of f over [lo, hi] (elementwise)."""
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    acc = np.zeros_like(mid)
-    for x, w in zip(_GL_X, _GL_W):
-        acc = acc + w * f(mid + half * x)
-    return acc * half
+    return _gl5(f, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 @dataclass
@@ -230,8 +143,7 @@ class WeightMeasure:
 
     def ball_volume(self, r):
         """Volume of the ball of radius r (the angular factor enters only here)."""
-        omega = 2.0 * math.pi ** (self.N / 2.0) / math.gamma(self.N / 2.0)
-        return omega * self.W_at(r)
+        return unit_sphere_area(self.N) * self.W_at(r)
 
     def winv_at(self, r):
         return np.exp(-(self.N - 1.0) * np.asarray(self.model.logpsi(r), float))

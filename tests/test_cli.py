@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hadamard_ineq import cli
+from hadamard_ineq import geometry as geo
+from hadamard_ineq.errors import ValidationError
 
 
 def run_cli(argv):
@@ -42,6 +44,21 @@ def test_model_validation_exit_code(tmp_path):
     rc = run_cli(["model", "--profile", "power", "--beta", "3", "--n", "3",
                   "--rmax", "20", "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_model_export_refuses_overflow(tmp_path, capsys):
+    # psi ~ exp((4/3) r^(3/4)) passes 1e308 near r = 4324, far inside Rmax
+    out = tmp_path / "m"
+    rc = run_cli(["model", "--profile", "power", "--beta", "0.5", "--n", "3",
+                  "--rmax", "20000", "--grid-kind", "log", "--grid", "6144",
+                  "--out-dir", str(out)])
+    assert rc == 2
+    assert "overflows float64 at r = 432" in capsys.readouterr().err
+    assert not (out / "model.csv").exists()
+    model = geo.build_model(geo.PowerLaw(1.0, 0.5, 1.0), 3, 20000.0,
+                            grid=geo.GridSpec(n=6144, kind="log"))
+    with pytest.raises(ValidationError, match="overflows float64 at r = 432"):
+        geo.model_to_csv(model, tmp_path / "table.csv")
 
 
 def test_sweep_hyperbolic_point(tmp_path):

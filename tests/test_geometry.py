@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hadamard_ineq import geometry as geo
+from hadamard_ineq import weighted as wgt
 from hadamard_ineq.errors import (
     CurvatureNotVanishing,
     FlatProfile,
@@ -250,11 +251,33 @@ def test_csv_round_trip(tmp_path, hyperbolic_model):
     assert rows1 == rows2
 
 
+def test_imported_table_curvature(tmp_path, hyperbolic_model):
+    path = tmp_path / "model.csv"
+    geo.model_to_csv(hyperbolic_model, path)
+    m = geo.model_from_csv(path, 3)
+    assert geo.is_cartan_hadamard(m) == (True, None)
+    r = m.grid_r[1:]
+    mid = np.sqrt(r[:-1] * r[1:])
+    assert np.max(np.abs(m.curvature(r) - 1.0)) <= 1e-3
+    assert np.max(np.abs(m.curvature(mid) - 1.0)) <= 1e-3
+    # below the first node psi continues linearly, so K is that of c r
+    below = np.geomspace(1e-3 * r[0], 0.9 * r[0], 5)
+    assert np.allclose(m.psi(below) / below, m.psi(r[0]) / r[0], rtol=1e-12)
+    assert np.all(m.curvature(below) == 0.0)
+
+
 def test_polynomial_c1_glue_matches_quasi():
     prof = geo.polynomial_c1_glue(2.0, -1.0, 1.0)
     quasi = geo.QuasiEuclideanOptimal(2.0, 1.0)
     r = np.linspace(0.2, 30.0, 50)
     assert np.allclose(prof.psi(r), quasi.psi(r), rtol=1e-13)
+    assert np.allclose(prof.dpsi(r), quasi.dpsi(r), rtol=1e-13)
+    assert np.allclose(prof.logpsi(r), quasi.logpsi(r), rtol=1e-13)
+    assert np.allclose(prof.dlogpsi(r), quasi.dlogpsi(r), rtol=1e-13)
+    w_prof, w_quasi = (wgt.build_weight(geo.build_model(p, 3, 1200.0)) for p in (prof, quasi))
+    assert w_prof.tail == w_quasi.tail
+    assert w_prof.tail.family == "power" and w_prof.tail.shape == 2.0
+    assert math.isclose(float(w_prof.T_at(1200.0)), float(w_quasi.T_at(1200.0)), rel_tol=1e-13)
 
 
 def test_grid_spec():
