@@ -32,12 +32,12 @@ def main():
     ps = np.linspace(2.02, 2.2, 10)
     print("\ncurvature -r^(-1): supremum vs exponent")
     c, r0 = geo.lemma31_constants(mp)
-    for p in ps:
-        r = wgt.supremum_B(wp, float(p))
+    reports = [wgt.supremum_B(wp, float(p)) for p in ps]
+    for p, r in zip(ps, reports):
         bound = wgt.lemma41_bound(3, 0.5, c, r0, float(p))
         print(f"   p={p:5.3f}  B={r.B:8.4f}  maximizer r={r.r_bar:10.2f}  "
               f"explicit bound/B = {bound / r.B:6.2f}")
-    fit = wgt.scaling_regression(wp, ps, "p_to_2")
+    fit = wgt.scaling_regression(reports, "p_to_2")
     print(f"   fitted d(log B)/d(log(p-2)) = {fit.slope:.4f}   (predicted -1)")
 
     # quadratic decay: threshold exponent

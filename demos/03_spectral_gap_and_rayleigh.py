@@ -34,8 +34,9 @@ def main():
 
     mray = geo.build_model(geo.Euclidean(), 3, 60.0)
     wray = wgt.build_weight(mray)
-    res = var.rayleigh_minimize(wray, 6.0, 50.0)
     rep = wgt.supremum_B(wray, 6.0)
+    seed = var.DiscreteFunction(*wgt.near_extremal(wray, rep))
+    res = var.rayleigh_minimize(wray, 6.0, 50.0, init=seed)
     print(f"\nflat p=6 quotient: minimized ratio {res.ratio:.5f} "
           f"(enclosure [{1 / rep.sandwich_upper:.5f}, {1 / rep.B:.5f}])")
 

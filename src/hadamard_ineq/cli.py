@@ -13,6 +13,7 @@ Exit codes: 0 success (divergence flags are results, not failures),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -287,15 +288,9 @@ def cmd_sweep(args) -> int:
     payload = {"p": list(map(float, p_values)),
                "B": [rep.B for rep, _ in results],
                "divergent": [rep.divergent for rep, _ in results],
-               "reports": [{"p": rep.p, "B": rep.B, "r_bar": rep.r_bar,
-                            "at_infinity": rep.at_infinity,
-                            "divergent": rep.divergent,
-                            "sandwich_upper": rep.sandwich_upper,
-                            "crit_residual": rep.crit_residual,
-                            "search_trace": rep.search_trace}
-                           for rep, _ in results]}
+               "reports": [dataclasses.asdict(rep) for rep, _ in results]}
     if args.regress != "none":
-        fit = weighted.scaling_regression(weight, p_values, args.regress)
+        fit = weighted.scaling_regression([rep for rep, _ in results], args.regress)
         predicted = (-args.beta / (2.0 - args.beta)
                      if args.regress == "p_to_2" else 0.5)
         payload["regression"] = {"mode": args.regress, "fitted_slope": fit.slope,
@@ -333,7 +328,10 @@ def cmd_rayleigh(args) -> int:
     model = _model_from(args)
     weight = weighted.build_weight(model)
     tols = _tols(args)
-    res = variational.rayleigh_minimize(weight, args.p, args.rdomain,
+    rep = weighted.supremum_B(weight, args.p, refine_tol=tols["refine"])
+    init = (variational.DiscreteFunction(*weighted.near_extremal(weight, rep))
+            if weight.tail.family != "divergent" else None)
+    res = variational.rayleigh_minimize(weight, args.p, args.rdomain, init=init,
                                         tol=tols["rayleigh"])
     out = _out_dir(args)
     h = report_io.config_hash(_resolved(args))
@@ -343,7 +341,6 @@ def cmd_rayleigh(args) -> int:
                             res.r, res.minimizer)
     payload = {"p": args.p, "R_domain": args.rdomain, "ratio": res.ratio,
                "converged": res.converged, "iterations": res.iterations}
-    rep = weighted.supremum_B(weight, args.p)
     if not rep.divergent:
         payload["supremum_B"] = rep.B
         payload["sandwich_upper"] = rep.sandwich_upper

@@ -926,18 +926,25 @@ def model_from_csv(path, N: int) -> ModelFunction:
     curvature comes from differentiating r psi'/psi once in log r (never
     psi twice); closed-form provenance is lost.
     """
-    r_l, p_l, dp_l = [], [], []
+    rows = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("r,"):
                 continue
-            a, b, c = line.split(",")
-            r_l.append(float(a)); p_l.append(float(b)); dp_l.append(float(c))
-    r = np.asarray(r_l); p = np.asarray(p_l); dp = np.asarray(dp_l)
-    if r[0] != 0.0:
-        r = np.concatenate([[0.0], r]); p = np.concatenate([[0.0], p])
-        dp = np.concatenate([[1.0], dp])
+            try:
+                a, b, c = (float(x) for x in line.split(","))
+            except ValueError:
+                raise ValidationError(f"line {lineno} of {path} is not three numbers "
+                                      f"r,psi,dpsi: {line!r}") from None
+            if not all(map(math.isfinite, (a, b, c))):
+                raise ValidationError(f"imported table is not finite at r = {a:.6g}")
+            rows.append((a, b, c))
+    if not rows:
+        raise ValidationError(f"{path} holds no table rows")
+    if rows[0][0] != 0.0:
+        rows.insert(0, (0.0, 0.0, 1.0))
+    r, p, dp = map(np.asarray, zip(*rows))
     if np.any(np.diff(r) <= 0):
         raise ValidationError("imported radii must be strictly increasing")
     if np.any(p[1:] <= 0):

@@ -28,7 +28,7 @@ from scipy.sparse.linalg import eigsh, splu
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 from .geometry import ModelFunction, ricci_uniformization
 from .weighted import (GL5_NODES, GL5_WEIGHTS, WeightMeasure, near_extremal, plin_norms,
-                       sobolev_critical, unit_sphere_area)
+                       sobolev_critical, supremum_B, unit_sphere_area)
 
 __all__ = [
     "DiscreteFunction",
@@ -199,7 +199,8 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
     """Locally minimize ||g'||_{2,w} / ||g||_{p,w} with g(R_domain) = 0.
 
     Projected gradient descent on the constraint ||g||_{p,w} = 1 with
-    backtracking; deterministic given the initial iterate.  The returned
+    backtracking; deterministic given the initial iterate, which defaults
+    to the near-extremal shape of ``supremum_B(weight, p)``.  The returned
     ratio is always an upper bound for the infimum; non-convergence is
     reported through the flag, with the best iterate returned.
     """
@@ -208,12 +209,10 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
     mesh = _Mesh(weight, R_domain)
     A = mesh.stiffness()
 
+    if init is None and weight.tail.family != "divergent":
+        init = DiscreteFunction(*near_extremal(weight, supremum_B(weight, p)))
     if init is None:
-        if weight.tail.family != "divergent":
-            er, eg = near_extremal(weight, p)
-            g0 = np.interp(mesh.nodes[:-1], er, eg, left=eg[0], right=0.0)
-        else:
-            g0 = np.maximum(1.0 - mesh.nodes[:-1] / R_domain, 0.0)
+        g0 = np.maximum(1.0 - mesh.nodes[:-1] / R_domain, 0.0)
     else:
         g0 = np.interp(mesh.nodes[:-1], init.r, init.values, left=init.values[0], right=0.0)
     g = np.asarray(g0, float)

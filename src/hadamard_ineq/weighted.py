@@ -192,6 +192,11 @@ def build_weight(model: ModelFunction) -> WeightMeasure:
 # the supremum and its report
 # ---------------------------------------------------------------------------
 
+def _log_Q(weight: WeightMeasure, p: float, r):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(weight.W_at(r)) / p + 0.5 * np.log(weight.T_at(r))
+
+
 def Q_at(weight: WeightMeasure, p: float, r):
     """W(r)^(1/p) T(r)^(1/2); infinite when the tail diverges."""
     if p <= 0:
@@ -199,10 +204,7 @@ def Q_at(weight: WeightMeasure, p: float, r):
     r = np.asarray(r, float)
     if weight.tail.family == "divergent":
         return np.full_like(r, math.inf)
-    with np.errstate(divide="ignore"):
-        lw = np.log(weight.W_at(r))
-        lt = np.log(weight.T_at(r))
-    return np.exp(lw / p + 0.5 * lt)
+    return np.exp(_log_Q(weight, p, r))
 
 
 def _limit_infinity(weight: WeightMeasure, p: float) -> float:
@@ -258,25 +260,29 @@ class SupremumReport:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, a, b, tol):
-    """Golden-section maximum of f on [a, b] (log-radius coordinate)."""
+def _golden_max_all(f, a, b, tol):
+    """Golden-section maxima of f on the brackets [a, b] (updated in place),
+    refined in lockstep: each step calls f once on the open brackets.  A
+    bracket closes when b - a <= tol max(1, |a| + |b|) or after 301 calls."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    n = 2
-    while (b - a) > tol * max(1.0, abs(a) + abs(b)):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        n += 1
-        if n > 300:
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    n = np.full(len(a), 2)
+    while True:
+        k = np.flatnonzero((n <= 300) & ((b - a) > tol * np.maximum(1.0, abs(a) + abs(b))))
+        if len(k) == 0:
             break
-    return (0.5 * (a + b), max(f1, f2), n)
+        up = f1[k] < f2[k]
+        ku, kd = k[up], k[~up]
+        # rising: drop [a, x1], the old x2 becomes x1; falling: mirror image
+        a[ku], x1[ku], f1[ku] = x1[ku], x2[ku], f2[ku]
+        x2[ku] = a[ku] + _GOLDEN * (b[ku] - a[ku])
+        b[kd], x2[kd], f2[kd] = x2[kd], x1[kd], f1[kd]
+        x1[kd] = b[kd] - _GOLDEN * (b[kd] - a[kd])
+        fk = f(np.where(up, x2[k], x1[k]))
+        f2[ku], f1[kd] = fk[up], fk[~up]
+        n[k] += 1
+    return 0.5 * (a + b), np.where(f2 > f1, f2, f1), n
 
 
 def supremum_B(weight: WeightMeasure, p: float, n_scan: int = 512,
@@ -290,43 +296,34 @@ def supremum_B(weight: WeightMeasure, p: float, n_scan: int = 512,
     if p <= 0:
         raise InvalidExponent(f"exponent must be positive, got {p}")
     upper_factor = sandwich_factor(p)
-    if weight.tail.family == "divergent":
-        return SupremumReport(p=p, B=math.inf, r_bar=None, at_infinity=False,
-                              divergent=True, sandwich_upper=math.inf,
-                              crit_residual=None,
-                              search_trace={"evaluations": 0, "refinement_depth": 0})
     lim_inf = _limit_infinity(weight, p)
     lim_zero = _limit_zero(weight.N, p)
     if math.isinf(lim_inf) or math.isinf(lim_zero):
-        return SupremumReport(p=p, B=math.inf, r_bar=None,
-                              at_infinity=math.isinf(lim_inf), divergent=True,
-                              sandwich_upper=math.inf, crit_residual=None,
+        at_inf = math.isinf(lim_inf) and weight.tail.family != "divergent"
+        return SupremumReport(p=p, B=math.inf, r_bar=None, at_infinity=at_inf,
+                              divergent=True, sandwich_upper=math.inf, crit_residual=None,
                               search_trace={"evaluations": 0, "refinement_depth": 0})
 
     pts = np.geomspace(weight.rgrid[1], weight.Rmax, n_scan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lq = (np.log(np.maximum(weight.W_at(pts), 0.0)) / p
-              + 0.5 * np.log(np.maximum(weight.T_at(pts), 0.0)))
+    lq = _log_Q(weight, p, pts)
     lq = np.where(np.isnan(lq), -math.inf, lq)
-    evals = n_scan
-    depth = 0
 
-    def f(x):
-        r = math.exp(x)
-        return float(np.log(weight.W_at(np.float64(r))) / p
-                     + 0.5 * np.log(weight.T_at(np.float64(r))))
+    def libm(fn, x):
+        # math.exp/math.log per element: numpy's vector exp and log may differ
+        # in the last bit, and on a plateau of Q that moves the maximizer
+        return np.fromiter(map(fn, x), float, len(x))
 
-    best_val = -math.inf
-    best_r = None
-    interior = np.flatnonzero((lq[1:-1] >= lq[:-2]) & (lq[1:-1] >= lq[2:]))
-    for i in interior + 1:
-        if not np.isfinite(lq[i]):
-            continue
-        x, v, n = _golden_max(f, math.log(pts[i - 1]), math.log(pts[i + 1]), refine_tol)
-        evals += n
-        depth = max(depth, n)
-        if v > best_val:
-            best_val, best_r = v, math.exp(x)
+    best_val, best_r = -math.inf, None
+    peaks = 1 + np.flatnonzero((lq[1:-1] >= lq[:-2]) & (lq[1:-1] >= lq[2:]))
+    peaks = peaks[np.isfinite(lq[peaks])]
+    x, v, n = _golden_max_all(lambda s: _log_Q(weight, p, libm(math.exp, s)),
+                              libm(math.log, pts[peaks - 1]), libm(math.log, pts[peaks + 1]),
+                              refine_tol)
+    if len(v):
+        k = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))  # first of equal maxima
+        if v[k] > best_val:
+            best_val, best_r = float(v[k]), math.exp(x[k])
+    evals, depth = n_scan + int(n.sum()), int(n.max(initial=0))
     for i in (0, n_scan - 1):
         if lq[i] > best_val:
             best_val, best_r = lq[i], float(pts[i])
@@ -334,18 +331,14 @@ def supremum_B(weight: WeightMeasure, p: float, n_scan: int = 512,
     B_interior = math.exp(best_val) if best_r is not None else 0.0
     B = max(B_interior, lim_inf, lim_zero)
     at_infinity = lim_inf >= B_interior and lim_inf >= lim_zero and lim_inf == B
-    r_bar = None
-    crit_res = None
-    if at_infinity:
-        pass
-    elif lim_zero == B and lim_zero > B_interior:
+    r_bar = crit_res = None
+    if not at_infinity and lim_zero == B and lim_zero > B_interior:
         r_bar = 0.0
-    else:
+    elif not at_infinity:
         r_bar = best_r
-        N = weight.N
         lnW = float(np.log(weight.W_at(np.float64(r_bar))))
         lnT = float(np.log(weight.T_at(np.float64(r_bar))))
-        lnrhs = math.log(p / 2.0) + lnW - 2.0 * (N - 1.0) * float(
+        lnrhs = math.log(p / 2.0) + lnW - 2.0 * (weight.N - 1.0) * float(
             weight.model.logpsi(np.float64(r_bar)))
         crit_res = abs(1.0 - math.exp(lnrhs - lnT))
         # at a genuine boundary maximizer the stationarity identity is void
@@ -476,17 +469,20 @@ class RegressionFit:
     residual_rms: float
 
 
-def scaling_regression(weight: WeightMeasure, p_values, mode: str) -> RegressionFit:
+def scaling_regression(reports, mode: str) -> RegressionFit:
     """Least-squares exponent of B(p) against the appropriate abscissa.
 
-    mode 'p_to_2' regresses log B on log(p - 2); mode 'p_large' on log p.
+    Fits the given ``SupremumReport``s, ordered by p, and searches nothing
+    itself.  Mode 'p_to_2' regresses log B on log(p - 2); mode 'p_large'
+    on log p.
     """
-    p_values = np.sort(np.asarray(p_values, float))
     if mode not in ("p_to_2", "p_large"):
         raise ValidationError(f"unknown regression mode {mode!r}")
-    if len(p_values) < 5:
+    if len(reports) < 5:
         raise ValidationError("need at least 5 exponents in the regression")
-    B = np.array([supremum_B(weight, float(p)).B for p in p_values])
+    reports = sorted(reports, key=lambda rep: rep.p)
+    p_values = np.array([rep.p for rep in reports], float)
+    B = np.array([rep.B for rep in reports], float)
     if np.any(~np.isfinite(B)):
         bad = p_values[~np.isfinite(B)]
         raise DivergentPoint(f"B diverges at p = {bad.tolist()}")
@@ -507,22 +503,20 @@ def scaling_regression(weight: WeightMeasure, p_values, mode: str) -> Regression
 # explicit test functions
 # ---------------------------------------------------------------------------
 
-def near_extremal(weight: WeightMeasure, p: float, r_bar: Optional[float] = None):
-    """Piecewise-linear function nearly attaining the ratio B.
+def near_extremal(weight: WeightMeasure, report: SupremumReport):
+    """Piecewise-linear function nearly attaining the B of ``report``, a
+    ``supremum_B(weight, p)`` result; nothing is searched here.
 
-    Plateau at height 1 out to the maximizer (functions on the half line
-    need not vanish at the origin), then the shifted tail profile
+    Plateau at height 1 out to the report's maximizer r_bar, or 0.8 Rmax
+    when it has none in (0, Rmax] (functions on the half line need not
+    vanish at the origin), then the shifted tail profile
     (T(r) - T(Rc)) / (T(r_bar) - T(Rc)) down to zero at the last node Rc.
     The plateau is pulled in if the sampled range keeps less than 95% of
-    the tail mass past the requested radius.
+    the tail mass past r_bar.
     """
     if weight.tail.family == "divergent":
         raise ValidationError("no extremal shape for a divergent weight")
-    if r_bar is None:
-        rep = supremum_B(weight, p)
-        r_bar = rep.r_bar if rep.r_bar else 0.8 * weight.Rmax
-        if r_bar == 0.0:
-            r_bar = float(weight.rgrid[2])
+    r_bar = report.r_bar if report.r_bar else 0.8 * weight.Rmax
     nodes = weight.rgrid[1:]
     Rc = float(nodes[-1])
     T_c = float(weight.T_at(np.float64(Rc)))

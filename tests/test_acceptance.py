@@ -75,12 +75,12 @@ def test_criterion_1_hyperbolic_poincare(hyperbolic_weight):
 
 def test_criterion_2_subhyperbolic_scaling(power_model, power_weight):
     p_values = np.linspace(2.02, 2.2, 10)
-    fit = wgt.scaling_regression(power_weight, p_values, "p_to_2")
+    fit = wgt.scaling_regression([wgt.supremum_B(power_weight, float(p))
+                                  for p in p_values], "p_to_2")
     c, r0 = geo.lemma31_constants(power_model)
     dominated = all(
-        wgt.lemma41_bound(3, 0.5, c, r0, float(p))
-        >= wgt.supremum_B(power_weight, float(p)).B
-        for p in p_values)
+        wgt.lemma41_bound(3, 0.5, c, r0, float(p)) >= B
+        for p, B in zip(fit.p_values, fit.B_values))
     ok = abs(fit.slope - (-1.0)) <= 0.15 and dominated
     _report(2, "sub-hyperbolic constant blowup rate and explicit bound", ok,
             f"slope={fit.slope:.4f} (predicted -1) bound_dominates={dominated}")
@@ -101,7 +101,8 @@ def test_criterion_3_quasi_threshold(quasi_weight):
 
 def test_criterion_4_sqrt_p_growth(quasi_n2_weight):
     p_values = np.geomspace(10.0, 200.0, 8)
-    fit = wgt.scaling_regression(quasi_n2_weight, p_values, "p_large")
+    fit = wgt.scaling_regression([wgt.supremum_B(quasi_n2_weight, float(p))
+                                  for p in p_values], "p_large")
     ok = abs(fit.slope - 0.5) <= 0.1
     _report(4, "two-dimensional constant grows like sqrt(p)", ok,
             f"slope={fit.slope:.4f} (predicted 0.5)")
@@ -153,7 +154,7 @@ def test_criterion_6_sandwich_honesty(hyperbolic_weight, euclidean_weight,
                 continue
             ok = ok and pn <= rep.sandwich_upper * grad * (1 + 1e-9)
             checked += 1
-        er, eg = wgt.near_extremal(weight, p)
+        er, eg = wgt.near_extremal(weight, rep)
         grad, pn = wgt.plin_norms(weight, er, eg, p)
         frac = (pn / grad) / rep.B
         worst_frac = min(worst_frac, frac)

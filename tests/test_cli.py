@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hadamard_ineq import cli
+from hadamard_ineq import cli, variational, weighted
 from hadamard_ineq import geometry as geo
 from hadamard_ineq.errors import ValidationError
 
@@ -106,6 +106,42 @@ def test_sweep_regression_summary(tmp_path):
     fit = doc["regression"]
     assert fit["predicted_slope"] == -1.0
     assert abs(fit["fitted_slope"] - fit["predicted_slope"]) < 0.15
+
+
+POWER_SWEEP = ["sweep", "--profile", "power", "--c0", "1", "--beta", "1",
+               "--r0", "1", "--n", "3", "--rmax", "20000",
+               "--grid-kind", "log", "--grid", "6144",
+               "--p", "2.02:2.2:10", "--regress", "p_to_2"]
+FLAT_RAYLEIGH = ["rayleigh", "--profile", "euclidean", "--n", "3",
+                 "--rmax", "60", "--rdomain", "50", "--p", "6"]
+
+
+def test_sweep_regression_fits_the_written_column(tmp_path):
+    # the fit must use the B values of the sweep itself, at its tolerance
+    out = tmp_path / "r"
+    assert run_cli(POWER_SWEEP + ["--tol", "refine=1e-3", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text())
+    p, B = np.array(doc["p"]), np.array(doc["B"])
+    slope, intercept = np.polyfit(np.log(p - 2.0), np.log(B), 1)
+    assert doc["regression"]["fitted_slope"] == slope
+    assert doc["regression"]["intercept"] == intercept
+
+
+@pytest.mark.parametrize("argv, searches", [(POWER_SWEEP, 10), (FLAT_RAYLEIGH, 1)],
+                         ids=["sweep", "rayleigh"])
+def test_each_exponent_searched_once(tmp_path, monkeypatch, argv, searches):
+    calls = []
+    search = weighted.supremum_B
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return search(*args, **kwargs)
+
+    for mod in (weighted, variational):
+        if getattr(mod, "supremum_B", None) is search:
+            monkeypatch.setattr(mod, "supremum_B", counted)
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == searches
 
 
 def test_poincare_command(tmp_path):

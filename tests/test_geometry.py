@@ -266,6 +266,39 @@ def test_imported_table_curvature(tmp_path, hyperbolic_model):
     assert np.all(m.curvature(below) == 0.0)
 
 
+def _spoil_rows(lines, spoil):
+    head = [l for l in lines if l.startswith("#") or l.startswith("r,")]
+    rows = [l for l in lines if l not in head]
+    return head + spoil(rows)
+
+
+def _from_r(r0, field, value):
+    def spoil(rows):
+        out = []
+        for row in rows:
+            cells = row.split(",")
+            if float(cells[0]) >= r0:
+                cells[field] = value
+            out.append(",".join(cells))
+        return out
+    return spoil
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_from_r(15.0, 1, "inf"), r"not finite at r = 15\.0"),
+    (_from_r(7.0, 2, "nan"), r"not finite at r = 7\.0"),
+    (lambda rows: [], "holds no table rows"),
+    (lambda rows: rows[:10] + [rows[10].rsplit(",", 1)[0]] + rows[11:],
+     "line 12 .* not three numbers"),
+], ids=["inf_psi", "nan_dpsi", "empty", "two_fields"])
+def test_imported_table_validation(tmp_path, hyperbolic_model, spoil, message):
+    path = tmp_path / "model.csv"
+    geo.model_to_csv(hyperbolic_model, path)
+    path.write_text("\n".join(_spoil_rows(path.read_text().splitlines(), spoil)) + "\n")
+    with pytest.raises(ValidationError, match=message):
+        geo.model_from_csv(path, 3)
+
+
 def test_polynomial_c1_glue_matches_quasi():
     prof = geo.polynomial_c1_glue(2.0, -1.0, 1.0)
     quasi = geo.QuasiEuclideanOptimal(2.0, 1.0)

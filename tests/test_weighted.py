@@ -147,6 +147,64 @@ def test_quasi_threshold(quasi_weight):
         assert not rep.divergent and rep.B > 0
 
 
+def _scalar_golden_search(weight, p, n_scan=512, tol=1e-10):
+    """The supremum search refining one bracket at a time, as a test oracle."""
+    G = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(x):
+        r = np.float64(math.exp(x))
+        return float(np.log(weight.W_at(r)) / p + 0.5 * np.log(weight.T_at(r)))
+
+    pts = np.geomspace(weight.rgrid[1], weight.Rmax, n_scan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lq = (np.log(np.maximum(weight.W_at(pts), 0.0)) / p
+              + 0.5 * np.log(np.maximum(weight.T_at(pts), 0.0)))
+    lq = np.where(np.isnan(lq), -math.inf, lq)
+    evals, depth, best_val, best_r = n_scan, 0, -math.inf, None
+    for i in 1 + np.flatnonzero((lq[1:-1] >= lq[:-2]) & (lq[1:-1] >= lq[2:])):
+        if not np.isfinite(lq[i]):
+            continue
+        a, b = math.log(pts[i - 1]), math.log(pts[i + 1])
+        x1, x2 = b - G * (b - a), a + G * (b - a)
+        f1, f2, n = f(x1), f(x2), 2
+        while (b - a) > tol * max(1.0, abs(a) + abs(b)) and n <= 300:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + G * (b - a)
+                f2 = f(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - G * (b - a)
+                f1 = f(x1)
+            n += 1
+        evals, depth = evals + n, max(depth, n)
+        if max(f1, f2) > best_val:
+            best_val, best_r = max(f1, f2), math.exp(0.5 * (a + b))
+    return best_val, best_r, {"evaluations": evals, "refinement_depth": depth}
+
+
+@pytest.mark.parametrize("fixture_name, p", [
+    ("euclidean_weight", 6.0),  # Q is a plateau: 286 brackets
+    ("power_weight", 2.1),
+    ("quasi_weight", 4.0),
+    ("hyperbolic_weight", 2.0),
+])
+def test_lockstep_search_matches_scalar_oracle(request, fixture_name, p):
+    weight = request.getfixturevalue(fixture_name)
+    rep = wgt.supremum_B(weight, p)
+    best_val, best_r, trace = _scalar_golden_search(weight, p)
+    assert rep.search_trace == trace
+    if rep.at_infinity:
+        assert rep.r_bar is None and rep.crit_residual is None
+        assert rep.B == max(math.exp(best_val), wgt._limit_infinity(weight, p))
+        return
+    assert (rep.B, rep.r_bar) == (math.exp(best_val), best_r)
+    N, r = weight.N, np.float64(best_r)
+    lnrhs = (math.log(p / 2.0) + float(np.log(weight.W_at(r)))
+             - 2.0 * (N - 1.0) * float(weight.model.logpsi(r)))
+    assert rep.crit_residual == abs(1.0 - math.exp(lnrhs - float(np.log(weight.T_at(r)))))
+
+
 def test_sandwich():
     lo, up = wgt.sandwich(0.5, 2.0)
     assert (lo, up) == (0.5, pytest.approx(1.0))
@@ -229,21 +287,31 @@ def test_mckean_bounds():
 # regression driver
 # ---------------------------------------------------------------------------
 
+def _reports(weight, p_values):
+    return [wgt.supremum_B(weight, float(p)) for p in p_values]
+
+
 def test_scaling_regression_near_two(power_weight):
-    fit = wgt.scaling_regression(power_weight, np.linspace(2.02, 2.2, 10), "p_to_2")
+    reports = _reports(power_weight, np.linspace(2.02, 2.2, 10))
+    fit = wgt.scaling_regression(reports[::-1], "p_to_2")
     assert fit.slope == pytest.approx(-1.0, abs=0.15)
+    # ordered by p, with B taken from the reports as given
+    assert np.array_equal(fit.p_values, [rep.p for rep in reports])
+    assert np.array_equal(fit.B_values, [rep.B for rep in reports])
 
 
 def test_scaling_regression_divergent(euclidean_weight):
     with pytest.raises(DivergentPoint):
-        wgt.scaling_regression(euclidean_weight, [2.0, 3.0, 4.0, 5.0, 5.5], "p_large")
+        wgt.scaling_regression(_reports(euclidean_weight, [2.0, 3.0, 4.0, 5.0, 5.5]),
+                               "p_large")
 
 
 def test_scaling_regression_validation(hyperbolic_weight):
     with pytest.raises(ValidationError):
-        wgt.scaling_regression(hyperbolic_weight, [3.0, 4.0], "p_large")
+        wgt.scaling_regression(_reports(hyperbolic_weight, [3.0, 4.0]), "p_large")
     with pytest.raises(ValidationError):
-        wgt.scaling_regression(hyperbolic_weight, [3.0, 4.0, 4.5, 5.0, 5.5], "bogus")
+        wgt.scaling_regression(_reports(hyperbolic_weight, [3.0, 4.0, 4.5, 5.0, 5.5]),
+                               "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +364,7 @@ def test_sandwich_honesty_randomized(request, fixture_name, p):
 def test_near_extremal_attains(request, fixture_name, p):
     weight = request.getfixturevalue(fixture_name)
     rep = wgt.supremum_B(weight, p)
-    r, g = wgt.near_extremal(weight, p)
+    r, g = wgt.near_extremal(weight, rep)
     grad, pn = wgt.plin_norms(weight, r, g, p)
     assert pn / grad >= 0.95 * rep.B
     assert pn / grad <= rep.sandwich_upper * (1 + 1e-9)
