@@ -2,12 +2,17 @@
 
 Subcommands: ``model``, ``sweep``, ``poincare``, ``rayleigh``,
 ``certificate``, ``pme``.  Outputs are deterministic: identical resolved
-configurations (flags > config file > defaults) produce byte-identical
-files at any parallelism degree; worker fan-out is over independent
-parameter points and results are assembled in parameter order.
+configurations produce byte-identical files at any parallelism degree;
+worker fan-out is over independent parameter points and results are
+assembled in parameter order.
+
+``--config FILE`` reads each ``key = value`` line of FILE as the flag
+``--key=value`` of the subcommand, placed before the command line's own
+flags, which therefore win.  An unknown key or a bad value is a usage
+error, and ``tol`` may repeat.
 
 Exit codes: 0 success (divergence flags are results, not failures),
-1 numerical failure, 2 validation error.
+1 numerical failure, 2 validation or usage error.
 """
 
 from __future__ import annotations
@@ -25,32 +30,39 @@ import numpy as np
 from . import __version__, geometry, pme, report_io, variational, weighted
 from .errors import NumericalError, ValidationError
 
-_PROFILES = ("euclidean", "hyperbolic", "power", "quasi")
+# the curvature profile each --profile choice builds from the parsed flags
+_PROFILES = {
+    "euclidean": lambda args: geometry.Euclidean(),
+    "hyperbolic": lambda args: geometry.Hyperbolic(args.k),
+    "power": lambda args: geometry.PowerLaw(args.c0, args.beta, args.r0),
+    "quasi": lambda args: geometry.QuasiEuclideanOptimal(args.c1, args.r0),
+}
 
 
-def _add_common(sub):
-    sub.add_argument("--out-dir", default=None,
-                     help="output directory (default: $HADAMARD_INEQ_OUT or ./out)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="format of the summary printed to stdout")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel parameter points")
-    sub.add_argument("--config", default=None, help="key = value config file")
-    sub.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
-                     help="tolerance overrides (refine, rayleigh)")
-
-
-def _add_profile(sub):
-    sub.add_argument("--profile", choices=_PROFILES, required=True)
-    sub.add_argument("--k", type=float, default=1.0, help="constant curvature level")
-    sub.add_argument("--c0", type=float, default=1.0, help="power-law curvature amplitude")
-    sub.add_argument("--beta", type=float, default=1.0, help="power-law decay exponent")
-    sub.add_argument("--c1", type=float, default=2.0, help="quasi-Euclidean curvature amplitude")
-    sub.add_argument("--r0", type=float, default=1.0, help="cap radius of the curvature law")
-    sub.add_argument("--n", type=int, default=3, help="dimension")
-    sub.add_argument("--rmax", type=float, default=20.0)
-    sub.add_argument("--grid", type=int, default=4096, help="grid nodes")
-    sub.add_argument("--grid-kind", choices=("graded", "log"), default="graded")
-    sub.add_argument("--grid-start", type=float, default=None)
+def _shared_flags():
+    """The flags of every subcommand: the geometry, outputs and tolerances."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--profile", choices=_PROFILES, required=True)
+    flags.add_argument("--k", type=float, default=1.0, help="constant curvature level")
+    flags.add_argument("--c0", type=float, default=1.0, help="power-law curvature amplitude")
+    flags.add_argument("--beta", type=float, default=1.0, help="power-law decay exponent")
+    flags.add_argument("--c1", type=float, default=2.0, help="quasi-Euclidean curvature amplitude")
+    flags.add_argument("--r0", type=float, default=1.0, help="cap radius of the curvature law")
+    flags.add_argument("--n", type=int, default=3, help="dimension")
+    flags.add_argument("--rmax", type=float, default=20.0)
+    flags.add_argument("--grid", type=int, default=4096, help="grid nodes")
+    flags.add_argument("--grid-kind", choices=("graded", "log"), default="graded")
+    flags.add_argument("--grid-start", type=float, default=None)
+    flags.add_argument("--out-dir", default=None,
+                       help="output directory (default: $HADAMARD_INEQ_OUT or ./out)")
+    flags.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="format of the summary printed to stdout")
+    flags.add_argument("--jobs", type=int, default=1, help="parallel parameter points")
+    flags.add_argument("--config", default=None,
+                       help="file of key = value lines, each read as the flag --key=value")
+    flags.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
+                       help="tolerance overrides (refine, rayleigh)")
+    return flags
 
 
 def build_parser():
@@ -59,37 +71,29 @@ def build_parser():
                                              "computations on radial model geometries")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sp = ap.add_subparsers(dest="command", required=True)
+    shared = [_shared_flags()]
 
-    m = sp.add_parser("model", help="build and export a model geometry")
-    _add_profile(m)
-    _add_common(m)
+    sp.add_parser("model", parents=shared, help="build and export a model geometry")
 
-    s = sp.add_parser("sweep", help="supremum B over a grid of exponents")
-    _add_profile(s)
+    s = sp.add_parser("sweep", parents=shared, help="supremum B over a grid of exponents")
     s.add_argument("--p", required=True,
                    help="comma list '2.02,2.1' or range 'lo:hi:count'")
     s.add_argument("--regress", choices=("none", "p_to_2", "p_large"), default="none")
-    _add_common(s)
 
-    q = sp.add_parser("poincare", help="spectral gap on a truncated domain")
-    _add_profile(q)
+    q = sp.add_parser("poincare", parents=shared, help="spectral gap on a truncated domain")
     q.add_argument("--rdomain", type=float, required=True)
-    _add_common(q)
 
-    r = sp.add_parser("rayleigh", help="minimize the weighted Rayleigh quotient")
-    _add_profile(r)
+    r = sp.add_parser("rayleigh", parents=shared,
+                      help="minimize the weighted Rayleigh quotient")
     r.add_argument("--p", type=float, required=True)
     r.add_argument("--rdomain", type=float, required=True)
-    _add_common(r)
 
-    c = sp.add_parser("certificate", help="nonradial failure growth certificate")
-    _add_profile(c)
+    c = sp.add_parser("certificate", parents=shared,
+                      help="nonradial failure growth certificate")
     c.add_argument("--p", type=float, required=True)
     c.add_argument("--r", required=True, help="comma list of radii")
-    _add_common(c)
 
-    d = sp.add_parser("pme", help="radial porous-medium run and decay fit")
-    _add_profile(d)
+    d = sp.add_parser("pme", parents=shared, help="radial porous-medium run and decay fit")
     d.add_argument("--m", type=float, required=True)
     d.add_argument("--rdomain", type=float, required=True)
     d.add_argument("--initial", choices=("characteristic", "gaussian"),
@@ -105,7 +109,6 @@ def build_parser():
     d.add_argument("--fit-window", default=None, help="lo:hi time window")
     d.add_argument("--snapshots", type=int, default=0,
                    help="profile snapshots to export (0 = every output time)")
-    _add_common(d)
     return ap
 
 
@@ -113,13 +116,12 @@ def build_parser():
 # config file and tolerance plumbing
 # ---------------------------------------------------------------------------
 
-def _apply_config_file(args, argv):
-    if not args.config:
-        return args
-    path = Path(args.config)
+def _config_flags(path) -> list:
+    """The ``key = value`` lines of a config file as ``--key=value`` tokens."""
+    path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file {path} not found")
-    overrides = {}
+    flags = []
     for line in path.read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -127,56 +129,27 @@ def _apply_config_file(args, argv):
         if "=" not in line:
             raise ValidationError(f"bad config line: {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        overrides[key.replace("-", "_")] = val
-    # flags given on the command line win over the file
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
-    for key, val in overrides.items():
-        if key in given or not hasattr(args, key):
-            continue
-        cur = getattr(args, key)
-        if isinstance(cur, bool):
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(args, key, int(val))
-        elif isinstance(cur, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
-    return args
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def _tols(args) -> dict:
     out = {"refine": 1e-10, "rayleigh": 1e-11}
     for item in args.tol:
-        if "=" not in item:
-            raise ValidationError(f"bad --tol entry {item!r}, expected KEY=VALUE")
-        key, val = item.split("=", 1)
+        key, _, val = item.partition("=")
         if key not in out:
-            raise ValidationError(f"unknown tolerance {key!r}")
-        out[key] = float(val)
+            raise ValidationError(f"bad --tol entry {item!r}, expected KEY=VALUE "
+                                  f"with KEY one of {', '.join(out)}")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ValidationError(f"bad --tol value in {item!r}") from None
     return out
-
-
-def _out_dir(args) -> Path:
-    if args.out_dir:
-        return Path(args.out_dir)
-    return Path(os.environ.get("HADAMARD_INEQ_OUT", "out"))
-
-
-def _profile_from(args):
-    if args.profile == "euclidean":
-        return geometry.Euclidean()
-    if args.profile == "hyperbolic":
-        return geometry.Hyperbolic(args.k)
-    if args.profile == "power":
-        return geometry.PowerLaw(args.c0, args.beta, args.r0)
-    return geometry.QuasiEuclideanOptimal(args.c1, args.r0)
 
 
 def _model_from(args):
     grid = geometry.GridSpec(n=args.grid, kind=args.grid_kind, r_start=args.grid_start)
-    return geometry.build_model(_profile_from(args), args.n, args.rmax, grid=grid)
+    return geometry.build_model(_PROFILES[args.profile](args), args.n, args.rmax, grid=grid)
 
 
 def _resolved(args) -> dict:
@@ -203,21 +176,12 @@ def _parallel_map(fn, items, jobs: int):
         return list(ex.map(fn, items))
 
 
-def _print_summary(args, json_path, csv_line=None):
-    if args.format == "json":
-        print(json_path.read_text(), end="")
-    elif csv_line:
-        print(csv_line)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_model(args) -> int:
+def cmd_model(args, out: Path, h: str):
     model = _model_from(args)
-    out = _out_dir(args)
-    h = report_io.config_hash(_resolved(args))
     report_io.write_csv(out / "model.csv", h, "model-warping-table",
                         ("r", "psi", "dpsi"), model.table())
     sample = model.grid_r[1:][:: max(1, len(model.grid_r) // 256)]
@@ -235,80 +199,72 @@ def cmd_model(args) -> int:
         c, r0 = geometry.lemma31_constants(model)
         rep = geometry.check_comparison(model, geometry.Lemma31Bound(c, r0, args.beta))
         payload["laplacian_lower_bound"] = {"c": c, "r0": r0, "holds": rep.holds}
-    jp = report_io.write_json(out / "model.json", h, "model-summary", payload)
-    _print_summary(args, jp,
-                   f"model written: CH={flag} nodes={len(model.grid_r)}")
-    return 0
+    return ("model.json", "model-summary", payload,
+            f"model written: CH={flag} nodes={len(model.grid_r)}")
 
 
-def cmd_sweep(args) -> int:
+def _lemma_bound(args, model):
+    """p -> the explicit bound on B for the profile, nan where none applies.
+
+    Lemma 4.1 on power laws with beta < 2 and lemma 4.2 on quasi-Euclidean
+    profiles, each on the exponents it admits; McKean's constant at p = 2
+    on hyperbolic space.
+    """
+    explicit = lambda p: math.nan
+    if args.profile == "power" and args.beta < 2.0:
+        c, r0 = geometry.lemma31_constants(model)
+        explicit = lambda p: weighted.lemma41_bound(model.N, args.beta / 2.0, c, r0, p)
+    elif args.profile == "quasi":
+        constants = weighted.lemma42_constants(model)
+        explicit = lambda p: weighted.lemma42_bound(model.N, *constants, p)
+    elif args.profile == "hyperbolic":
+        mckean = weighted.mckean_bounds(args.n, args.k)[0]
+        explicit = lambda p: mckean if p == 2.0 else math.nan
+
+    def bound(p: float) -> float:
+        try:
+            return explicit(p)
+        except ValidationError:  # p outside the exponents the lemma admits
+            return math.nan
+    return bound
+
+
+def cmd_sweep(args, out: Path, h: str):
     model = _model_from(args)
     weight = weighted.build_weight(model)
     tols = _tols(args)
     p_values = _parse_p_list(args.p)
-    out = _out_dir(args)
-    h = report_io.config_hash(_resolved(args))
-
-    lemma = None
-    if args.profile == "power" and args.beta < 2.0:
-        c, r0 = geometry.lemma31_constants(model)
-        lemma = ("power", c, r0)
-    elif args.profile == "quasi":
-        lemma = ("quasi",) + weighted.lemma42_constants(model)
-    elif args.profile == "hyperbolic":
-        lemma = ("constant", weighted.mckean_bounds(args.n, args.k)[0])
-
-    def one(p: float):
-        rep = weighted.supremum_B(weight, float(p), refine_tol=tols["refine"])
-        lb = math.nan
-        crit = weighted.sobolev_critical(model.N)
-        try:
-            if lemma and lemma[0] == "power" and 2.0 < p < crit:
-                lb = weighted.lemma41_bound(model.N, args.beta / 2.0,
-                                            lemma[1], lemma[2], float(p))
-            elif lemma and lemma[0] == "quasi" and p < crit:
-                lb = weighted.lemma42_bound(model.N, lemma[1], lemma[2],
-                                            lemma[3], lemma[4], float(p))
-            elif lemma and lemma[0] == "constant" and p == 2.0:
-                lb = lemma[1]
-        except ValidationError:
-            lb = math.nan
-        return rep, lb
-
-    results = _parallel_map(one, [float(p) for p in p_values], args.jobs)
-    rows = []
-    for p, (rep, lb) in zip(p_values, results):
-        r_bar = ("at_infinity" if rep.at_infinity
-                 else ("" if rep.r_bar is None else rep.r_bar))
-        rows.append((p, rep.B, r_bar, rep.sandwich_upper, lb, rep.divergent))
+    bound = _lemma_bound(args, model)
+    reports = _parallel_map(
+        lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
+        [float(p) for p in p_values], args.jobs)
     report_io.write_csv(out / "sweep.csv", h, "weighted-supremum-sweep",
                         ("p", "B", "r_bar", "sandwich_upper", "lemma_bound",
-                         "divergent"), rows)
+                         "divergent"),
+                        ((p, rep.B, "at_infinity" if rep.at_infinity else rep.r_bar,
+                          rep.sandwich_upper, bound(float(p)), rep.divergent)
+                         for p, rep in zip(p_values, reports)))
 
     payload = {"p": list(map(float, p_values)),
-               "B": [rep.B for rep, _ in results],
-               "divergent": [rep.divergent for rep, _ in results],
-               "reports": [dataclasses.asdict(rep) for rep, _ in results]}
+               "B": [rep.B for rep in reports],
+               "divergent": [rep.divergent for rep in reports],
+               "reports": [dataclasses.asdict(rep) for rep in reports]}
     if args.regress != "none":
-        fit = weighted.scaling_regression([rep for rep, _ in results], args.regress)
+        fit = weighted.scaling_regression(reports, args.regress)
         predicted = (-args.beta / (2.0 - args.beta)
                      if args.regress == "p_to_2" else 0.5)
         payload["regression"] = {"mode": args.regress, "fitted_slope": fit.slope,
                                  "intercept": fit.intercept,
                                  "residual_rms": fit.residual_rms,
                                  "predicted_slope": predicted}
-    jp = report_io.write_json(out / "sweep.json", h, "weighted-supremum-sweep", payload)
-    _print_summary(args, jp,
-                   f"sweep of {len(p_values)} exponents written")
-    return 0
+    return ("sweep.json", "weighted-supremum-sweep", payload,
+            f"sweep of {len(p_values)} exponents written")
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args, out: Path, h: str):
     model = _model_from(args)
     weight = weighted.build_weight(model)
     res = variational.poincare_eigen(weight, args.rdomain)
-    out = _out_dir(args)
-    h = report_io.config_hash(_resolved(args))
     report_io.write_csv(out / "eigenfunction.csv", h, "spectral-gap-eigenfunction",
                         ("r", "g"), zip(res.r, res.eigenfunction))
     report_io.write_gnuplot(out / "eigenfunction.gnuplot.dat", h,
@@ -318,13 +274,11 @@ def cmd_poincare(args) -> int:
     if args.profile == "hyperbolic":
         payload["mckean"] = dict(zip(("sup_bound", "poincare_constant", "spectral_gap"),
                                      weighted.mckean_bounds(args.n, args.k)))
-    jp = report_io.write_json(out / "poincare.json", h, "spectral-gap", payload)
-    _print_summary(args, jp,
-                   f"lambda1={res.lambda1:.6g} best_constant={res.best_constant:.6g}")
-    return 0
+    return ("poincare.json", "spectral-gap", payload,
+            f"lambda1={res.lambda1:.6g} best_constant={res.best_constant:.6g}")
 
 
-def cmd_rayleigh(args) -> int:
+def cmd_rayleigh(args, out: Path, h: str):
     model = _model_from(args)
     weight = weighted.build_weight(model)
     tols = _tols(args)
@@ -333,8 +287,6 @@ def cmd_rayleigh(args) -> int:
             if weight.tail.family != "divergent" else None)
     res = variational.rayleigh_minimize(weight, args.p, args.rdomain, init=init,
                                         tol=tols["rayleigh"])
-    out = _out_dir(args)
-    h = report_io.config_hash(_resolved(args))
     report_io.write_csv(out / "minimizer.csv", h, "rayleigh-minimizer",
                         ("r", "g"), zip(res.r, res.minimizer))
     report_io.write_gnuplot(out / "minimizer.gnuplot.dat", h, "rayleigh-minimizer",
@@ -344,19 +296,15 @@ def cmd_rayleigh(args) -> int:
     if not rep.divergent:
         payload["supremum_B"] = rep.B
         payload["sandwich_upper"] = rep.sandwich_upper
-    jp = report_io.write_json(out / "rayleigh.json", h, "rayleigh-ratio", payload)
-    _print_summary(args, jp, f"ratio={res.ratio:.8g}")
-    return 0
+    return "rayleigh.json", "rayleigh-ratio", payload, f"ratio={res.ratio:.8g}"
 
 
-def cmd_certificate(args) -> int:
+def cmd_certificate(args, out: Path, h: str):
     model = _model_from(args)
     radii = sorted(float(x) for x in args.r.split(","))
     reports = _parallel_map(
         lambda R: variational.nonradial_certificate(model, args.p, R),
         radii, args.jobs)
-    out = _out_dir(args)
-    h = report_io.config_hash(_resolved(args))
     report_io.write_csv(out / "certificate.csv", h, "nonradial-failure-certificate",
                         ("R", "G", "p", "lower_bound_on_C", "conclusion"),
                         ((c.R, c.G, c.p, c.lower_bound_on_C, c.conclusion)
@@ -365,18 +313,15 @@ def cmd_certificate(args) -> int:
                             "nonradial-failure-certificate",
                             [c.R for c in reports],
                             [c.lower_bound_on_C for c in reports])
-    grows = all(c.conclusion == "grows" for c in reports)
+    conclusion = "grows" if all(c.conclusion == "grows" for c in reports) else "bounded"
     payload = {"p": args.p, "R": radii,
                "lower_bound_on_C": [c.lower_bound_on_C for c in reports],
-               "G": [c.G for c in reports],
-               "conclusion": "grows" if grows else "bounded"}
-    jp = report_io.write_json(out / "certificate.json", h,
-                              "nonradial-failure-certificate", payload)
-    _print_summary(args, jp, f"conclusion={payload['conclusion']}")
-    return 0
+               "G": [c.G for c in reports], "conclusion": conclusion}
+    return ("certificate.json", "nonradial-failure-certificate", payload,
+            f"conclusion={conclusion}")
 
 
-def cmd_pme(args) -> int:
+def cmd_pme(args, out: Path, h: str):
     model = _model_from(args)
     if args.initial == "characteristic":
         datum = pme.Characteristic(args.r_support, args.height)
@@ -387,8 +332,6 @@ def cmd_pme(args) -> int:
                         initial=datum, t_end=args.t_end, n_cells=args.cells,
                         output_times=outs)
     run = pme.pme_run(cfg)
-    out = _out_dir(args)
-    h = report_io.config_hash(_resolved(args))
     report_io.write_csv(out / "timeseries.csv", h, "pme-decay-series",
                         ("t", "sup", "mass", "support_edge"),
                         ((s.t, s.sup, s.mass, s.support_edge) for s in run.states))
@@ -414,18 +357,12 @@ def cmd_pme(args) -> int:
     payload = {"m": args.m, "mass": mass0, "steps": run.steps,
                "stopped_early": run.stopped_early, "stop_reason": run.stop_reason}
     beta = args.beta if args.profile == "power" else 0.0
-    def fit_fields(fit):
-        return {"power_exponent": fit.power_exponent,
-                "log_correction_exponent": fit.log_correction_exponent,
-                "K_fit": fit.K_fit, "window": fit.window,
-                "residual_rms": fit.residual_rms, "n_points": fit.n_points}
-
     try:
         if args.fit in ("power_only", "both"):
-            payload["power_only"] = fit_fields(
+            payload["power_only"] = dataclasses.asdict(
                 pme.fit_smoothing(run.states, "power_only", window=window))
         if args.fit in ("power_with_log", "both") and args.profile in ("power", "hyperbolic"):
-            payload["power_with_log"] = fit_fields(
+            payload["power_with_log"] = dataclasses.asdict(
                 pme.fit_smoothing(run.states, "power_with_log", m=args.m,
                                   beta=beta, mass=mass0, window=window))
     except ValidationError as exc:
@@ -435,10 +372,8 @@ def cmd_pme(args) -> int:
         payload["predicted_power_exponent"] = -pme.quasi_smoothing_exponent(ntilde, args.m)
     elif args.profile == "euclidean":
         payload["predicted_power_exponent"] = -pme.smoothing_exponent(args.n, args.m)
-    jp = report_io.write_json(out / "pme_fit.json", h, "pme-decay-fit", payload)
-    _print_summary(args, jp,
-                   f"pme run: steps={run.steps} stopped_early={run.stopped_early}")
-    return 0
+    return ("pme_fit.json", "pme-decay-fit", payload,
+            f"pme run: steps={run.steps} stopped_early={run.stopped_early}")
 
 
 _DISPATCH = {"model": cmd_model, "sweep": cmd_sweep, "poincare": cmd_poincare,
@@ -447,19 +382,30 @@ _DISPATCH = {"model": cmd_model, "sweep": cmd_sweep, "poincare": cmd_poincare,
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
-        return _DISPATCH[args.command](args)
+        args = parser.parse_args(argv)
+        if args.config:  # the file's flags go first, so the command line's win
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_flags(args.config) + argv[i:])
+        out = Path(args.out_dir or os.environ.get("HADAMARD_INEQ_OUT", "out"))
+        h = report_io.config_hash(_resolved(args))
+        name, quantity, payload, summary = _DISPATCH[args.command](args, out, h)
+        json_path = report_io.write_json(out / name, h, quantity, payload)
+    except SystemExit as exc:  # from argparse: usage error (2), --help or --version (0)
+        return exc.code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        print(json_path.read_text(), end="")
+    else:
+        print(summary)
+    return 0
 
 
 if __name__ == "__main__":

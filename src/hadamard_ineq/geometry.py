@@ -84,6 +84,8 @@ __all__ = [
 
 _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-13
+_GRID_RATIO = 1.05  # node spacing ratio of the geometric part of a graded grid
+_EXP_POWER_BLEND = (0.5, 1.5)  # radii between which ExponentialPower blends r into its tail
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +413,10 @@ class ExponentialPower:
 
     c2: float = 1.0
     gamma: float = 0.5
-    glue: tuple = (0.5, 1.5)
 
     def __post_init__(self):
         if self.c2 <= 0 or not (0.0 < self.gamma < 1.0):
             raise ValidationError("exponential-power warping needs c2 > 0, gamma in (0,1)")
-        ra, rb = self.glue
-        if not (0.0 < ra < rb):
-            raise ValidationError("glue window must satisfy 0 < ra < rb")
 
     flat_cap = 0.0
 
@@ -427,7 +425,7 @@ class ExponentialPower:
 
     def _triplet(self, r):
         r = np.asarray(r, float)
-        ra, rb = self.glue
+        ra, rb = _EXP_POWER_BLEND
         c, g = self.c2, self.gamma
         rc = np.maximum(r, 0.5 * ra)  # tail values are unused below ra
         t = np.exp(-c * rc ** g)
@@ -484,7 +482,6 @@ class GridSpec:
     """
 
     n: int = 4096
-    ratio: float = 1.05
     r_start: Optional[float] = None
     kind: str = "graded"
 
@@ -501,7 +498,7 @@ class GridSpec:
             return np.geomspace(a, rmax, self.n)
         if self.kind != "graded":
             raise ValidationError(f"unknown grid kind {self.kind!r}")
-        n_geo = int(math.ceil(math.log(1.0 / a) / math.log(self.ratio))) + 1
+        n_geo = int(math.ceil(math.log(1.0 / a) / math.log(_GRID_RATIO))) + 1
         n_geo = min(max(n_geo, 16), self.n - 16)
         geo = np.geomspace(a, 1.0, n_geo)
         uni = np.linspace(1.0, rmax, self.n - n_geo + 1)[1:]
@@ -841,25 +838,23 @@ def check_comparison(model: ModelFunction, bound) -> ComparisonReport:
                             fail_interval=interval)
 
 
-def lemma31_constants(model: ModelFunction, beta: Optional[float] = None,
-                      tail_start: Optional[float] = None):
+def lemma31_constants(model: ModelFunction):
     """Scan for (c, r0) such that psi'/psi >= c r^(-beta/2) for r >= r0.
 
-    c is half the infimum of (psi'/psi) r^(beta/2) over the scanned tail,
-    r0 the earliest grid radius past which the bound holds throughout.
+    beta is the decay exponent of the model's profile.  c is half the
+    infimum of (psi'/psi) r^(beta/2) over the scanned tail, which starts at
+    the larger of the profile's flat cap and Rmax/100; r0 is the earliest
+    grid radius past which the bound holds throughout.
     """
+    beta = getattr(model.profile, "beta", None)
     if beta is None:
-        beta = getattr(model.profile, "beta", None)
-        if beta is None:
-            raise ValidationError("profile has no decay exponent; pass beta")
-    if tail_start is None:
-        tail_start = max(float(getattr(model.profile, "flat_cap", 0.0)),
-                         1e-2 * model.Rmax)
+        raise ValidationError("profile has no decay exponent")
+    tail_start = max(float(getattr(model.profile, "flat_cap", 0.0)), 1e-2 * model.Rmax)
     r = model.grid_r[1:]
     prod = np.asarray(model.dlogpsi(r), float) * r ** (beta / 2.0)
     tail = r >= tail_start
     if not np.any(tail):
-        raise ValidationError("tail window empty; lower tail_start")
+        raise ValidationError("tail window empty: the profile's flat cap lies past Rmax")
     c = 0.5 * float(np.min(prod[tail]))
     if c <= 0:
         raise ValidationError("psi'/psi not positive on the tail")

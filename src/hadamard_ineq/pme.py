@@ -71,6 +71,9 @@ class CustomTable:
 
 InitialDatum = Union[Characteristic, GaussianLike, CustomTable]
 
+_CFL_SAFETY = 0.45  # fraction of the explicit stability limit taken as the step
+_SUPPORT_THRESHOLD = 1e-12  # u at or below this fraction of sup u0 lies outside the support
+
 
 @dataclass
 class PMEConfig:
@@ -81,9 +84,7 @@ class PMEConfig:
     t_end: float
     output_times: Optional[np.ndarray] = None
     n_cells: int = 800
-    safety: float = 0.45
     dt_fixed: Optional[float] = None
-    support_threshold: float = 1e-12
 
     def __post_init__(self):
         if self.m <= 1.0:
@@ -160,10 +161,10 @@ def pme_run(config: PMEConfig) -> PMERun:
 
     u = _initial_values(config.initial, centers)
     sup0 = float(np.max(u))
-    if sup0 > 0 and _support_edge(u, faces, config.support_threshold * sup0) > config.R_domain / 2 + dx:
+    if sup0 > 0 and _support_edge(u, faces, _SUPPORT_THRESHOLD * sup0) > config.R_domain / 2 + dx:
         raise ValidationError("initial datum must be supported in [0, R_domain/2]")
     omega = unit_sphere_area(N)
-    thr = config.support_threshold * sup0 if sup0 > 0 else 0.0
+    thr = _SUPPORT_THRESHOLD * sup0 if sup0 > 0 else 0.0
 
     if config.output_times is None:
         t_first = config.t_end * 1e-4
@@ -198,7 +199,7 @@ def pme_run(config: PMEConfig) -> PMERun:
                 dt = config.dt_fixed
             else:
                 diffus = m * np.maximum(umax_nb, 1e-300) ** (m - 1.0)
-                dt = config.safety * float(np.min(vol / ((cond_pad[:-1] + cond_pad[1:]) * diffus)))
+                dt = _CFL_SAFETY * float(np.min(vol / ((cond_pad[:-1] + cond_pad[1:]) * diffus)))
             dt = min(dt, t_next - t)
             v = u ** m
             flux = cond * (v[1:] - v[:-1])

@@ -156,8 +156,7 @@ def _smallest_eig(mesh: _Mesh):
     return float(vals[0]), vecs[:, 0]
 
 
-def poincare_eigen(weight: WeightMeasure, R_domain: float,
-                   check_convergence: bool = True) -> PoincareResult:
+def poincare_eigen(weight: WeightMeasure, R_domain: float) -> PoincareResult:
     """Smallest eigenvalue of -(w g')' = lambda w g, Dirichlet at R_domain.
 
     best_constant = 1/sqrt(lambda1) increases with R_domain toward the
@@ -168,11 +167,10 @@ def poincare_eigen(weight: WeightMeasure, R_domain: float,
     lam, vec = _smallest_eig(mesh)
     if lam <= 0:
         raise GridTooCoarse("nonpositive leading eigenvalue; mesh unusable")
-    if check_convergence:
-        lam2, _ = _smallest_eig(_Mesh(weight, R_domain, stride=2))
-        if abs(lam2 - lam) > 0.01 * lam:
-            raise GridTooCoarse(
-                f"eigenvalue moved {abs(lam2 - lam) / lam:.2%} under coarsening")
+    lam2, _ = _smallest_eig(_Mesh(weight, R_domain, stride=2))
+    if abs(lam2 - lam) > 0.01 * lam:
+        raise GridTooCoarse(
+            f"eigenvalue moved {abs(lam2 - lam) / lam:.2%} under coarsening")
     g = mesh.full(vec)
     i = np.argmax(np.abs(g))
     g = g / g[i]
@@ -311,8 +309,7 @@ def _certificate_value(N: int, p: float, G: float) -> float:
     return lp_lower / grad_upper
 
 
-def nonradial_certificate(model: ModelFunction, p: float, R: float,
-                          allow_constant: bool = False) -> CertificateReport:
+def nonradial_certificate(model: ModelFunction, p: float, R: float) -> CertificateReport:
     """Lower bound on any admissible embedding constant from a tent function
     centered at distance R + G(R) from the pole.
 
@@ -323,16 +320,14 @@ def nonradial_certificate(model: ModelFunction, p: float, R: float,
     crit = sobolev_critical(model.N)
     if not (2.0 <= p <= crit):
         raise InvalidExponent(f"need 2 <= p <= {crit}, got {p}")
-    G1 = ricci_uniformization(model, R, allow_constant=allow_constant)
+    G1 = ricci_uniformization(model, R)
     v1 = _certificate_value(model.N, p, G1)
-    G2 = ricci_uniformization(model, 2.0 * R, allow_constant=allow_constant)
+    G2 = ricci_uniformization(model, 2.0 * R)
     v2 = _certificate_value(model.N, p, G2)
     conclusion = "grows" if v2 > v1 * (1.0 + 1e-9) else "bounded"
     return CertificateReport(R=float(R), G=G1, p=float(p),
                              lower_bound_on_C=v1, conclusion=conclusion)
 
 
-def certificate_scan(model: ModelFunction, p: float, R_list,
-                     allow_constant: bool = False):
-    return [nonradial_certificate(model, p, float(R), allow_constant=allow_constant)
-            for R in sorted(R_list)]
+def certificate_scan(model: ModelFunction, p: float, R_list):
+    return [nonradial_certificate(model, p, float(R)) for R in sorted(R_list)]

@@ -58,10 +58,14 @@ GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 def _gl5(f, mid, half):
-    """5-point Gauss-Legendre of f over [mid - half, mid + half], elementwise."""
+    """5-point Gauss-Legendre of f over [mid - half, mid + half], elementwise.
+
+    f is called once, on the nodes stacked along a new leading axis.
+    """
+    nodes = mid + half * GL5_NODES.reshape((5,) + (1,) * np.broadcast(mid, half).ndim)
     acc = np.zeros_like(mid)
-    for x, w in zip(GL5_NODES, GL5_WEIGHTS):
-        acc = acc + w * f(mid + half * x)
+    for w, row in zip(GL5_WEIGHTS, f(nodes)):
+        acc = acc + w * row
     return acc * half
 
 
@@ -258,6 +262,7 @@ class SupremumReport:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_N_SCAN = 512  # log-spaced points of the coarse scan that brackets the maxima of Q
 
 
 def _golden_max_all(f, a, b, tol):
@@ -285,8 +290,7 @@ def _golden_max_all(f, a, b, tol):
     return 0.5 * (a + b), np.where(f2 > f1, f2, f1), n
 
 
-def supremum_B(weight: WeightMeasure, p: float, n_scan: int = 512,
-               refine_tol: float = 1e-10) -> SupremumReport:
+def supremum_B(weight: WeightMeasure, p: float, refine_tol: float = 1e-10) -> SupremumReport:
     """Global supremum of Q over (0, infinity).
 
     Coarse log-spaced scan, golden-section refinement of every interior
@@ -304,7 +308,7 @@ def supremum_B(weight: WeightMeasure, p: float, n_scan: int = 512,
                               divergent=True, sandwich_upper=math.inf, crit_residual=None,
                               search_trace={"evaluations": 0, "refinement_depth": 0})
 
-    pts = np.geomspace(weight.rgrid[1], weight.Rmax, n_scan)
+    pts = np.geomspace(weight.rgrid[1], weight.Rmax, _N_SCAN)
     lq = _log_Q(weight, p, pts)
     lq = np.where(np.isnan(lq), -math.inf, lq)
 
@@ -323,8 +327,8 @@ def supremum_B(weight: WeightMeasure, p: float, n_scan: int = 512,
         k = int(np.argmax(np.where(np.isnan(v), -math.inf, v)))  # first of equal maxima
         if v[k] > best_val:
             best_val, best_r = float(v[k]), math.exp(x[k])
-    evals, depth = n_scan + int(n.sum()), int(n.max(initial=0))
-    for i in (0, n_scan - 1):
+    evals, depth = _N_SCAN + int(n.sum()), int(n.max(initial=0))
+    for i in (0, _N_SCAN - 1):
         if lq[i] > best_val:
             best_val, best_r = lq[i], float(pts[i])
 

@@ -227,3 +227,63 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     rc = run_cli(["model", "--profile", "euclidean", "--n", "3", "--rmax", "10"])
     assert rc == 0
     assert (tmp_path / "envout" / "model.json").exists()
+
+
+def test_abbreviated_flag_wins_over_config_file(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("rmax = 20\n")
+    out = tmp_path / "m"
+    rc = run_cli(["model", "--profile", "hyperbolic", "--rm", "30",
+                  "--config", str(cfgfile), "--out-dir", str(out)])
+    assert rc == 0
+    assert json.loads((out / "model.json").read_text())["Rmax"] == 30.0
+
+
+CONFIG_CASES = {
+    "tol": (["tol = refine=1e-3"], ["--tol", "refine=1e-3"]),
+    "grid_start": (["grid_start = 1e-5"], ["--grid-start", "1e-5"]),
+    "tol_repeated": (["tol = refine=1e-3", "tol = rayleigh=1e-9"],
+                     ["--tol", "refine=1e-3", "--tol", "rayleigh=1e-9"]),
+}
+
+
+@pytest.mark.parametrize("lines, flags", CONFIG_CASES.values(), ids=CONFIG_CASES.keys())
+def test_config_file_matches_the_same_flags(tmp_path, lines, flags):
+    base = ["sweep", "--profile", "hyperbolic", "--k", "1", "--n", "3",
+            "--rmax", "20", "--p", "2.5,3"]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("\n".join(lines) + "\n")
+    dirs = {name: tmp_path / name for name in ("file", "flags", "default")}
+    assert run_cli(base + ["--config", str(cfgfile), "--out-dir", str(dirs["file"])]) == 0
+    assert run_cli(base + flags + ["--out-dir", str(dirs["flags"])]) == 0
+    assert run_cli(base + ["--out-dir", str(dirs["default"])]) == 0
+    for name in ("sweep.csv", "sweep.json"):
+        assert (dirs["file"] / name).read_bytes() == (dirs["flags"] / name).read_bytes()
+        # the setting reached the run: its config hash is not the default one
+        assert (dirs["file"] / name).read_bytes() != (dirs["default"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("rmaxx = 50", "unrecognized arguments: --rmaxx=50"),
+    ("grid = many", "argument --grid: invalid int value: 'many'"),
+    ("tol = refine=tight", "bad --tol value in 'refine=tight'"),
+], ids=["unknown_key", "bad_value", "bad_tol_value"])
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, line, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    rc = run_cli(["sweep", "--profile", "euclidean", "--rmax", "10", "--p", "3",
+                  "--config", str(cfgfile), "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["model", "--bogus"], 2),
+    (["sweep", "--profile", "euclidean"], 2),
+    (["--help"], 0),
+    (["model", "--help"], 0),
+    (["--version"], 0),
+], ids=["unknown_flag", "missing_flag", "help", "command_help", "version"])
+def test_main_returns_the_exit_status(argv, code):
+    assert run_cli(argv) == code

@@ -388,3 +388,20 @@ def test_quasi_tail_threshold_matches_exponents(quasi_weight):
     eps = 1e-3
     assert wgt.supremum_B(quasi_weight, two_tilde - eps).divergent
     assert not wgt.supremum_B(quasi_weight, two_tilde + eps).divergent
+
+
+@pytest.mark.parametrize("half", [np.array([0.5, 1.0, 0.25]), 0.75], ids=["array", "scalar"])
+def test_gl5_calls_f_once_and_sums_in_node_order(half):
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.exp(-x) * x ** 2
+
+    mid = np.array([0.5, 2.0, 3.0])
+    got = wgt._gl5(f, mid, half)
+    assert calls == [(5, 3)]
+    ref = np.zeros_like(mid)  # the per-node loop, one call of f per node
+    for x, w in zip(wgt.GL5_NODES, wgt.GL5_WEIGHTS):
+        ref = ref + w * f(mid + half * x)
+    assert np.array_equal(got, ref * half)
