@@ -40,7 +40,7 @@ _PROFILES = {
 
 
 def _shared_flags():
-    """The flags of every subcommand: the geometry, outputs and tolerances."""
+    """The flags of every subcommand: the geometry and the outputs."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--profile", choices=_PROFILES, required=True)
     flags.add_argument("--k", type=float, default=1.0, help="constant curvature level")
@@ -60,8 +60,6 @@ def _shared_flags():
     flags.add_argument("--jobs", type=int, default=1, help="parallel parameter points")
     flags.add_argument("--config", default=None,
                        help="file of key = value lines, each read as the flag --key=value")
-    flags.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
-                       help="tolerance overrides (refine, rayleigh)")
     return flags
 
 
@@ -87,6 +85,9 @@ def build_parser():
                       help="minimize the weighted Rayleigh quotient")
     r.add_argument("--p", type=float, required=True)
     r.add_argument("--rdomain", type=float, required=True)
+    for searching in (s, r):
+        searching.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
+                               help="tolerance overrides (refine, rayleigh)")
 
     c = sp.add_parser("certificate", parents=shared,
                       help="nonradial failure growth certificate")
@@ -158,14 +159,26 @@ def _resolved(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _floats(flag: str, spec: str, sep: str, count=None) -> list:
+    """The numbers of a ``sep``-separated flag value, ``count`` of them if given."""
+    try:
+        vals = [float(x) for x in spec.split(sep)]
+    except ValueError:
+        vals = []
+    if not vals or (count and len(vals) != count):
+        raise ValidationError(f"{flag} {spec!r} is not {count or 'a list of'} "
+                              f"numbers separated by {sep!r}")
+    return vals
+
+
 def _parse_p_list(spec: str):
     if ":" in spec:
-        lo, hi, count = spec.split(":")
-        vals = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = _floats("--p", spec, ":", 3)
+        if not (count.is_integer() and count >= 1):
+            raise ValidationError(f"--p {spec!r} needs a positive whole count")
+        vals = np.linspace(lo, hi, int(count))
     else:
-        vals = np.asarray([float(x) for x in spec.split(",")])
-    if len(vals) == 0:
-        raise ValidationError("empty exponent list")
+        vals = np.asarray(_floats("--p", spec, ","))
     return np.sort(vals)
 
 
@@ -230,10 +243,10 @@ def _lemma_bound(args, model):
 
 
 def cmd_sweep(args, out: Path, h: str):
-    model = _model_from(args)
-    weight = weighted.build_weight(model)
     tols = _tols(args)
     p_values = _parse_p_list(args.p)
+    model = _model_from(args)
+    weight = weighted.build_weight(model)
     bound = _lemma_bound(args, model)
     reports = _parallel_map(
         lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
@@ -279,9 +292,9 @@ def cmd_poincare(args, out: Path, h: str):
 
 
 def cmd_rayleigh(args, out: Path, h: str):
+    tols = _tols(args)
     model = _model_from(args)
     weight = weighted.build_weight(model)
-    tols = _tols(args)
     rep = weighted.supremum_B(weight, args.p, refine_tol=tols["refine"])
     init = (variational.DiscreteFunction(*weighted.near_extremal(weight, rep))
             if weight.tail.family != "divergent" else None)
@@ -300,8 +313,8 @@ def cmd_rayleigh(args, out: Path, h: str):
 
 
 def cmd_certificate(args, out: Path, h: str):
+    radii = sorted(_floats("--r", args.r, ","))
     model = _model_from(args)
-    radii = sorted(float(x) for x in args.r.split(","))
     reports = _parallel_map(
         lambda R: variational.nonradial_certificate(model, args.p, R),
         radii, args.jobs)
@@ -322,6 +335,7 @@ def cmd_certificate(args, out: Path, h: str):
 
 
 def cmd_pme(args, out: Path, h: str):
+    window = tuple(_floats("--fit-window", args.fit_window, ":", 2)) if args.fit_window else None
     model = _model_from(args)
     if args.initial == "characteristic":
         datum = pme.Characteristic(args.r_support, args.height)
@@ -349,10 +363,6 @@ def cmd_pme(args, out: Path, h: str):
                             f"pme-profile-t={st.t:.6g}",
                             ("r", "u"), zip(run.r_centers, st.u))
 
-    window = None
-    if args.fit_window:
-        lo, hi = args.fit_window.split(":")
-        window = (float(lo), float(hi))
     mass0 = run.states[0].mass
     payload = {"m": args.m, "mass": mass0, "steps": run.steps,
                "stopped_early": run.stopped_early, "stop_reason": run.stop_reason}

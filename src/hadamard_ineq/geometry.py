@@ -12,9 +12,13 @@ curvature data derive from (psi, psi', K):
 
 The second derivative psi'' is always reconstructed as K(r) * psi(r) and
 never obtained by differencing samples twice, so the curvature identity is
-exact by construction.  Profiles without a closed form are integrated in
-log variables (y, z) = (log psi, psi'/psi), which stay well scaled even
-when psi itself grows to ~1e300:
+exact by construction.
+
+Every built-in profile has a closed-form warping: sinh for constant
+curvature, powers of r for the quasi-Euclidean law, and modified Bessel
+functions for the power law c0 r^(-beta).  A law given without one is
+integrated in log variables (y, z) = (log psi, psi'/psi), which stay well
+scaled even when psi itself grows to ~1e300:
 
     y' = z ,    z' = K(r) - z^2 .
 
@@ -29,9 +33,9 @@ and optionally
 
 * ``psi``, ``dpsi``, ``logpsi``, ``dlogpsi`` -- a closed form.  Without
   one, the law is checked to be nonnegative and integrated as above;
-* ``tail_integral(model)`` -- the exact integral of psi^(1-N) over
-  (Rmax, infinity).  Without it the generic formula of the tail family,
-  :meth:`TailModel.integral`, is used.
+* ``tail_integral(model)`` -- the integral of psi^(1-N) over
+  (Rmax, infinity), by quadrature of the closed form.  Without it the
+  generic formula of the tail family, :meth:`TailModel.integral`, is used.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.special import ive, kve
 
 from .errors import (
     CurvatureNotVanishing,
@@ -92,59 +97,49 @@ _EXP_POWER_BLEND = (0.5, 1.5)  # radii between which ExponentialPower blends r i
 # large-radius tails
 # ---------------------------------------------------------------------------
 
-def _fit_residual(y, y_fit):
-    return float(np.sqrt(np.mean((y - y_fit) ** 2)) / max(1.0, np.sqrt(np.mean(y * y))))
-
-
 @dataclass(frozen=True)
 class TailModel:
     """Large-radius form of psi.
 
-    family 'exponential': psi ~ amplitude * r^prefactor * exp(rate * r^shape)
+    family 'exponential': log psi ~ rate * r^shape, and
+                          psi ~ amplitude * exp(rate * r) when shape = 1
     family 'power':       psi ~ amplitude * r^shape
     family 'divergent':   1/psi^(N-1) is not integrable at infinity
+
+    A profile states its tail exactly (residual 0).  The ``fit_*``
+    constructors classify an imported table, whose residual is that of the
+    least-squares fit.
     """
 
     family: str
     shape: float = 0.0
     rate: float = 0.0
     amplitude: float = 1.0
-    prefactor: float = 0.0
     residual: float = 0.0
 
     @staticmethod
-    def _samples(model):
+    def _line_fit(model, basis):
+        """(slope, exp(intercept), residual) of the least-squares line of
+        log psi against basis(r) on [Rmax/10, Rmax]."""
         rr = np.geomspace(model.Rmax / 10.0, model.Rmax, 160)
-        return rr, np.asarray(model.logpsi(rr), float)
+        y = np.asarray(model.logpsi(rr), float)
+        A = np.stack([basis(rr), np.ones_like(rr)], axis=1)
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        residual = np.sqrt(np.mean((y - A @ coef) ** 2)) / max(1.0, np.sqrt(np.mean(y * y)))
+        return float(coef[0]), float(math.exp(coef[1])), float(residual)
 
     @classmethod
-    def fit_exponential(cls, model, shape: float, prefactor: float) -> "TailModel":
-        """Least squares of log psi - prefactor log r against [r^shape, 1] on
-        [Rmax/10, Rmax]."""
-        rr, y = cls._samples(model)
-        rhs = y - prefactor * np.log(rr)
-        A = np.stack([rr ** shape, np.ones_like(rr)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        return cls("exponential", shape=shape, rate=float(coef[0]),
-                   amplitude=float(math.exp(coef[1])), prefactor=prefactor,
-                   residual=_fit_residual(rhs, A @ coef))
+    def fit_exponential(cls, model) -> "TailModel":
+        """log psi = rate r + log amplitude, fitted on [Rmax/10, Rmax]."""
+        rate, amplitude, residual = cls._line_fit(model, lambda r: r)
+        return cls("exponential", shape=1.0, rate=rate, amplitude=amplitude,
+                   residual=residual)
 
     @classmethod
-    def fit_power(cls, model, shape: Optional[float] = None) -> "TailModel":
-        """Least squares of log psi against shape log r + const on [Rmax/10, Rmax];
-        the shape is fitted too when not given."""
-        rr, y = cls._samples(model)
-        A = (np.stack([np.log(rr), np.ones_like(rr)], axis=1) if shape is None
-             else np.stack([np.ones_like(rr)], axis=1))
-        rhs = y if shape is None else y - shape * np.log(rr)
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        if shape is None:
-            shape, logamp = float(coef[0]), float(coef[1])
-        else:
-            logamp = float(coef[0])
-        fit = shape * np.log(rr) + logamp
-        return cls("power", shape=shape, amplitude=float(math.exp(logamp)),
-                   residual=_fit_residual(y, fit))
+    def fit_power(cls, model) -> "TailModel":
+        """log psi = shape log r + log amplitude, fitted on [Rmax/10, Rmax]."""
+        shape, amplitude, residual = cls._line_fit(model, np.log)
+        return cls("power", shape=shape, amplitude=amplitude, residual=residual)
 
     def integral(self, model) -> float:
         """Integral of psi^(1-N) over (Rmax, infinity), anchored at psi(Rmax)."""
@@ -156,15 +151,32 @@ class TailModel:
             g = self.shape * (N - 1)
             return R * math.exp((1.0 - N) * yR) / (g - 1.0)
         # exponential family: integrate the anchored, shifted integrand
-        s, a, pf = self.shape, self.rate, self.prefactor
+        s, a = self.shape, self.rate
 
         def shifted(r):
-            d = pf * math.log(r / R) + a * (r ** s - R ** s)
-            return math.exp(-(N - 1.0) * d)
+            return math.exp(-(N - 1.0) * (a * (r ** s - R ** s)))
 
         span = (R ** s + 45.0 / ((N - 1.0) * a)) ** (1.0 / s) - R
         val, _ = quad(shifted, R, R + span, limit=200)
         return val * math.exp((1.0 - N) * yR)
+
+
+def _tail_quadrature(profile, model) -> float:
+    """Integral of psi^(1-N) over (Rmax, infinity) from a closed-form log psi.
+
+    Adaptive quadrature in u = 1/r over (0, 1/Rmax) of the integrand
+    anchored at psi(Rmax), so neither psi nor the integral leaves the float64
+    range.  The ``tail_integral`` of every exact warping with an integrable
+    tail.
+    """
+    N, R = model.N, model.Rmax
+    yR = float(profile.logpsi(np.float64(R)))
+
+    def anchored(u):
+        return math.exp((1.0 - N) * (float(profile.logpsi(np.float64(1.0 / u))) - yR)) / (u * u)
+
+    val, _ = quad(anchored, 0.0, 1.0 / R, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val * math.exp((1.0 - N) * yR)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,10 @@ class PowerLaw:
 
     The cap makes psi(r) = r exactly on [0, r0] with a C^1 glue at r0; the
     curvature itself may jump there, which is harmless for every integral
-    quantity computed downstream.
+    quantity computed downstream.  The warping past r0 is exact: for
+    beta < 2, psi'' = c0 r^(-beta) psi reduces to the modified Bessel
+    equation (see :class:`_BesselWarping`); at beta = 2 it is Euler's
+    equation, whose warping is that of ``QuasiEuclideanOptimal(c0, r0)``.
     """
 
     c0: float
@@ -257,6 +272,9 @@ class PowerLaw:
             raise ValidationError(f"power law needs beta in (0, 2], got {self.beta}")
         if self.r0 <= 0:
             raise ValidationError(f"power law needs r0 > 0, got {self.r0}")
+        exact = (_BesselWarping(self.c0, self.beta, self.r0) if self.beta < 2.0
+                 else QuasiEuclideanOptimal(self.c0, self.r0))
+        object.__setattr__(self, "_exact", exact)
 
     @property
     def flat_cap(self):
@@ -267,13 +285,92 @@ class PowerLaw:
         return np.where(r >= self.r0,
                         self.c0 * np.maximum(r, self.r0) ** (-self.beta), 0.0)
 
+    def psi(self, r):
+        return self._exact.psi(r)
+
+    def dpsi(self, r):
+        return self._exact.dpsi(r)
+
+    def logpsi(self, r):
+        return self._exact.logpsi(r)
+
+    def dlogpsi(self, r):
+        return self._exact.dlogpsi(r)
+
     def tail(self, model) -> TailModel:
-        """log psi ~ rate r^(1 - beta/2) + (beta/4) log r for beta < 2, psi ~ r^q1
-        with q1 (q1 - 1) = c0 at beta = 2; the free constants are fitted."""
-        if self.beta < 2.0:
-            s = 1.0 - self.beta / 2.0
-            return TailModel.fit_exponential(model, s, (1.0 - s) / 2.0)
-        return TailModel.fit_power(model, (1.0 + math.sqrt(1.0 + 4.0 * self.c0)) / 2.0)
+        """log psi ~ (2 sqrt(c0) / (2 - beta)) r^(1 - beta/2) for beta < 2;
+        psi ~ a1 r^q1 with q1 (q1 - 1) = c0 at beta = 2."""
+        return self._exact.tail(model)
+
+    def tail_integral(self, model) -> float:
+        return self._exact.tail_integral(model)
+
+
+class _BesselWarping:
+    """Exact warping of K = c0 r^(-beta), 0 < beta < 2, glued to psi = r at r0.
+
+    With m = 1 - beta/2, x = sqrt(c0) r^m / m and nu = 1/(2m),
+
+        psi  = sqrt(r) [A I_nu(x) + B K_nu(x)],
+        psi' = sqrt(c0) r^((1 - beta)/2) [A I_(nu-1)(x) - B K_(nu-1)(x)]
+
+    (NIST DLMF 10.13; Watson, *A Treatise on the Theory of Bessel
+    Functions*, ch. IV).  A and B solve psi(r0) = r0, psi'(r0) = 1.  In the
+    scaled functions ive = I_nu e^(-x), kve = K_nu e^x, with a = A e^x0 and
+    b = B e^(-x0) at x0 = x(r0),
+
+        log psi = log(r)/2 + (x - x0) + log(a ive(x) + b e^(-2 (x - x0)) kve(x)),
+
+    every term of which stays finite for all r >= r0.
+    """
+
+    def __init__(self, c0: float, beta: float, r0: float):
+        self.r0, self.beta, self.m = r0, beta, 1.0 - beta / 2.0
+        self.sqrt_c0, self.nu = math.sqrt(c0), 0.5 / self.m
+        self.rate = self.sqrt_c0 / self.m
+        self.x0 = x0 = self.rate * r0 ** self.m
+        i0, k0 = ive(self.nu, x0), kve(self.nu, x0)
+        i1, k1 = ive(self.nu - 1.0, x0), kve(self.nu - 1.0, x0)
+        slope = r0 ** ((beta - 1.0) / 2.0) / self.sqrt_c0  # psi' bracket giving psi'(r0) = 1
+        det = i0 * k1 + k0 * i1
+        self.a = (math.sqrt(r0) * k1 + slope * k0) / det
+        self.b = (math.sqrt(r0) * i1 - slope * i0) / det
+
+    def _bracket(self, r, order: float, sign: float):
+        """(r clipped to the cap, x - x0, the scaled bracket of the given order)."""
+        rc = np.maximum(r, self.r0)
+        x = self.rate * rc ** self.m
+        dx = x - self.x0
+        return rc, dx, self.a * ive(order, x) + sign * self.b * np.exp(-2.0 * dx) * kve(order, x)
+
+    def logpsi(self, r):
+        r = np.asarray(r, float)
+        rc, dx, bracket = self._bracket(r, self.nu, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(r >= self.r0, 0.5 * np.log(rc) + dx + np.log(bracket), np.log(r))
+
+    def dlogpsi(self, r):
+        r = np.asarray(r, float)
+        rc, _, bracket = self._bracket(r, self.nu, 1.0)
+        _, _, dbracket = self._bracket(r, self.nu - 1.0, -1.0)
+        z = self.sqrt_c0 * rc ** (-self.beta / 2.0) * dbracket / bracket
+        with np.errstate(divide="ignore"):
+            return np.where(r >= self.r0, z, 1.0 / r)
+
+    def psi(self, r):
+        r = np.asarray(r, float)
+        with np.errstate(over="ignore"):
+            return np.where(r >= self.r0, np.exp(self.logpsi(r)), r)
+
+    def dpsi(self, r):
+        r = np.asarray(r, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(r >= self.r0, np.exp(self.logpsi(r)) * self.dlogpsi(r), 1.0)
+
+    def tail(self, model) -> TailModel:
+        return TailModel("exponential", shape=self.m, rate=self.rate)
+
+    tail_integral = _tail_quadrature
 
 
 @dataclass(frozen=True)
@@ -341,12 +438,7 @@ class Polynomial:
             return TailModel("divergent")
         return TailModel("power", shape=q, amplitude=a)
 
-    def tail_integral(self, model) -> float:
-        N = model.N
-        # substitute u = 1/s: finite interval, integrand u^(g-2) at 0
-        val, _ = quad(lambda u: (self.a1 * u ** -self.q1 + self.a2 * u ** -self.q2) ** (1.0 - N)
-                      / (u * u), 0.0, 1.0 / model.Rmax)
-        return val
+    tail_integral = _tail_quadrature
 
 
 def _glue_coefficients(q1: float, q2: float, r0: float):
@@ -674,9 +766,10 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
                 grid: Optional[GridSpec] = None, method: str = "auto") -> ModelFunction:
     """Construct the warping function of a model geometry.
 
-    A profile with a closed form is evaluated through it.  One without has
-    its law probed for K >= 0 and is integrated; ``method="ode"`` forces the
-    integration for any profile (used to cross-validate the integrator).
+    A profile with a closed form is evaluated through it.  The law is
+    integrated if and only if the profile has none or ``method="ode"``
+    (used to cross-validate the integrator), and it is probed for K >= 0
+    before every integration.
     """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValidationError(f"dimension must be an integer >= 2, got {N}")
@@ -689,20 +782,17 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
         raise ValidationError(f"Rmax = {Rmax} must exceed the cap radius {cap}")
     grid = grid or GridSpec()
 
-    closed = hasattr(profile, "psi")
-    if not closed:
+    if method == "ode" or not hasattr(profile, "psi"):
         probe = np.geomspace(max(cap, 1e-8 * Rmax), Rmax, 2048)
         kk = np.asarray(profile.curvature(probe), float)
         if np.any(kk < -1e-12 * max(1.0, np.max(np.abs(kk)))):
             bad = probe[np.argmax(kk < 0)]
             raise NonHadamardProfile(f"curvature law is negative near r = {bad:.6g}")
-
-    if closed and method == "auto":
-        warping, built_by = profile, "closed"
-    else:
         r_a = cap if cap > 0 else grid.start(Rmax)
         warping = _integrate_profile(profile, Rmax, r_a, max(grid.n, 6144))
         built_by = "ode"
+    else:
+        warping, built_by = profile, "closed"
 
     rg = np.concatenate([[0.0], grid.nodes(Rmax)])
     gp = np.asarray(warping.psi(rg), float)

@@ -1,8 +1,8 @@
 """One-dimensional weighted-inequality machinery for the weight w = psi^(N-1).
 
 Central objects: the cumulative integral W(r) of w, the tail integral T(r)
-of 1/w (finished off past the sampled range by a fitted analytic tail), the
-product
+of 1/w (finished off past the sampled range by the profile's exact tail, or
+by a fitted analytic tail for an imported table), the product
 
     Q(r) = W(r)^(1/p) * T(r)^(1/2),
 
@@ -88,7 +88,7 @@ def _classify_tail(model: ModelFunction) -> TailModel:
         tm = model.profile.tail(model)
     else:
         # imported table: choose whichever analytic family explains the tail
-        tm = min((TailModel.fit_power(model), TailModel.fit_exponential(model, 1.0, 0.0)),
+        tm = min((TailModel.fit_power(model), TailModel.fit_exponential(model)),
                  key=lambda t: t.residual)
         if tm.residual > 1e-3:
             raise TailUnclassifiable(
@@ -100,8 +100,6 @@ def _classify_tail(model: ModelFunction) -> TailModel:
     if tm.family == "power" and tm.shape * (model.N - 1) <= 1.0 + 1e-12:
         tm = TailModel("divergent", shape=tm.shape, amplitude=tm.amplitude,
                        residual=tm.residual)
-    if tm.family != "divergent" and tm.residual > 1e-3:
-        raise TailUnclassifiable(f"tail fit residual {tm.residual:.2e} exceeds 1e-3")
     return tm
 
 

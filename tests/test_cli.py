@@ -144,6 +144,56 @@ def test_each_exponent_searched_once(tmp_path, monkeypatch, argv, searches):
     assert len(calls) == searches
 
 
+README_CERTIFICATE = ["certificate", "--profile", "power", "--c0", "1", "--beta", "1",
+                      "--r0", "1", "--n", "3", "--rmax", "2000", "--p", "2",
+                      "--r", "50,100,200,400"]
+# the criterion-9 decay run, stopped at t = 10 instead of 1e10
+SHORT_CRITERION9 = ["pme", "--profile", "power", "--c0", "1", "--beta", "1", "--r0", "1",
+                    "--n", "3", "--rmax", "130", "--rdomain", "100", "--m", "2",
+                    "--r-support", "2", "--height", "4", "--t-end", "10",
+                    "--cells", "1000", "--outputs", "90", "--fit-window", "1e8:1e10"]
+
+
+@pytest.mark.parametrize("argv", [POWER_SWEEP, README_CERTIFICATE, SHORT_CRITERION9],
+                         ids=["sweep", "certificate", "pme"])
+def test_power_law_commands_never_integrate(tmp_path, monkeypatch, argv):
+    def integrator(*args, **kwargs):
+        raise AssertionError("the warping integrator ran")
+
+    monkeypatch.setattr(geo, "_integrate_profile", integrator)
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["model"],
+    ["poincare", "--rdomain", "10"],
+    ["certificate", "--p", "2", "--r", "2,4"],
+    ["pme", "--m", "2", "--rdomain", "8", "--t-end", "1"],
+], ids=["model", "poincare", "certificate", "pme"])
+def test_tol_is_refused_where_nothing_reads_it(tmp_path, capsys, argv):
+    rc = run_cli(argv + ["--profile", "euclidean", "--rmax", "10", "--tol", "bogus=1",
+                         "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    assert "unrecognized arguments: --tol bogus=1" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--p", "2,x"], "--p"),
+    (["certificate", "--p", "2", "--r", "50,x"], "--r"),
+    (["pme", "--m", "2", "--rdomain", "8", "--t-end", "1", "--fit-window", "1e8"],
+     "--fit-window"),
+], ids=["sweep_p", "certificate_r", "pme_fit_window"])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, flag):
+    rc = run_cli(argv + ["--profile", "euclidean", "--rmax", "10",
+                         "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_poincare_command(tmp_path):
     out = tmp_path / "p"
     rc = run_cli(["poincare", "--profile", "hyperbolic", "--k", "1", "--n", "3",

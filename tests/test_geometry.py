@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import iv, ivp, kv, kvp
 
 from hadamard_ineq import geometry as geo
 from hadamard_ineq import weighted as wgt
@@ -226,13 +227,59 @@ def test_profile_validation():
         geo.build_model(geo.PowerLaw(1.0, 1.0, 5.0), 3, 4.0)  # Rmax inside cap
 
 
-def test_nonhadamard_law_rejected():
-    class BadLaw(geo.PowerLaw):
-        def curvature(self, r):
-            return -super().curvature(r)
+class _NegatedLaw:
+    """A law with no closed form: the power law K = r^-1 past r = 1, negated."""
 
+    flat_cap = 1.0
+
+    def curvature(self, r):
+        return -geo.PowerLaw(1.0, 1.0, 1.0).curvature(r)
+
+    def tail(self, model):
+        return geo.TailModel("divergent")
+
+
+class _BadLaw(geo.PowerLaw):
+    def curvature(self, r):
+        return -super().curvature(r)
+
+
+@pytest.mark.parametrize("profile, method", [
+    (_NegatedLaw(), "auto"),
+    (_BadLaw(1.0, 1.0, 1.0), "ode"),
+], ids=["law_only", "closed_form_forced_to_ode"])
+def test_nonhadamard_law_rejected(profile, method):
+    # the law is probed for K >= 0 before every integration
     with pytest.raises(NonHadamardProfile):
-        geo.build_model(BadLaw(1.0, 1.0, 1.0), 3, 10.0)
+        geo.build_model(profile, 3, 10.0, method=method)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
+def test_power_law_closed_form_matches_integrator(beta):
+    closed = geo.build_model(geo.PowerLaw(1.0, beta, 1.0), 3, 2000.0)
+    ode = geo.build_model(geo.PowerLaw(1.0, beta, 1.0), 3, 2000.0, method="ode")
+    assert (closed.built_by, ode.built_by) == ("closed", "ode")
+    r = closed.grid_r[1:]
+    y_c, y_o = closed.logpsi(r), ode.logpsi(r)
+    assert np.max(np.abs(y_o - y_c) / np.maximum(1.0, np.abs(y_c))) < 1e-9
+    assert np.max(np.abs(ode.dlogpsi(r) / closed.dlogpsi(r) - 1.0)) < 1e-9
+
+
+def test_power_law_logpsi_stays_finite():
+    # oracle: the glue solved with unscaled I_1, K_1 and their derivatives at
+    # x0 = 2, then the large-x expansion I_1(x) ~ e^x (1 - 3/(8x)) / sqrt(2 pi x)
+    # beta = 1: x = 2 sqrt(r), nu = 1, psi = sqrt(r) [A I_1(x) + B K_1(x)]
+    glue = np.array([[iv(1, 2.0), kv(1, 2.0)],
+                     [iv(1, 2.0) / 2 + ivp(1, 2.0), kv(1, 2.0) / 2 + kvp(1, 2.0)]])
+    A, _ = np.linalg.solve(glue, [1.0, 1.0])
+    r = 1e8
+    x = 2.0 * math.sqrt(r)
+    expected = (0.5 * math.log(r) + math.log(A) + x - 0.5 * math.log(2 * math.pi * x)
+                + math.log1p(-3.0 / (8.0 * x)))
+    got = float(geo.PowerLaw(1.0, 1.0, 1.0).logpsi(r))
+    assert math.isfinite(got)
+    assert got == pytest.approx(20002.66, abs=0.01)
+    assert abs(got - expected) < 1e-8
 
 
 def test_csv_round_trip(tmp_path, hyperbolic_model):

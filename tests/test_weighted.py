@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import iv, ivp, kv, kvp
 
 from hadamard_ineq import geometry as geo
 from hadamard_ineq import weighted as wgt
@@ -74,6 +75,25 @@ def test_tail_classification(hyperbolic_weight, power_weight, quasi_weight,
     assert quasi_weight.tail.shape == 2.0
     assert quasi_weight.tail.amplitude == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert euclidean_weight.tail.family == "power"
+
+
+def test_power_tail_integral_is_the_closed_form_past_rmax():
+    # oracle: psi = sqrt(r) [A I_2(x) + B K_2(x)], x = 4 r^(1/4), for
+    # K = r^(-3/2) past r0 = 1, glued to psi = r with scipy's own I, K and
+    # their derivatives, then integrated past Rmax
+    glue = np.array([[iv(2, 4.0), kv(2, 4.0)],
+                     [iv(2, 4.0) / 2 + ivp(2, 4.0), kv(2, 4.0) / 2 + kvp(2, 4.0)]])
+    A, B = np.linalg.solve(glue, [1.0, 1.0])
+
+    def psi(r):
+        x = 4.0 * r ** 0.25
+        return math.sqrt(r) * (A * iv(2, x) + B * kv(2, x))
+
+    R = 2000.0
+    oracle = sum(quad(lambda r: psi(r) ** -2, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                 for lo, hi in ((R, 2 * R), (2 * R, math.inf)))
+    weight = wgt.build_weight(geo.build_model(geo.PowerLaw(1.0, 1.5, 1.0), 3, R))
+    assert float(weight.T_at(R)) == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
 
 def test_divergent_tails():
