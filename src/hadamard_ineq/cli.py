@@ -35,8 +35,17 @@ _PROFILES = {
     "euclidean": lambda args: geometry.Euclidean(),
     "hyperbolic": lambda args: geometry.Hyperbolic(args.k),
     "power": lambda args: geometry.PowerLaw(args.c0, args.beta, args.r0),
-    "quasi": lambda args: geometry.QuasiEuclideanOptimal(args.c1, args.r0),
+    "quasi": lambda args: geometry.PowerLaw(args.c1, 2.0, args.r0),
 }
+
+
+def _law(profile) -> str:
+    """The curvature law of a built profile, which every law-dependent bound
+    and prediction reads: 'flat', 'constant' (k > 0), 'power' (beta < 2) or
+    'quadratic' (the power law at beta = 2, whichever flag spelled it)."""
+    if isinstance(profile, geometry.PowerLaw):
+        return "power" if profile.beta < 2.0 else "quadratic"
+    return "constant" if profile.k > 0.0 else "flat"
 
 
 def _shared_flags():
@@ -208,30 +217,32 @@ def cmd_model(args, out: Path, h: str):
     payload = {"profile": args.profile, "N": model.N, "Rmax": model.Rmax,
                "built_by": model.built_by, "cartan_hadamard": flag,
                "violation_radius": viol}
-    if args.profile == "power":
+    if _law(model.profile) == "power":
         c, r0 = geometry.lemma31_constants(model)
-        rep = geometry.check_comparison(model, geometry.Lemma31Bound(c, r0, args.beta))
+        rep = geometry.check_comparison(model,
+                                        geometry.Lemma31Bound(c, r0, model.profile.beta))
         payload["laplacian_lower_bound"] = {"c": c, "r0": r0, "holds": rep.holds}
     return ("model.json", "model-summary", payload,
             f"model written: CH={flag} nodes={len(model.grid_r)}")
 
 
-def _lemma_bound(args, model):
-    """p -> the explicit bound on B for the profile, nan where none applies.
+def _lemma_bound(model):
+    """p -> the explicit bound on B for the model's law, nan where none applies.
 
-    Lemma 4.1 on power laws with beta < 2 and lemma 4.2 on quasi-Euclidean
-    profiles, each on the exponents it admits; McKean's constant at p = 2
-    on hyperbolic space.
+    Lemma 4.1 on power laws with beta < 2 and lemma 4.2 at beta = 2, each
+    on the exponents it admits; McKean's constant at p = 2 on constant
+    curvature k > 0.
     """
+    law, prof = _law(model.profile), model.profile
     explicit = lambda p: math.nan
-    if args.profile == "power" and args.beta < 2.0:
+    if law == "power":
         c, r0 = geometry.lemma31_constants(model)
-        explicit = lambda p: weighted.lemma41_bound(model.N, args.beta / 2.0, c, r0, p)
-    elif args.profile == "quasi":
+        explicit = lambda p: weighted.lemma41_bound(model.N, prof.beta / 2.0, c, r0, p)
+    elif law == "quadratic":
         constants = weighted.lemma42_constants(model)
         explicit = lambda p: weighted.lemma42_bound(model.N, *constants, p)
-    elif args.profile == "hyperbolic":
-        mckean = weighted.mckean_bounds(args.n, args.k)[0]
+    elif law == "constant":
+        mckean = weighted.mckean_bounds(model.N, prof.k)[0]
         explicit = lambda p: mckean if p == 2.0 else math.nan
 
     def bound(p: float) -> float:
@@ -242,12 +253,25 @@ def _lemma_bound(args, model):
     return bound
 
 
+def _predicted_slope(profile, mode: str):
+    """The slope of log B that the law predicts: 1/2 against log p; against
+    log(p - 2), -beta/(2 - beta) under a power law, 0 under k > 0, where B
+    stays finite, and None in flat space and at beta = 2, where B diverges
+    at p = 2."""
+    if mode == "p_large":
+        return 0.5
+    law = _law(profile)
+    if law == "power":
+        return -profile.beta / (2.0 - profile.beta)
+    return 0.0 if law == "constant" else None
+
+
 def cmd_sweep(args, out: Path, h: str):
     tols = _tols(args)
     p_values = _parse_p_list(args.p)
     model = _model_from(args)
     weight = weighted.build_weight(model)
-    bound = _lemma_bound(args, model)
+    bound = _lemma_bound(model)
     reports = _parallel_map(
         lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
         [float(p) for p in p_values], args.jobs)
@@ -264,12 +288,11 @@ def cmd_sweep(args, out: Path, h: str):
                "reports": [dataclasses.asdict(rep) for rep in reports]}
     if args.regress != "none":
         fit = weighted.scaling_regression(reports, args.regress)
-        predicted = (-args.beta / (2.0 - args.beta)
-                     if args.regress == "p_to_2" else 0.5)
         payload["regression"] = {"mode": args.regress, "fitted_slope": fit.slope,
                                  "intercept": fit.intercept,
                                  "residual_rms": fit.residual_rms,
-                                 "predicted_slope": predicted}
+                                 "predicted_slope": _predicted_slope(model.profile,
+                                                                     args.regress)}
     return ("sweep.json", "weighted-supremum-sweep", payload,
             f"sweep of {len(p_values)} exponents written")
 
@@ -284,9 +307,9 @@ def cmd_poincare(args, out: Path, h: str):
                             "spectral-gap-eigenfunction", res.r, res.eigenfunction)
     payload = {"lambda1": res.lambda1, "best_constant": res.best_constant,
                "R_domain": args.rdomain}
-    if args.profile == "hyperbolic":
+    if _law(model.profile) == "constant":
         payload["mckean"] = dict(zip(("sup_bound", "poincare_constant", "spectral_gap"),
-                                     weighted.mckean_bounds(args.n, args.k)))
+                                     weighted.mckean_bounds(model.N, model.profile.k)))
     return ("poincare.json", "spectral-gap", payload,
             f"lambda1={res.lambda1:.6g} best_constant={res.best_constant:.6g}")
 
@@ -366,22 +389,23 @@ def cmd_pme(args, out: Path, h: str):
     mass0 = run.states[0].mass
     payload = {"m": args.m, "mass": mass0, "steps": run.steps,
                "stopped_early": run.stopped_early, "stop_reason": run.stop_reason}
-    beta = args.beta if args.profile == "power" else 0.0
+    law = _law(model.profile)
     try:
         if args.fit in ("power_only", "both"):
             payload["power_only"] = dataclasses.asdict(
                 pme.fit_smoothing(run.states, "power_only", window=window))
-        if args.fit in ("power_with_log", "both") and args.profile in ("power", "hyperbolic"):
+        if args.fit in ("power_with_log", "both") and law in ("power", "constant"):
             payload["power_with_log"] = dataclasses.asdict(
                 pme.fit_smoothing(run.states, "power_with_log", m=args.m,
-                                  beta=beta, mass=mass0, window=window))
+                                  beta=getattr(model.profile, "beta", 0.0),
+                                  mass=mass0, window=window))
     except ValidationError as exc:
         payload["fit_error"] = str(exc)
-    if args.profile == "quasi":
-        ntilde, _ = weighted.critical_exponents(args.n, args.c1)
+    if law == "quadratic":
+        ntilde, _ = weighted.critical_exponents(model.N, model.profile.c0)
         payload["predicted_power_exponent"] = -pme.quasi_smoothing_exponent(ntilde, args.m)
-    elif args.profile == "euclidean":
-        payload["predicted_power_exponent"] = -pme.smoothing_exponent(args.n, args.m)
+    elif law == "flat":
+        payload["predicted_power_exponent"] = -pme.smoothing_exponent(model.N, args.m)
     return ("pme_fit.json", "pme-decay-fit", payload,
             f"pme run: steps={run.steps} stopped_early={run.stopped_early}")
 

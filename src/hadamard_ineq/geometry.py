@@ -15,8 +15,8 @@ never obtained by differencing samples twice, so the curvature identity is
 exact by construction.
 
 Every built-in profile has a closed-form warping: sinh for constant
-curvature, powers of r for the quasi-Euclidean law, and modified Bessel
-functions for the power law c0 r^(-beta).  A law given without one is
+curvature, and for the power law c0 r^(-beta) modified Bessel functions
+(beta < 2) or two powers of r (beta = 2).  A law given without one is
 integrated in log variables (y, z) = (log psi, psi'/psi), which stay well
 scaled even when psi itself grows to ~1e300:
 
@@ -224,9 +224,9 @@ class Constant:
                 return np.log(r)
         s = math.sqrt(self.k)
         x = s * r
-        # log(sinh x) = x - log 2 + log1p(-exp(-2x)), stable for all x > 0
+        # log(sinh x) = x - log 2 + log(-expm1(-2x)), accurate for all x > 0
         with np.errstate(divide="ignore"):
-            return x - math.log(2.0) + np.log1p(-np.exp(-2.0 * x)) - math.log(s)
+            return x - math.log(2.0) + np.log(-np.expm1(-2.0 * x)) - math.log(s)
 
     def dlogpsi(self, r):
         r = np.asarray(r, float)
@@ -255,10 +255,12 @@ class PowerLaw:
 
     The cap makes psi(r) = r exactly on [0, r0] with a C^1 glue at r0; the
     curvature itself may jump there, which is harmless for every integral
-    quantity computed downstream.  The warping past r0 is exact: for
-    beta < 2, psi'' = c0 r^(-beta) psi reduces to the modified Bessel
-    equation (see :class:`_BesselWarping`); at beta = 2 it is Euler's
-    equation, whose warping is that of ``QuasiEuclideanOptimal(c0, r0)``.
+    quantity computed downstream.  The warping past r0 is exact and kept in
+    ``exact``: for beta < 2, psi'' = c0 r^(-beta) psi reduces to the
+    modified Bessel equation (see :class:`_BesselWarping`); at beta = 2 it
+    is Euler's equation, solved by the glued two-power warping
+    a1 r^q1 + a2 r^q2 of :func:`polynomial_c1_glue` with
+    q_{1,2} = (1 +/- sqrt(1 + 4 c0)) / 2, the roots of q (q - 1) = c0.
     """
 
     c0: float
@@ -272,9 +274,12 @@ class PowerLaw:
             raise ValidationError(f"power law needs beta in (0, 2], got {self.beta}")
         if self.r0 <= 0:
             raise ValidationError(f"power law needs r0 > 0, got {self.r0}")
-        exact = (_BesselWarping(self.c0, self.beta, self.r0) if self.beta < 2.0
-                 else QuasiEuclideanOptimal(self.c0, self.r0))
-        object.__setattr__(self, "_exact", exact)
+        if self.beta < 2.0:
+            exact = _BesselWarping(self.c0, self.beta, self.r0)
+        else:
+            d = math.sqrt(1.0 + 4.0 * self.c0)
+            exact = polynomial_c1_glue((1.0 + d) / 2.0, (1.0 - d) / 2.0, self.r0)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def flat_cap(self):
@@ -286,24 +291,24 @@ class PowerLaw:
                         self.c0 * np.maximum(r, self.r0) ** (-self.beta), 0.0)
 
     def psi(self, r):
-        return self._exact.psi(r)
+        return self.exact.psi(r)
 
     def dpsi(self, r):
-        return self._exact.dpsi(r)
+        return self.exact.dpsi(r)
 
     def logpsi(self, r):
-        return self._exact.logpsi(r)
+        return self.exact.logpsi(r)
 
     def dlogpsi(self, r):
-        return self._exact.dlogpsi(r)
+        return self.exact.dlogpsi(r)
 
     def tail(self, model) -> TailModel:
         """log psi ~ (2 sqrt(c0) / (2 - beta)) r^(1 - beta/2) for beta < 2;
         psi ~ a1 r^q1 with q1 (q1 - 1) = c0 at beta = 2."""
-        return self._exact.tail(model)
+        return self.exact.tail(model)
 
     def tail_integral(self, model) -> float:
-        return self._exact.tail_integral(model)
+        return self.exact.tail_integral(model)
 
 
 class _BesselWarping:
@@ -455,36 +460,9 @@ def polynomial_c1_glue(q1: float, q2: float, r0: float = 1.0) -> Polynomial:
     return Polynomial(*_glue_coefficients(q1, q2, r0), q1, q2, r0)
 
 
-class QuasiEuclideanOptimal(Polynomial):
-    """K = c1 r^(-2) outside r0, flat cap inside.
-
-    Beyond the cap the warping is exactly the C^1-glued two-power warping
-    a1 r^q1 + a2 r^q2 with q_{1,2} = (1 +/- sqrt(1 + 4 c1)) / 2, the roots of
-    q (q - 1) = c1.  Everything but the curvature comes from
-    :class:`Polynomial`; the curvature is the law itself, exact.
-    """
-
-    def __init__(self, c1: float, r0: float = 1.0):
-        if c1 <= 0:
-            raise ValidationError(f"quasi-Euclidean law needs c1 > 0, got {c1}")
-        if r0 <= 0:
-            raise ValidationError(f"quasi-Euclidean law needs r0 > 0, got {r0}")
-        d = math.sqrt(1.0 + 4.0 * c1)
-        q1, q2 = (1.0 + d) / 2.0, (1.0 - d) / 2.0
-        super().__init__(*_glue_coefficients(q1, q2, r0), q1, q2, r0)
-        object.__setattr__(self, "c1", c1)
-
-    @property
-    def exponents(self):
-        return self.q1, self.q2
-
-    @property
-    def coefficients(self):
-        return self.a1, self.a2
-
-    def curvature(self, r):
-        r = np.asarray(r, float)
-        return np.where(r >= self.r0, self.c1 * np.maximum(r, self.r0) ** -2.0, 0.0)
+def QuasiEuclideanOptimal(c1: float, r0: float = 1.0) -> PowerLaw:
+    """Quadratic decay K = c1 r^(-2) outside r0: the power law at beta = 2."""
+    return PowerLaw(c1, 2.0, r0)
 
 
 def _smoothstep(x):
@@ -558,7 +536,7 @@ class ExponentialPower:
         return np.where(np.asarray(r, float) == 0.0, 0.0, out)
 
 
-CurvatureProfile = Union[Constant, PowerLaw, QuasiEuclideanOptimal, Polynomial, ExponentialPower]
+CurvatureProfile = Union[Constant, PowerLaw, Polynomial, ExponentialPower]
 
 
 # ---------------------------------------------------------------------------
@@ -851,9 +829,6 @@ class ComparisonReport:
     r: np.ndarray
     ok: np.ndarray
     fail_interval: Optional[tuple]
-
-    def fraction_failing(self):
-        return float(np.mean(~self.ok))
 
 
 @dataclass(frozen=True)

@@ -256,12 +256,11 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
                           iterations=it)
 
 
-def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list,
-                                 refine: bool = True):
+def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list):
     """Minimal Rayleigh ratios over growing domains.
 
     The tent g = min(1, 2 (R - r) / R) supplies an upper bound and the
-    initial iterate; ``refine`` polishes it with the local minimizer.
+    initial iterate, which the local minimizer then polishes.
     Ratios shrink to zero with R below the threshold exponent and
     stabilize above it.
     """
@@ -273,12 +272,9 @@ def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list,
         nodes = np.unique(np.concatenate([inner, [R / 2.0, R]]))
         g = np.minimum(1.0, 2.0 * (R - nodes) / R)
         grad, pn = plin_norms(weight, nodes, g, p)
-        ratio = grad / pn
-        if refine:
-            res = rayleigh_minimize(weight, p, R,
-                                    init=DiscreteFunction(nodes, g), max_iter=800)
-            ratio = min(ratio, res.ratio)
-        out.append((R, ratio))
+        res = rayleigh_minimize(weight, p, R,
+                                init=DiscreteFunction(nodes, g), max_iter=800)
+        out.append((R, min(grad / pn, res.ratio)))
     return out
 
 

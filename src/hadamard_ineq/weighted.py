@@ -30,7 +30,7 @@ from .errors import (
     TailUnclassifiable,
     ValidationError,
 )
-from .geometry import ModelFunction, QuasiEuclideanOptimal, TailModel
+from .geometry import ModelFunction, PowerLaw, TailModel
 
 __all__ = [
     "WeightMeasure",
@@ -428,16 +428,16 @@ def lemma42_bound(N: int, c: float, cprime: float, q: float, r0: float, p: float
 
 
 def lemma42_constants(model: ModelFunction):
-    """(c, cprime, q, r0) certified for a quasi-Euclidean optimal model."""
+    """(c, cprime, q, r0) certified for the quadratic law K = c0 r^(-2),
+    read from the two-power glue of a :class:`PowerLaw` at beta = 2."""
     prof = model.profile
-    if not isinstance(prof, QuasiEuclideanOptimal):
-        raise ValidationError("constants derive from a quasi-Euclidean profile")
-    q1, q2 = prof.exponents
-    a1, a2 = prof.coefficients
-    h = (q1 - q2) * max(a2, 0.0) / a1
+    if not (isinstance(prof, PowerLaw) and prof.beta == 2.0):
+        raise ValidationError("constants derive from a power law at beta = 2")
+    glue = prof.exact
+    h = (glue.q1 - glue.q2) * max(glue.a2, 0.0) / glue.a1
     if h == 0.0:
         h = 1e-12
-    return q1, h, 1.0 + (q1 - q2), prof.r0
+    return glue.q1, h, 1.0 + (glue.q1 - glue.q2), prof.r0
 
 
 def critical_exponents(N: int, C1: float):

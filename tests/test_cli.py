@@ -337,3 +337,48 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, line, message):
 ], ids=["unknown_flag", "missing_flag", "help", "command_help", "version"])
 def test_main_returns_the_exit_status(argv, code):
     assert run_cli(argv) == code
+
+
+# the quadratic law K = 2 r^-2 past r = 1, spelled as its own profile and as
+# the power law at beta = 2
+QUASI = ["--profile", "quasi", "--c1", "2", "--r0", "1"]
+POWER_AT_2 = ["--profile", "power", "--c0", "2", "--beta", "2", "--r0", "1"]
+QUASI_SWEEP = ["sweep", "--rmax", "1200", "--p", "3.5:5:5"]
+SPELLED = {
+    "model": ["model", "--rmax", "60"],
+    "sweep": QUASI_SWEEP,
+    "sweep_regress": QUASI_SWEEP + ["--regress", "p_to_2"],
+    "pme": ["pme", "--rmax", "60", "--rdomain", "50", "--m", "2", "--r-support", "2",
+            "--t-end", "50", "--cells", "200"],
+}
+
+
+@pytest.mark.parametrize("argv", SPELLED.values(), ids=SPELLED.keys())
+def test_both_spellings_of_the_quadratic_law_report_alike(tmp_path, output_diff, argv):
+    quasi, power = tmp_path / "quasi", tmp_path / "power"
+    assert run_cli(argv + QUASI + ["--out-dir", str(quasi)]) == 0
+    assert run_cli(argv + POWER_AT_2 + ["--out-dir", str(power)]) == 0
+    if argv[0] == "model":  # whose summary names the spelling
+        assert output_diff(quasi, power) == ["model.json"]
+        docs = [json.loads((d / "model.json").read_text()) for d in (quasi, power)]
+        assert [doc.pop("profile") for doc in docs] == ["quasi", "power"]
+        assert [doc.pop("meta")["quantity"] for doc in docs] == ["model-summary"] * 2
+        assert docs[0] == docs[1]
+        return
+    assert output_diff(quasi, power) == []
+    if argv[0] == "sweep":  # lemma 4.2 bounds B at every p past the threshold 10/3
+        rows = (power / "sweep.csv").read_text().splitlines()[2:]
+        assert all(math.isfinite(float(row.split(",")[4])) for row in rows)
+    else:
+        doc = json.loads((power / "pme_fit.json").read_text())
+        assert doc["predicted_power_exponent"] == pytest.approx(-5.0 / 7.0)
+
+
+@pytest.mark.parametrize("argv, slope", [
+    (["--profile", "hyperbolic", "--k", "1", "--rmax", "20", "--p", "2.1:3:5"], 0.0),
+    (QUASI + ["--rmax", "1200", "--p", "3.5:5:5"], None),
+], ids=["hyperbolic", "quasi"])
+def test_predicted_slope_follows_the_law(tmp_path, argv, slope):
+    assert run_cli(["sweep", "--regress", "p_to_2", "--out-dir", str(tmp_path)] + argv) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert doc["regression"]["predicted_slope"] == slope

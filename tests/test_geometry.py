@@ -28,6 +28,15 @@ def test_hyperbolic_closed_form(hyperbolic_model):
     assert np.allclose(hyperbolic_model.dpsi(r), np.cosh(r), rtol=1e-13)
 
 
+def test_hyperbolic_logpsi_keeps_its_digits_at_the_pole(hyperbolic_model):
+    # psi'/psi and 1/psi both grow like 1/r, so the tangential Ricci curvature
+    # -K - (N-2) (psi'^2 - 1) / psi^2 = -2 needs log psi to full relative accuracy
+    r1 = float(hyperbolic_model.grid_r[1])
+    assert geo.curvature_at(hyperbolic_model, r1).ric_tangential == pytest.approx(-2.0, abs=1e-5)
+    r = np.geomspace(1e-9, 1.0, 50)
+    assert np.allclose(geo.Hyperbolic(1.0).logpsi(r), np.log(np.sinh(r)), rtol=1e-14, atol=0)
+
+
 def test_ode_matches_sinh():
     # independent route: force numerical integration and compare closed form
     m = geo.build_model(geo.Hyperbolic(1.0), 3, 10.0, method="ode")
@@ -45,12 +54,18 @@ def test_ode_matches_sinh_scaled():
 
 
 def test_quasi_profile_exact_coefficients():
-    prof = geo.QuasiEuclideanOptimal(2.0, 1.0)
-    q1, q2 = prof.exponents
-    assert (q1, q2) == (2.0, -1.0)  # roots of q(q-1) = 2
-    a1, a2 = prof.coefficients
-    assert math.isclose(a1, 2.0 / 3.0, rel_tol=1e-15)
-    assert math.isclose(a2, 1.0 / 3.0, rel_tol=1e-15)
+    glue = geo.QuasiEuclideanOptimal(2.0, 1.0).exact
+    assert (glue.q1, glue.q2) == (2.0, -1.0)  # roots of q(q-1) = 2
+    assert (glue.a1, glue.a2) == (2.0 / 3.0, 1.0 / 3.0)
+
+
+def test_quasi_profile_is_the_power_law_at_beta_2():
+    prof = geo.QuasiEuclideanOptimal(2.0, 1.5)
+    assert type(prof) is geo.PowerLaw
+    assert prof == geo.PowerLaw(2.0, 2.0, 1.5)
+    r = np.linspace(0.5, 40.0, 80)
+    assert np.allclose(prof.curvature(r), np.where(r >= 1.5, 2.0 / np.maximum(r, 1.5) ** 2, 0.0),
+                       rtol=1e-15, atol=0)
 
 
 def test_quasi_against_independent_integration():
