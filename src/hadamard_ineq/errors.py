@@ -64,4 +64,4 @@ class TailUnclassifiable(NumericalError):
 
 
 class StabilityFailure(NumericalError):
-    """Time stepping produced a negative or non-finite state."""
+    """Time stepping produced a negative state, or Newton did not converge."""

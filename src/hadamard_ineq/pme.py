@@ -4,20 +4,21 @@ Conservative finite volumes for the reduced one-dimensional form
 
     u_t = psi^(1-N) ( psi^(N-1) (u^m)_r )_r ,
 
-explicit time stepping under the degenerate-diffusivity stability bound,
-and decay-law fitting of the sup norm against the two analytic envelopes
+backward-Euler time stepping with Newton on the tridiagonal Jacobian, and
+decay-law fitting of the sup norm against the two analytic envelopes
 (power decay with and without a logarithmic correction).  The scheme is
-monotone: mass is conserved to rounding while the support stays interior,
-the sup norm never increases, and ordered data stay ordered.
+monotone at any step: mass is conserved to rounding while the support stays
+interior, the sup norm never increases, and ordered data stay ordered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import (
     InsufficientWindow,
@@ -71,7 +72,9 @@ class CustomTable:
 
 InitialDatum = Union[Characteristic, GaussianLike, CustomTable]
 
-_CFL_SAFETY = 0.45  # fraction of the explicit stability limit taken as the step
+_GROWTH = 0.02  # steps are max(dt0, _GROWTH t), dt0 the explicit stability limit of u0
+_NEWTON_TOL = 1e-13  # residual over the Jacobian diagonal, relative to sup u before the step
+_NEWTON_CAP = 30
 _SUPPORT_THRESHOLD = 1e-12  # u at or below this fraction of sup u0 lies outside the support
 
 
@@ -115,6 +118,7 @@ class PMERun:
     stopped_early: bool
     stop_reason: Optional[str]
     steps: int
+    newton_iterations: int
 
 
 def _initial_values(initial: InitialDatum, centers: np.ndarray) -> np.ndarray:
@@ -142,83 +146,88 @@ def _support_edge(u, faces, threshold):
 
 
 def pme_run(config: PMEConfig) -> PMERun:
-    """Advance the flow and emit snapshots at the output times.
+    """Advance the flow by backward Euler and emit snapshots at the output times.
 
-    Stops early (flagged, not raised) once the support reaches the outer
-    boundary: states past that moment would be polluted by the wall.
+    Stops early (flagged, not raised) once the support reaches the guard two
+    cells inside the outer boundary: states past it would be polluted by the wall.
     """
     model, m = config.model, config.m
-    N = model.N
     faces = np.linspace(0.0, config.R_domain, config.n_cells + 1)
     dx = faces[1] - faces[0]
     centers = 0.5 * (faces[:-1] + faces[1:])
 
     # cell volumes int w dr and face conductivities w(face)/dx
-    vol = _gl5(lambda s: np.exp((N - 1.0) * np.asarray(model.logpsi(s), float)),
-              centers, 0.5 * dx)
-    wf = np.exp((N - 1.0) * np.asarray(model.logpsi(faces[1:-1]), float))
-    cond = wf / dx  # interior faces only; flux vanishes at r = 0 and the wall
+    w = lambda s: np.exp((model.N - 1.0) * np.asarray(model.logpsi(s), float))
+    vol = _gl5(w, centers, 0.5 * dx)
+    cond = w(faces[1:-1]) / dx  # interior faces only; flux vanishes at r = 0 and the wall
+    cond_sum = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
 
     u = _initial_values(config.initial, centers)
     sup0 = float(np.max(u))
-    if sup0 > 0 and _support_edge(u, faces, _SUPPORT_THRESHOLD * sup0) > config.R_domain / 2 + dx:
+    thr = _SUPPORT_THRESHOLD * sup0
+    if _support_edge(u, faces, thr) > config.R_domain / 2 + dx:
         raise ValidationError("initial datum must be supported in [0, R_domain/2]")
-    omega = unit_sphere_area(N)
-    thr = _SUPPORT_THRESHOLD * sup0 if sup0 > 0 else 0.0
 
-    if config.output_times is None:
-        t_first = config.t_end * 1e-4
-        out_t = np.concatenate([[0.0], np.geomspace(t_first, config.t_end, 60)])
-    else:
-        out_t = np.unique(np.concatenate([[0.0], np.asarray(config.output_times, float)]))
-        if out_t[-1] > config.t_end:
-            raise ValidationError("output times exceed t_end")
+    out_t = config.output_times
+    if out_t is None:
+        out_t = np.geomspace(config.t_end * 1e-4, config.t_end, 60)
+    out_t = np.unique(np.append(np.asarray(out_t, float), 0.0))
+    if out_t[-1] > config.t_end:
+        raise ValidationError("output times exceed t_end")
 
     def snapshot(t):
         return PMEState(t=float(t), u=u.copy(),
-                        mass=omega * float(u @ vol),
+                        mass=unit_sphere_area(model.N) * float(u @ vol),
                         sup=float(np.max(u)) if u.size else 0.0,
                         support_edge=_support_edge(u, faces, thr))
 
-    states = [snapshot(0.0)]
-    stopped = False
-    reason = None
-    t = 0.0
-    steps = 0
-    cond_pad = np.concatenate([[0.0], cond, [0.0]])
-    inv_vol = 1.0 / vol
-    guard = config.R_domain - 2.0 * dx
+    band, flux = np.zeros((3, config.n_cells)), np.zeros(config.n_cells + 1)
+    iterations = 0
 
+    def backward_euler(t_new):
+        """Newton from the state u at t to t_new, starting from the last rate."""
+        nonlocal iterations
+        dt = t_new - t
+        off, dt_sum, tol = -dt * cond, dt * cond_sum, _NEWTON_TOL * u.max()
+        x = np.maximum(u + dt * rate, 0.0)
+        for _ in range(_NEWTON_CAP):
+            xp = np.maximum(x, 0.0)
+            v, dphi = xp ** m, m * xp ** (m - 1.0)
+            flux[1:-1] = off * (v[1:] - v[:-1])
+            res = vol * (x - u) + flux[1:] - flux[:-1]
+            band[1] = vol + dt_sum * dphi
+            if (np.abs(res) / band[1]).max() <= tol:  # false on a non-finite state
+                if x.min() < -1e-10 * max(sup0, 1.0):
+                    raise StabilityFailure(f"negative state at t = {t_new:.6g}")
+                return np.maximum(x, 0.0)
+            band[0, 1:] = off * dphi[1:]
+            band[2, :-1] = off * dphi[:-1]
+            x = x - solve_banded((1, 1), band, res, overwrite_ab=True, overwrite_b=True,
+                                 check_finite=False)
+            iterations += 1
+        raise StabilityFailure(
+            f"Newton did not converge in {_NEWTON_CAP} iterations at t = {t_new:.6g}")
+
+    dt0 = float(np.min(vol / cond_sum)) / (m * sup0 ** (m - 1.0)) if sup0 > 0 else config.t_end
+    states = [snapshot(0.0)]
+    reason, t, steps, rate = None, 0.0, 0, 0.0
     for t_next in out_t[1:]:
-        if stopped:
-            break
-        while t < t_next:
-            umax_nb = np.maximum(u, np.maximum(
-                np.concatenate([u[1:], [0.0]]), np.concatenate([[0.0], u[:-1]])))
-            if config.dt_fixed is not None:
-                dt = config.dt_fixed
-            else:
-                diffus = m * np.maximum(umax_nb, 1e-300) ** (m - 1.0)
-                dt = _CFL_SAFETY * float(np.min(vol / ((cond_pad[:-1] + cond_pad[1:]) * diffus)))
-            dt = min(dt, t_next - t)
-            v = u ** m
-            flux = cond * (v[1:] - v[:-1])
-            u = u + dt * np.diff(np.concatenate([[0.0], flux, [0.0]])) * inv_vol
-            t += dt
-            steps += 1
-            if steps % 200 == 0 or t >= t_next:
-                if not np.all(np.isfinite(u)):
-                    raise StabilityFailure(f"non-finite state at t = {t:.6g}")
-                if np.min(u) < -1e-10 * max(sup0, 1.0):
-                    raise StabilityFailure(f"negative state at t = {t:.6g}")
-                u = np.maximum(u, 0.0)
-                if _support_edge(u, faces, thr) >= guard:
-                    stopped = True
-                    reason = "support-reached-boundary"
-                    break
+        while t < t_next and reason is None:
+            dt = max(dt0, _GROWTH * t) if config.dt_fixed is None else config.dt_fixed
+            t_new = min(t + dt, t_next)
+            u_new = backward_euler(t_new)
+            while u_new[-2:].max() > thr:  # past the guard: retake with half the step
+                t_new = t + 0.5 * (t_new - t)
+                u_new = backward_euler(t_new)
+            rate = (u_new - u) / (t_new - t)
+            u, t, steps = u_new, t_new, steps + 1
+            reason = "support-reached-boundary" if u[-3] > thr else None
         states.append(snapshot(t))
+        if reason is not None:
+            break
     return PMERun(config=config, r_centers=centers, r_faces=faces, states=states,
-                  stopped_early=stopped, stop_reason=reason, steps=steps)
+                  stopped_early=reason is not None, stop_reason=reason, steps=steps,
+                  newton_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from hadamard_ineq import pme
 from hadamard_ineq.errors import (
     InsufficientWindow,
     ParameterOutOfRange,
+    StabilityFailure,
     ValidationError,
 )
+from hadamard_ineq.weighted import _gl5
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,17 @@ def test_support_boundary_stop(flat_model):
     assert run.stopped_early
     assert run.stop_reason == "support-reached-boundary"
     assert run.states[-1].support_edge >= 6.0 - 3 * (6.0 / 400)
+
+
+def test_support_stops_on_the_guard(flat_model):
+    # coarse grid: explicit steps checked every 200 let the edge pass the
+    # guard; fine grid: one step of g t can jump the front two cells
+    for R, n, datum in ((2.4, 50, pme.Characteristic(1.2, 10.0)),
+                        (6.0, 2000, pme.Characteristic(1.0, 1.0))):
+        run = pme.pme_run(_flat_config(flat_model, R_domain=R, n_cells=n,
+                                       initial=datum, t_end=2000.0))
+        assert run.stop_reason == "support-reached-boundary"
+        assert run.states[-1].support_edge == pytest.approx(R - 2 * R / n, rel=1e-12)
 
 
 def test_support_validation(flat_model):
@@ -222,3 +235,88 @@ def test_moser_chain_validation():
         pme.moser_chain_constant(1.2, 1.5, 3.0, 2.0, 2.5, 1.0)  # beta out of range
     with pytest.raises(ParameterOutOfRange):
         pme.moser_chain_constant(1.2, 3.2, 3.0, 2.0, 1.0, 1.0, N=3)  # sigma0 >= 2*/2
+
+
+# ---------------------------------------------------------------------------
+# backward Euler against the explicit scheme
+# ---------------------------------------------------------------------------
+
+def _finite_volumes(cfg):
+    model = cfg.model
+    faces = np.linspace(0.0, cfg.R_domain, cfg.n_cells + 1)
+    centers = 0.5 * (faces[:-1] + faces[1:])
+    w = lambda s: np.exp((model.N - 1.0) * np.asarray(model.logpsi(s), float))
+    vol = _gl5(w, centers, 0.5 * faces[1])
+    cond = w(faces[1:-1]) / faces[1]
+    u0 = pme._initial_values(cfg.initial, centers)
+    return vol, cond, np.append(cond, 0.0) + np.insert(cond, 0, 0.0), u0
+
+
+def _explicit_limit(u, vol, cond_sum, m):
+    nb = np.maximum(u, np.maximum(np.append(u[1:], 0.0), np.insert(u[:-1], 0, 0.0)))
+    return float(np.min(vol / (cond_sum * m * np.maximum(nb, 1e-300) ** (m - 1.0))))
+
+
+def _explicit_sups(cfg):
+    """Oracle: explicit Euler on the same finite volumes at 0.45 of its
+    stability limit; the sup norm at t = 0 and at each output time."""
+    vol, cond, cond_sum, u = _finite_volumes(cfg)
+    t, sups = 0.0, [u.max()]
+    for t_next in cfg.output_times:
+        while t < t_next:
+            dt = min(0.45 * _explicit_limit(u, vol, cond_sum, cfg.m), t_next - t)
+            flux = np.concatenate([[0.0], cond * np.diff(u ** cfg.m), [0.0]])
+            u = u + dt * np.diff(flux) / vol
+            t += dt
+        sups.append(u.max())
+    return np.array(sups)
+
+
+def test_large_fixed_steps_keep_the_invariants(flat_model):
+    # 100 times the explicit stability limit of the higher datum
+    vol, _, cond_sum, u0 = _finite_volumes(
+        _flat_config(flat_model, initial=pme.Characteristic(1.0, 1.5)))
+    dt = 100.0 * _explicit_limit(u0, vol, cond_sum, 2.0)
+    lo, hi = [pme.pme_run(_flat_config(flat_model, initial=pme.Characteristic(1.0, h),
+                                       t_end=5.0, dt_fixed=dt)) for h in (1.0, 1.5)]
+    for run in (lo, hi):
+        assert not run.stopped_early
+        assert run.newton_iterations >= run.steps
+        masses = np.array([s.mass for s in run.states])
+        assert np.max(np.abs(masses / masses[0] - 1.0)) < 1e-12
+        assert all(np.all(s.u >= 0.0) for s in run.states)
+    for a, b in zip(lo.states, hi.states):
+        assert np.all(a.u <= b.u + 1e-12)
+
+
+def test_halving_the_growth_factor_keeps_the_slope(flat_model, monkeypatch):
+    slopes = []
+    for g in (0.02, 0.01):
+        monkeypatch.setattr(pme, "_GROWTH", g)
+        run = pme.pme_run(_flat_config(flat_model, t_end=200.0, n_cells=600))
+        slopes.append(pme.fit_smoothing(run.states, "power_only",
+                                        window=(2.0, 200.0)).power_exponent)
+    assert abs(slopes[0] - slopes[1]) < 1e-3
+
+
+def test_gap_to_the_explicit_oracle_is_first_order(flat_model, monkeypatch):
+    # gap = C g + e0, where e0 (the initial steps of length dt0 and the
+    # oracle's own error) does not depend on g: successive halvings of g
+    # halve the change in the gap
+    cfg = _flat_config(flat_model, t_end=20.0, n_cells=200,
+                       output_times=np.geomspace(2e-3, 20.0, 40))
+    oracle = _explicit_sups(cfg)
+    late = np.concatenate([[0.0], cfg.output_times]) >= 2.0
+    gaps = []
+    for g in (0.04, 0.02, 0.01):
+        monkeypatch.setattr(pme, "_GROWTH", g)
+        sups = np.array([s.sup for s in pme.pme_run(cfg).states])
+        gaps.append(float(np.max(np.abs(sups[late] / oracle[late] - 1.0))))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert (gaps[0] - gaps[1]) / (gaps[1] - gaps[2]) == pytest.approx(2.0, abs=0.3)
+
+
+def test_newton_failure_names_the_time(flat_model, monkeypatch):
+    monkeypatch.setattr(pme, "_NEWTON_CAP", 1)
+    with pytest.raises(StabilityFailure, match=r"Newton did not converge .* at t = "):
+        pme.pme_run(_flat_config(flat_model, t_end=1.0))
