@@ -22,7 +22,6 @@ from .geometry import (
     GridSpec,
     Hyperbolic,
     ModelFunction,
-    Polynomial,
     PowerLaw,
     QuasiEuclideanOptimal,
     build_model,

@@ -64,4 +64,5 @@ class TailUnclassifiable(NumericalError):
 
 
 class StabilityFailure(NumericalError):
-    """Time stepping produced a negative state, or Newton did not converge."""
+    """Time stepping produced a negative state, or Newton did not converge or
+    met a singular linear system."""

@@ -15,8 +15,9 @@ never obtained by differencing samples twice, so the curvature identity is
 exact by construction.
 
 Every built-in profile has a closed-form warping: sinh for constant
-curvature, and for the power law c0 r^(-beta) modified Bessel functions
-(beta < 2) or two powers of r (beta = 2).  A law given without one is
+curvature, and for the power law c0 r^(-beta) the flat cap psi = r on
+[0, r0] glued to modified Bessel functions (beta < 2) or to two powers of r
+(beta = 2) past r0.  A law given without one is
 integrated in log variables (y, z) = (log psi, psi'/psi), which stay well
 scaled even when psi itself grows to ~1e300:
 
@@ -65,7 +66,6 @@ __all__ = [
     "QuasiEuclideanOptimal",
     "Euclidean",
     "Hyperbolic",
-    "Polynomial",
     "ExponentialPower",
     "CurvatureProfile",
     "TailModel",
@@ -166,8 +166,7 @@ def _tail_quadrature(profile, model) -> float:
 
     Adaptive quadrature in u = 1/r over (0, 1/Rmax) of the integrand
     anchored at psi(Rmax), so neither psi nor the integral leaves the float64
-    range.  The ``tail_integral`` of every exact warping with an integrable
-    tail.
+    range.  The ``tail_integral`` of :class:`PowerLaw`.
     """
     N, R = model.N, model.Rmax
     yR = float(profile.logpsi(np.float64(R)))
@@ -255,12 +254,10 @@ class PowerLaw:
 
     The cap makes psi(r) = r exactly on [0, r0] with a C^1 glue at r0; the
     curvature itself may jump there, which is harmless for every integral
-    quantity computed downstream.  The warping past r0 is exact and kept in
-    ``exact``: for beta < 2, psi'' = c0 r^(-beta) psi reduces to the
-    modified Bessel equation (see :class:`_BesselWarping`); at beta = 2 it
-    is Euler's equation, solved by the glued two-power warping
-    a1 r^q1 + a2 r^q2 of :func:`polynomial_c1_glue` with
-    q_{1,2} = (1 +/- sqrt(1 + 4 c0)) / 2, the roots of q (q - 1) = c0.
+    quantity computed downstream.  Past r0 the warping is exact and kept in
+    ``exact``: for beta < 2, psi'' = c0 r^(-beta) psi reduces to the modified
+    Bessel equation (:class:`_BesselWarping`); at beta = 2 it is Euler's
+    equation, solved by two powers of r (:class:`_EulerWarping`).
     """
 
     c0: float
@@ -274,11 +271,8 @@ class PowerLaw:
             raise ValidationError(f"power law needs beta in (0, 2], got {self.beta}")
         if self.r0 <= 0:
             raise ValidationError(f"power law needs r0 > 0, got {self.r0}")
-        if self.beta < 2.0:
-            exact = _BesselWarping(self.c0, self.beta, self.r0)
-        else:
-            d = math.sqrt(1.0 + 4.0 * self.c0)
-            exact = polynomial_c1_glue((1.0 + d) / 2.0, (1.0 - d) / 2.0, self.r0)
+        exact = (_BesselWarping(self.c0, self.beta, self.r0) if self.beta < 2.0
+                 else _EulerWarping(self.c0, self.r0))
         object.__setattr__(self, "exact", exact)
 
     @property
@@ -290,29 +284,35 @@ class PowerLaw:
         return np.where(r >= self.r0,
                         self.c0 * np.maximum(r, self.r0) ** (-self.beta), 0.0)
 
-    def psi(self, r):
-        return self.exact.psi(r)
-
-    def dpsi(self, r):
-        return self.exact.dpsi(r)
+    def _glued(self, r, past, cap):
+        """past(r) on r >= r0, cap(r) on the flat cap."""
+        r = np.asarray(r, float)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(r >= self.r0, past(np.maximum(r, self.r0)), cap(r))
 
     def logpsi(self, r):
-        return self.exact.logpsi(r)
+        return self._glued(r, self.exact.logpsi, np.log)
 
     def dlogpsi(self, r):
-        return self.exact.dlogpsi(r)
+        return self._glued(r, self.exact.dlogpsi, lambda q: 1.0 / q)
+
+    def psi(self, r):
+        return self._glued(r, lambda q: np.exp(self.exact.logpsi(q)), lambda q: q)
+
+    def dpsi(self, r):
+        return self._glued(r, lambda q: np.exp(self.exact.logpsi(q)) * self.exact.dlogpsi(q),
+                           np.ones_like)
 
     def tail(self, model) -> TailModel:
         """log psi ~ (2 sqrt(c0) / (2 - beta)) r^(1 - beta/2) for beta < 2;
         psi ~ a1 r^q1 with q1 (q1 - 1) = c0 at beta = 2."""
         return self.exact.tail(model)
 
-    def tail_integral(self, model) -> float:
-        return self.exact.tail_integral(model)
+    tail_integral = _tail_quadrature
 
 
 class _BesselWarping:
-    """Exact warping of K = c0 r^(-beta), 0 < beta < 2, glued to psi = r at r0.
+    """Exact warping of K = c0 r^(-beta), 0 < beta < 2, for r >= r0.
 
     With m = 1 - beta/2, x = sqrt(c0) r^m / m and nu = 1/(2m),
 
@@ -330,7 +330,7 @@ class _BesselWarping:
     """
 
     def __init__(self, c0: float, beta: float, r0: float):
-        self.r0, self.beta, self.m = r0, beta, 1.0 - beta / 2.0
+        self.beta, self.m = beta, 1.0 - beta / 2.0
         self.sqrt_c0, self.nu = math.sqrt(c0), 0.5 / self.m
         self.rate = self.sqrt_c0 / self.m
         self.x0 = x0 = self.rate * r0 ** self.m
@@ -342,122 +342,48 @@ class _BesselWarping:
         self.b = (math.sqrt(r0) * i1 - slope * i0) / det
 
     def _bracket(self, r, order: float, sign: float):
-        """(r clipped to the cap, x - x0, the scaled bracket of the given order)."""
-        rc = np.maximum(r, self.r0)
-        x = self.rate * rc ** self.m
+        """(x - x0, the scaled bracket of the given order)."""
+        x = self.rate * r ** self.m
         dx = x - self.x0
-        return rc, dx, self.a * ive(order, x) + sign * self.b * np.exp(-2.0 * dx) * kve(order, x)
+        return dx, self.a * ive(order, x) + sign * self.b * np.exp(-2.0 * dx) * kve(order, x)
 
     def logpsi(self, r):
-        r = np.asarray(r, float)
-        rc, dx, bracket = self._bracket(r, self.nu, 1.0)
-        with np.errstate(divide="ignore"):
-            return np.where(r >= self.r0, 0.5 * np.log(rc) + dx + np.log(bracket), np.log(r))
+        dx, bracket = self._bracket(r, self.nu, 1.0)
+        return 0.5 * np.log(r) + dx + np.log(bracket)
 
     def dlogpsi(self, r):
-        r = np.asarray(r, float)
-        rc, _, bracket = self._bracket(r, self.nu, 1.0)
-        _, _, dbracket = self._bracket(r, self.nu - 1.0, -1.0)
-        z = self.sqrt_c0 * rc ** (-self.beta / 2.0) * dbracket / bracket
-        with np.errstate(divide="ignore"):
-            return np.where(r >= self.r0, z, 1.0 / r)
-
-    def psi(self, r):
-        r = np.asarray(r, float)
-        with np.errstate(over="ignore"):
-            return np.where(r >= self.r0, np.exp(self.logpsi(r)), r)
-
-    def dpsi(self, r):
-        r = np.asarray(r, float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(r >= self.r0, np.exp(self.logpsi(r)) * self.dlogpsi(r), 1.0)
+        _, bracket = self._bracket(r, self.nu, 1.0)
+        _, dbracket = self._bracket(r, self.nu - 1.0, -1.0)
+        return self.sqrt_c0 * r ** (-self.beta / 2.0) * dbracket / bracket
 
     def tail(self, model) -> TailModel:
         return TailModel("exponential", shape=self.m, rate=self.rate)
 
-    tail_integral = _tail_quadrature
 
+class _EulerWarping:
+    """Exact warping of K = c0 r^(-2) for r >= r0: Euler's equation.
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Explicit warping a1 r^q1 + a2 r^q2 beyond r0, linear inside.
-
-    Coefficients are taken as given; use :func:`polynomial_c1_glue` to get
-    the pair that joins the linear cap with matching value and slope.
+    psi = a1 r^q1 + a2 r^q2 with q_{1,2} = (1 +/- sqrt(1 + 4 c0)) / 2, the
+    roots of q (q - 1) = c0, and (a1, a2) solving psi(r0) = r0, psi'(r0) = 1.
     """
 
-    a1: float
-    a2: float
-    q1: float
-    q2: float
-    r0: float = 1.0
-
-    def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValidationError(f"polynomial warping needs r0 > 0, got {self.r0}")
-        p0 = self.a1 * self.r0 ** self.q1 + self.a2 * self.r0 ** self.q2
-        if p0 <= 0:
-            raise ValidationError("polynomial warping must be positive at r0")
-
-    @property
-    def flat_cap(self):
-        return self.r0
-
-    def _terms(self, r):
-        p = self.a1 * r ** self.q1 + self.a2 * r ** self.q2
-        dp = self.a1 * self.q1 * r ** (self.q1 - 1.0) + self.a2 * self.q2 * r ** (self.q2 - 1.0)
-        return p, dp
-
-    def psi(self, r):
-        r = np.asarray(r, float)
-        p, _ = self._terms(np.maximum(r, self.r0))
-        return np.where(r >= self.r0, p, r)
-
-    def dpsi(self, r):
-        r = np.asarray(r, float)
-        _, dp = self._terms(np.maximum(r, self.r0))
-        return np.where(r >= self.r0, dp, 1.0)
+    def __init__(self, c0: float, r0: float):
+        d = math.sqrt(1.0 + 4.0 * c0)
+        self.q1, self.q2 = q1, q2 = (1.0 + d) / 2.0, (1.0 - d) / 2.0
+        self.a1 = (1.0 - q2) * r0 ** (1.0 - q1) / (q1 - q2)
+        self.a2 = (q1 - 1.0) * r0 ** (1.0 - q2) / (q1 - q2)
 
     def logpsi(self, r):
-        with np.errstate(divide="ignore"):
-            return np.log(self.psi(r))
+        return np.log(self.a1 * r ** self.q1 + self.a2 * r ** self.q2)
 
     def dlogpsi(self, r):
-        r = np.asarray(r, float)
-        p, dp = self._terms(np.maximum(r, self.r0))
-        with np.errstate(divide="ignore"):
-            return np.where(r >= self.r0, dp / p, 1.0 / r)
-
-    def curvature(self, r):
-        r = np.asarray(r, float)
-        rc = np.maximum(r, self.r0)
-        d2 = (self.a1 * self.q1 * (self.q1 - 1.0) * rc ** (self.q1 - 2.0)
-              + self.a2 * self.q2 * (self.q2 - 1.0) * rc ** (self.q2 - 2.0))
-        return np.where(r >= self.r0, d2 / self._terms(rc)[0], 0.0)
+        p = self.a1 * r ** self.q1 + self.a2 * r ** self.q2
+        dp = self.a1 * self.q1 * r ** (self.q1 - 1.0) + self.a2 * self.q2 * r ** (self.q2 - 1.0)
+        return dp / p
 
     def tail(self, model) -> TailModel:
-        """The dominant nonzero term; divergent unless it grows."""
-        q, a = max(((q, a) for q, a in ((self.q1, self.a1), (self.q2, self.a2))
-                    if a != 0.0), key=lambda t: t[0])
-        if q <= 0 or a < 0:
-            return TailModel("divergent")
-        return TailModel("power", shape=q, amplitude=a)
-
-    tail_integral = _tail_quadrature
-
-
-def _glue_coefficients(q1: float, q2: float, r0: float):
-    """(a1, a2) making a1 r^q1 + a2 r^q2 meet psi = r with equal value and slope at r0."""
-    a1 = (1.0 - q2) * r0 ** (1.0 - q1) / (q1 - q2)
-    a2 = (q1 - 1.0) * r0 ** (1.0 - q2) / (q1 - q2)
-    return a1, a2
-
-
-def polynomial_c1_glue(q1: float, q2: float, r0: float = 1.0) -> Polynomial:
-    """Two-power warping whose coefficients join psi = r with a C^1 glue."""
-    if q1 == q2:
-        raise ValidationError("glue needs distinct exponents")
-    return Polynomial(*_glue_coefficients(q1, q2, r0), q1, q2, r0)
+        """The growing term a1 r^q1: q1 > 1 and a1 > 0."""
+        return TailModel("power", shape=self.q1, amplitude=self.a1)
 
 
 def QuasiEuclideanOptimal(c1: float, r0: float = 1.0) -> PowerLaw:
@@ -536,7 +462,7 @@ class ExponentialPower:
         return np.where(np.asarray(r, float) == 0.0, 0.0, out)
 
 
-CurvatureProfile = Union[Constant, PowerLaw, Polynomial, ExponentialPower]
+CurvatureProfile = Union[Constant, PowerLaw, ExponentialPower]
 
 
 # ---------------------------------------------------------------------------

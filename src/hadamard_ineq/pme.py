@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     InsufficientWindow,
@@ -98,6 +98,8 @@ class PMEConfig:
             raise ValidationError("t_end must be positive")
         if self.n_cells < 50:
             raise ValidationError("need at least 50 cells")
+        if self.dt_fixed is not None and not 0.0 < self.dt_fixed < math.inf:
+            raise ValidationError(f"dt_fixed must be positive and finite, got {self.dt_fixed}")
 
 
 @dataclass
@@ -181,7 +183,7 @@ def pme_run(config: PMEConfig) -> PMERun:
                         sup=float(np.max(u)) if u.size else 0.0,
                         support_edge=_support_edge(u, faces, thr))
 
-    band, flux = np.zeros((3, config.n_cells)), np.zeros(config.n_cells + 1)
+    flux = np.zeros(config.n_cells + 1)
     iterations = 0
 
     def backward_euler(t_new):
@@ -195,15 +197,16 @@ def pme_run(config: PMEConfig) -> PMERun:
             v, dphi = xp ** m, m * xp ** (m - 1.0)
             flux[1:-1] = off * (v[1:] - v[:-1])
             res = vol * (x - u) + flux[1:] - flux[:-1]
-            band[1] = vol + dt_sum * dphi
-            if (np.abs(res) / band[1]).max() <= tol:  # false on a non-finite state
+            diag = vol + dt_sum * dphi
+            if (np.abs(res) / diag).max() <= tol:  # false on a non-finite state
                 if x.min() < -1e-10 * max(sup0, 1.0):
                     raise StabilityFailure(f"negative state at t = {t_new:.6g}")
                 return np.maximum(x, 0.0)
-            band[0, 1:] = off * dphi[1:]
-            band[2, :-1] = off * dphi[:-1]
-            x = x - solve_banded((1, 1), band, res, overwrite_ab=True, overwrite_b=True,
-                                 check_finite=False)
+            # sub-, main and super-diagonal; every input is fresh, so LAPACK may overwrite it
+            *_, step, info = dgtsv(off * dphi[:-1], diag, off * dphi[1:], res, 1, 1, 1, 1)
+            if info:
+                raise StabilityFailure(f"singular Newton system at t = {t_new:.6g}")
+            x = x - step
             iterations += 1
         raise StabilityFailure(
             f"Newton did not converge in {_NEWTON_CAP} iterations at t = {t_new:.6g}")

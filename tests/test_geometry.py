@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 from scipy.special import iv, ivp, kv, kvp
 
 from hadamard_ineq import geometry as geo
-from hadamard_ineq import weighted as wgt
 from hadamard_ineq.errors import (
     CurvatureNotVanishing,
     FlatProfile,
@@ -280,6 +279,17 @@ def test_power_law_closed_form_matches_integrator(beta):
     assert np.max(np.abs(ode.dlogpsi(r) / closed.dlogpsi(r) - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("r0", [0.5, 3.0])
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0])
+def test_power_law_glue_away_from_r0_one(beta, r0):
+    # the cap side of r0 and the exact side meet log r and 1/r with a C^1 glue
+    prof = geo.PowerLaw(1.0, beta, r0)
+    r = np.array([np.nextafter(r0, 0.0), r0, np.nextafter(r0, np.inf)])
+    assert np.max(np.abs(prof.logpsi(r) - np.log(r))) < 1e-12
+    assert np.max(np.abs(prof.dlogpsi(r) * r - 1.0)) < 1e-12
+    assert geo.is_cartan_hadamard(geo.build_model(prof, 3, 40.0 * r0)) == (True, None)
+
+
 def test_power_law_logpsi_stays_finite():
     # oracle: the glue solved with unscaled I_1, K_1 and their derivatives at
     # x0 = 2, then the large-x expansion I_1(x) ~ e^x (1 - 3/(8x)) / sqrt(2 pi x)
@@ -359,20 +369,6 @@ def test_imported_table_validation(tmp_path, hyperbolic_model, spoil, message):
     path.write_text("\n".join(_spoil_rows(path.read_text().splitlines(), spoil)) + "\n")
     with pytest.raises(ValidationError, match=message):
         geo.model_from_csv(path, 3)
-
-
-def test_polynomial_c1_glue_matches_quasi():
-    prof = geo.polynomial_c1_glue(2.0, -1.0, 1.0)
-    quasi = geo.QuasiEuclideanOptimal(2.0, 1.0)
-    r = np.linspace(0.2, 30.0, 50)
-    assert np.allclose(prof.psi(r), quasi.psi(r), rtol=1e-13)
-    assert np.allclose(prof.dpsi(r), quasi.dpsi(r), rtol=1e-13)
-    assert np.allclose(prof.logpsi(r), quasi.logpsi(r), rtol=1e-13)
-    assert np.allclose(prof.dlogpsi(r), quasi.dlogpsi(r), rtol=1e-13)
-    w_prof, w_quasi = (wgt.build_weight(geo.build_model(p, 3, 1200.0)) for p in (prof, quasi))
-    assert w_prof.tail == w_quasi.tail
-    assert w_prof.tail.family == "power" and w_prof.tail.shape == 2.0
-    assert math.isclose(float(w_prof.T_at(1200.0)), float(w_quasi.T_at(1200.0)), rel_tol=1e-13)
 
 
 def test_grid_spec():

@@ -95,6 +95,12 @@ def test_support_validation(flat_model):
         _flat_config(flat_model, m=1.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+def test_dt_fixed_must_be_positive_and_finite(flat_model, dt):
+    with pytest.raises(ValidationError, match="dt_fixed"):
+        _flat_config(flat_model, dt_fixed=dt)
+
+
 def test_barenblatt_decay_slope(flat_model):
     cfg = _flat_config(flat_model, t_end=200.0, n_cells=600)
     run = pme.pme_run(cfg)
@@ -319,4 +325,10 @@ def test_gap_to_the_explicit_oracle_is_first_order(flat_model, monkeypatch):
 def test_newton_failure_names_the_time(flat_model, monkeypatch):
     monkeypatch.setattr(pme, "_NEWTON_CAP", 1)
     with pytest.raises(StabilityFailure, match=r"Newton did not converge .* at t = "):
+        pme.pme_run(_flat_config(flat_model, t_end=1.0))
+
+
+def test_singular_newton_system_names_the_time(flat_model, monkeypatch):
+    monkeypatch.setattr(pme, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 1))
+    with pytest.raises(StabilityFailure, match=r"singular Newton system at t = "):
         pme.pme_run(_flat_config(flat_model, t_end=1.0))
