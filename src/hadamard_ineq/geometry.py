@@ -365,6 +365,9 @@ class _EulerWarping:
 
     psi = a1 r^q1 + a2 r^q2 with q_{1,2} = (1 +/- sqrt(1 + 4 c0)) / 2, the
     roots of q (q - 1) = c0, and (a1, a2) solving psi(r0) = r0, psi'(r0) = 1.
+    In the log domain log psi = log a1 + q1 log r + log1p(rho) and (log psi)'
+    = (q1 + q2 rho) / (r (1 + rho)), with rho = (a2 / a1) r^(q2 - q1) > 0, so
+    neither overflows for r >= r0.
     """
 
     def __init__(self, c0: float, r0: float):
@@ -373,13 +376,15 @@ class _EulerWarping:
         self.a1 = (1.0 - q2) * r0 ** (1.0 - q1) / (q1 - q2)
         self.a2 = (q1 - 1.0) * r0 ** (1.0 - q2) / (q1 - q2)
 
+    def _rho(self, r):
+        return self.a2 / self.a1 * r ** (self.q2 - self.q1)
+
     def logpsi(self, r):
-        return np.log(self.a1 * r ** self.q1 + self.a2 * r ** self.q2)
+        return math.log(self.a1) + self.q1 * np.log(r) + np.log1p(self._rho(r))
 
     def dlogpsi(self, r):
-        p = self.a1 * r ** self.q1 + self.a2 * r ** self.q2
-        dp = self.a1 * self.q1 * r ** (self.q1 - 1.0) + self.a2 * self.q2 * r ** (self.q2 - 1.0)
-        return dp / p
+        rho = self._rho(r)
+        return (self.q1 + self.q2 * rho) / (r * (1.0 + rho))
 
     def tail(self, model) -> TailModel:
         """The growing term a1 r^q1: q1 > 1 and a1 > 0."""

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import eigsh
 
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 from .geometry import ModelFunction, ricci_uniformization
@@ -79,38 +79,39 @@ class _Mesh:
         self.weight = weight
         self.nodes = nodes
         self.h = np.diff(nodes)
-        self.wint = (np.asarray(weight.W_at(nodes[1:]), float)
-                     - np.asarray(weight.W_at(nodes[:-1]), float))
-        # Gauss data per element for mass / Lp quadrature
+        wint = (np.asarray(weight.W_at(nodes[1:]), float)
+                - np.asarray(weight.W_at(nodes[:-1]), float))
+        self.k = wint / self.h ** 2  # element integral of w * phi' * phi'
+        # Gauss data per element for mass / Lp quadrature: weight times w
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         half = 0.5 * self.h
-        self.qpts = mid[None, :] + half[None, :] * GL5_NODES[:, None]
-        self.qw = GL5_WEIGHTS[:, None] * half[None, :]
-        self.wq = weight.w_at(self.qpts)
+        qpts = mid[None, :] + half[None, :] * GL5_NODES[:, None]
+        self.qwwq = GL5_WEIGHTS[:, None] * half[None, :] * weight.w_at(qpts)
         # hat function values at quadrature points: phi_left, phi_right
-        self.phi_r = (self.qpts - nodes[None, :-1]) / self.h[None, :]
+        self.phi_r = (qpts - nodes[None, :-1]) / self.h[None, :]
         self.phi_l = 1.0 - self.phi_r
 
     @property
     def n_free(self):
         return len(self.nodes) - 1  # all but the Dirichlet node
 
-    def stiffness(self):
-        k = self.wint / self.h ** 2  # element integral of w * phi' * phi'
+    def stiffness_diagonals(self):
+        """Main and off diagonal of the symmetric tridiagonal stiffness."""
         n = self.n_free
-        main = np.zeros(n)
-        main[:] = k[:n]
-        main[1:] += k[: n - 1]
-        off = -k[: n - 1]
+        main = self.k[:n].copy()
+        main[1:] += self.k[: n - 1]
+        return main, -self.k[: n - 1]
+
+    def stiffness(self):
+        main, off = self.stiffness_diagonals()
         return diags([off, main, off], [-1, 0, 1], format="csc")
 
     def mass(self):
-        mll = np.sum(self.qw * self.wq * self.phi_l ** 2, axis=0)
-        mrr = np.sum(self.qw * self.wq * self.phi_r ** 2, axis=0)
-        mlr = np.sum(self.qw * self.wq * self.phi_l * self.phi_r, axis=0)
+        mll = np.sum(self.qwwq * self.phi_l ** 2, axis=0)
+        mrr = np.sum(self.qwwq * self.phi_r ** 2, axis=0)
+        mlr = np.sum(self.qwwq * self.phi_l * self.phi_r, axis=0)
         n = self.n_free
-        main = np.zeros(n)
-        main[:] = mll[:n]
+        main = mll[:n].copy()
         main[1:] += mrr[: n - 1]
         off = mlr[: n - 1]
         return diags([off, main, off], [-1, 0, 1], format="csc")
@@ -118,22 +119,21 @@ class _Mesh:
     def full(self, gf):
         return np.concatenate([gf, [0.0]])
 
-    def pnorm(self, gf, p):
-        g = self.full(gf)
-        gq = self.phi_l * g[None, :-1] + self.phi_r * g[None, 1:]
-        return float(np.sum(self.qw * self.wq * np.abs(gq) ** p)) ** (1.0 / p)
+    def energy(self, gf):
+        """g . A g summed over elements, free of the cancellation in g . (A g)."""
+        return float(self.k @ np.diff(self.full(gf)) ** 2)
 
-    def pnorm_gradient(self, gf, p):
-        """d/dg_i of int w |g|^p (not yet normalized)."""
+    def power_sum(self, gf, p):
+        """int w |g|^p and its gradient in the free nodal values g_i, from
+        one evaluation of |g|^(p-1) at the Gauss points."""
         g = self.full(gf)
         gq = self.phi_l * g[None, :-1] + self.phi_r * g[None, 1:]
-        core = self.qw * self.wq * p * np.abs(gq) ** (p - 1.0) * np.sign(gq)
-        left = np.sum(core * self.phi_l, axis=0)
-        right = np.sum(core * self.phi_r, axis=0)
-        out = np.zeros(len(self.nodes))
-        out[:-1] += left
-        out[1:] += right
-        return out[: self.n_free]
+        aq = np.abs(gq)
+        wa = self.qwwq * aq ** (p - 1.0)
+        core = np.copysign(p * wa, gq)
+        grad = np.sum(core * self.phi_l, axis=0)
+        grad[1:] += np.sum(core[:, :-1] * self.phi_r[:, :-1], axis=0)
+        return float(np.sum(wa * aq)), grad
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,6 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
     if p < 2.0:
         raise InvalidExponent(f"need p >= 2, got {p}")
     mesh = _Mesh(weight, R_domain)
-    A = mesh.stiffness()
 
     if init is None and weight.tail.family != "divergent":
         init = DiscreteFunction(*near_extremal(weight, supremum_B(weight, p)))
@@ -217,28 +216,28 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
     if not np.any(g != 0.0):
         raise ValidationError("initial iterate vanishes identically")
 
-    def J(gv):
-        nv = mesh.pnorm(gv, p)
-        return float(gv @ (A @ gv)) / nv ** 2
+    # preconditioner: descend in the gradient metric, A = L D L^T factored once
+    d_fac, e_fac, info = dpttrf(*mesh.stiffness_diagonals())
+    if info != 0:
+        raise GridTooCoarse(f"stiffness matrix is not positive definite (dpttrf info {info})")
 
-    solve = splu(A.tocsc()).solve  # preconditioner: descend in the gradient metric
-    g = g / mesh.pnorm(g, p)
-    val = J(g)
+    # one power_sum per trial: v / n has quotient v.A.v / n^2, and its gradient
+    # of int w |.|^p / p is grad(int w |v|^p) / (p n^(p-1))
+    total, grad = mesh.power_sum(g, p)
+    gn = total ** (1.0 / p)
+    g, val, dN = g / gn, mesh.energy(g) / gn ** 2, grad / (p * gn ** (p - 1.0))
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        Ag = A @ g
-        E = float(g @ Ag)
-        dN = mesh.pnorm_gradient(g, p) / p  # gradient of pnorm at norm 1
-        direction = g - E * solve(dN)  # A^{-1} of the projected gradient
+        direction = g - val * dpttrs(d_fac, e_fac, dN)[0]  # A^{-1} of the projected gradient
         eta = 1.0
         improved = False
         for _ in range(50):
             trial = g - eta * direction
-            tn = mesh.pnorm(trial, p)
+            total, grad = mesh.power_sum(trial, p)
+            tn = total ** (1.0 / p)
             if tn > 0:
-                trial = trial / tn
-                tval = J(trial)
+                tval = mesh.energy(trial) / tn ** 2
                 if tval < val * (1.0 - 1e-16):
                     improved = True
                     break
@@ -247,7 +246,7 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
             converged = True
             break
         rel = (val - tval) / max(val, 1e-300)
-        g, val = trial, tval
+        g, val, dN = trial / tn, tval, grad / (p * tn ** (p - 1.0))
         if rel < tol:
             converged = True
             break
@@ -283,8 +282,12 @@ def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list):
 # ---------------------------------------------------------------------------
 
 def sinh_moment(N: int) -> float:
-    """integral_0^1 sinh(s)^(N-1) ds."""
-    val, _ = quad(lambda s: math.sinh(s) ** (N - 1), 0.0, 1.0)
+    """integral_0^1 sinh(s)^(N-1) ds, by the reduction formula
+    I_n = sinh(1)^(n-1) cosh(1) / n - (n-1)/n I_(n-2), I_0 = 1, I_1 = cosh(1) - 1."""
+    n = N - 1
+    val = math.cosh(1.0) - 1.0 if n % 2 else 1.0
+    for m in range(2 + n % 2, n + 1, 2):
+        val = math.sinh(1.0) ** (m - 1) * math.cosh(1.0) / m - (m - 1) / m * val
     return val
 
 

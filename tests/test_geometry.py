@@ -307,6 +307,28 @@ def test_power_law_logpsi_stays_finite():
     assert abs(got - expected) < 1e-8
 
 
+
+def test_quadratic_law_logpsi_stays_finite():
+    # beta = 2, c0 = 1e4: q1 ~ 100.5, so r^q1 overflows float64 at r = 2000
+    exact = geo.PowerLaw(1e4, 2.0, 1.0).exact
+    r = 2000.0
+    assert math.isfinite(float(exact.logpsi(r)))
+    assert float(exact.dlogpsi(r)) * r == pytest.approx(exact.q1, rel=1e-14)
+    # where the linear form a1 r^q1 + a2 r^q2 is finite, the two agree
+    for c0, r0 in ((2.0, 1.0), (0.3, 0.5), (1e4, 1.0), (50.0, 3.0)):
+        exact = geo.PowerLaw(c0, 2.0, r0).exact
+        r = np.geomspace(r0, 1e3 * r0, 400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = exact.a1 * r ** exact.q1 + exact.a2 * r ** exact.q2
+            dpsi = (exact.a1 * exact.q1 * r ** (exact.q1 - 1.0)
+                    + exact.a2 * exact.q2 * r ** (exact.q2 - 1.0))
+            logpsi, dlogpsi = np.log(psi), dpsi / psi
+        ok = np.isfinite(logpsi) & np.isfinite(dlogpsi)
+        assert ok.sum() > 10
+        assert np.all(np.abs(exact.logpsi(r[ok]) - logpsi[ok])
+                      <= 1e-14 * np.maximum(1.0, np.abs(logpsi[ok])))
+        assert np.max(np.abs(exact.dlogpsi(r[ok]) / dlogpsi[ok] - 1.0)) < 1e-14
+
 def test_csv_round_trip(tmp_path, hyperbolic_model):
     path = tmp_path / "model.csv"
     geo.model_to_csv(hyperbolic_model, path, header_comment="round trip")

@@ -91,6 +91,69 @@ def test_rayleigh_scale_invariance(euclidean_weight):
     assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12, abs=1e-12)
 
 
+def test_power_sum_matches_a_direct_gauss_sum(euclidean_weight):
+    mesh = var._Mesh(euclidean_weight, 40.0)
+    r = mesh.nodes
+    rng = np.random.default_rng(3)
+    tent = np.maximum(1.0 - r[:-1] / 20.0, 0.0)
+    iterate = rng.standard_normal(len(r) - 1)
+    for g in (tent, iterate):
+        for p in (3.0, 6.0):
+            # independent oracle: GL5 on each element, g by linear interpolation
+            total = 0.0
+            for x, wt in zip(wgt.GL5_NODES, wgt.GL5_WEIGHTS):
+                s = 0.5 * (r[:-1] + r[1:]) + 0.5 * np.diff(r) * x
+                gs = np.interp(s, r, np.append(g, 0.0))
+                total += np.sum(wt * 0.5 * np.diff(r) * euclidean_weight.w_at(s)
+                                * np.abs(gs) ** p)
+            got, _ = mesh.power_sum(g, p)
+            assert got == pytest.approx(total, rel=1e-13)
+
+
+def test_power_sum_gradient_matches_central_differences(euclidean_weight):
+    mesh = var._Mesh(euclidean_weight, 3.0)
+    g = np.random.default_rng(4).standard_normal(mesh.n_free)  # signs change
+    h = 1e-4
+    for p in (3.0, 6.0):
+        _, grad = mesh.power_sum(g, p)
+        fd = np.empty_like(g)
+        for i in range(mesh.n_free):
+            up, down = g.copy(), g.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (mesh.power_sum(up, p)[0] - mesh.power_sum(down, p)[0]) / (2.0 * h)
+        assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))
+
+
+def test_rayleigh_readme_case_makes_one_quadrature_pass_per_iteration(monkeypatch):
+    # the README `rayleigh` command: flat N = 3, Rmax 60, R 50, p = 6
+    weight = wgt.build_weight(geo.build_model(geo.Euclidean(), 3, 60.0))
+    passes = []
+    power_sum = var._Mesh.power_sum
+
+    def counted(self, gf, p):
+        passes.append(1)
+        return power_sum(self, gf, p)
+
+    monkeypatch.setattr(var._Mesh, "power_sum", counted)
+    res = var.rayleigh_minimize(weight, 6.0, 50.0)
+    assert res.iterations == 2000 and res.converged is False
+    assert len(passes) == res.iterations + 1
+    assert res.ratio == pytest.approx(1.0071207990863396, rel=1e-12)
+
+
+def test_rayleigh_stop_does_not_depend_on_rounding(hyperbolic_weight):
+    # the p = 2 descent stops on a relative decrease of 1e-11; the quotient
+    # must be accurate well below that, so one-ulp changes of the initial
+    # iterate stop it at the same iteration with the same ratio
+    r, g = wgt.near_extremal(hyperbolic_weight, wgt.supremum_B(hyperbolic_weight, 2.0))
+    rng = np.random.default_rng(0)
+    runs = [var.rayleigh_minimize(hyperbolic_weight, 2.0, 20.0, init=var.DiscreteFunction(
+        r, g * (1.0 + 2e-16 * rng.standard_normal(g.shape) * k))) for k in range(6)]
+    assert {res.iterations for res in runs} == {156}
+    assert max(res.ratio for res in runs) - min(res.ratio for res in runs) < 1e-13
+
+
 def test_rayleigh_exponent_validation(euclidean_weight):
     with pytest.raises(InvalidExponent):
         var.rayleigh_minimize(euclidean_weight, 1.5, 20.0)
@@ -143,6 +206,9 @@ def test_sinh_moment_closed_form():
     exact = (math.sinh(1.0) * math.cosh(1.0) - 1.0) / 2.0
     assert var.sinh_moment(3) == pytest.approx(exact, rel=1e-10)
     assert exact == pytest.approx(0.40672, abs=1e-5)
+    for N in range(2, 13):
+        oracle = quad(lambda s: math.sinh(s) ** (N - 1), 0.0, 1.0)[0]
+        assert var.sinh_moment(N) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_unit_sphere_area():
