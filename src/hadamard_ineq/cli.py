@@ -48,20 +48,32 @@ def _law(profile) -> str:
     return "constant" if profile.k > 0.0 else "flat"
 
 
+def _finite(text: str) -> float:
+    """A finite float: the type of every float flag and number in a list flag."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return val
+
+
 def _shared_flags():
     """The flags of every subcommand: the geometry and the outputs."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--profile", choices=_PROFILES, required=True)
-    flags.add_argument("--k", type=float, default=1.0, help="constant curvature level")
-    flags.add_argument("--c0", type=float, default=1.0, help="power-law curvature amplitude")
-    flags.add_argument("--beta", type=float, default=1.0, help="power-law decay exponent")
-    flags.add_argument("--c1", type=float, default=2.0, help="quasi-Euclidean curvature amplitude")
-    flags.add_argument("--r0", type=float, default=1.0, help="cap radius of the curvature law")
+    flags.add_argument("--k", type=_finite, default=1.0, help="constant curvature level")
+    flags.add_argument("--c0", type=_finite, default=1.0, help="power-law curvature amplitude")
+    flags.add_argument("--beta", type=_finite, default=1.0, help="power-law decay exponent")
+    flags.add_argument("--c1", type=_finite, default=2.0,
+                       help="quasi-Euclidean curvature amplitude")
+    flags.add_argument("--r0", type=_finite, default=1.0, help="cap radius of the curvature law")
     flags.add_argument("--n", type=int, default=3, help="dimension")
-    flags.add_argument("--rmax", type=float, default=20.0)
+    flags.add_argument("--rmax", type=_finite, default=20.0)
     flags.add_argument("--grid", type=int, default=4096, help="grid nodes")
     flags.add_argument("--grid-kind", choices=("graded", "log"), default="graded")
-    flags.add_argument("--grid-start", type=float, default=None)
+    flags.add_argument("--grid-start", type=_finite, default=None)
     flags.add_argument("--out-dir", default=None,
                        help="output directory (default: $HADAMARD_INEQ_OUT or ./out)")
     flags.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -88,30 +100,30 @@ def build_parser():
     s.add_argument("--regress", choices=("none", "p_to_2", "p_large"), default="none")
 
     q = sp.add_parser("poincare", parents=shared, help="spectral gap on a truncated domain")
-    q.add_argument("--rdomain", type=float, required=True)
+    q.add_argument("--rdomain", type=_finite, required=True)
 
     r = sp.add_parser("rayleigh", parents=shared,
                       help="minimize the weighted Rayleigh quotient")
-    r.add_argument("--p", type=float, required=True)
-    r.add_argument("--rdomain", type=float, required=True)
+    r.add_argument("--p", type=_finite, required=True)
+    r.add_argument("--rdomain", type=_finite, required=True)
     for searching in (s, r):
         searching.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
                                help="tolerance overrides (refine, rayleigh)")
 
     c = sp.add_parser("certificate", parents=shared,
                       help="nonradial failure growth certificate")
-    c.add_argument("--p", type=float, required=True)
+    c.add_argument("--p", type=_finite, required=True)
     c.add_argument("--r", required=True, help="comma list of radii")
 
     d = sp.add_parser("pme", parents=shared, help="radial porous-medium run and decay fit")
-    d.add_argument("--m", type=float, required=True)
-    d.add_argument("--rdomain", type=float, required=True)
+    d.add_argument("--m", type=_finite, required=True)
+    d.add_argument("--rdomain", type=_finite, required=True)
     d.add_argument("--initial", choices=("characteristic", "gaussian"),
                    default="characteristic")
-    d.add_argument("--height", type=float, default=1.0)
-    d.add_argument("--r-support", type=float, default=1.0)
-    d.add_argument("--scale", type=float, default=1.0)
-    d.add_argument("--t-end", type=float, required=True)
+    d.add_argument("--height", type=_finite, default=1.0)
+    d.add_argument("--r-support", type=_finite, default=1.0)
+    d.add_argument("--scale", type=_finite, default=1.0)
+    d.add_argument("--t-end", type=_finite, required=True)
     d.add_argument("--cells", type=int, default=800)
     d.add_argument("--outputs", type=int, default=60)
     d.add_argument("--fit", choices=("power_only", "power_with_log", "both"),
@@ -151,8 +163,8 @@ def _tols(args) -> dict:
             raise ValidationError(f"bad --tol entry {item!r}, expected KEY=VALUE "
                                   f"with KEY one of {', '.join(out)}")
         try:
-            out[key] = float(val)
-        except ValueError:
+            out[key] = _finite(val)
+        except argparse.ArgumentTypeError:
             raise ValidationError(f"bad --tol value in {item!r}") from None
     return out
 
@@ -169,14 +181,14 @@ def _resolved(args) -> dict:
 
 
 def _floats(flag: str, spec: str, sep: str, count=None) -> list:
-    """The numbers of a ``sep``-separated flag value, ``count`` of them if given."""
+    """The finite numbers of a ``sep``-separated flag value, ``count`` of them if given."""
     try:
-        vals = [float(x) for x in spec.split(sep)]
-    except ValueError:
+        vals = [_finite(x) for x in spec.split(sep)]
+    except argparse.ArgumentTypeError:
         vals = []
     if not vals or (count and len(vals) != count):
         raise ValidationError(f"{flag} {spec!r} is not {count or 'a list of'} "
-                              f"numbers separated by {sep!r}")
+                              f"finite numbers separated by {sep!r}")
     return vals
 
 
@@ -359,6 +371,8 @@ def cmd_certificate(args, out: Path, h: str):
 
 def cmd_pme(args, out: Path, h: str):
     window = tuple(_floats("--fit-window", args.fit_window, ":", 2)) if args.fit_window else None
+    if not (args.t_end > 0.0 and args.outputs >= 2):  # the output times span (0, t_end]
+        raise ValidationError("--t-end must be positive and --outputs at least 2")
     model = _model_from(args)
     if args.initial == "characteristic":
         datum = pme.Characteristic(args.r_support, args.height)

@@ -490,6 +490,8 @@ class GridSpec:
         return self.r_start if self.r_start is not None else 1e-6 * rmax
 
     def nodes(self, rmax: float) -> np.ndarray:
+        if self.kind not in ("graded", "log"):
+            raise ValidationError(f"unknown grid kind {self.kind!r}")
         if self.n < 64:
             raise ValidationError("grid needs at least 64 nodes")
         a = self.start(rmax)
@@ -497,8 +499,6 @@ class GridSpec:
             raise ValidationError("grid start must lie in (0, rmax)")
         if self.kind == "log" or rmax <= 1.0:
             return np.geomspace(a, rmax, self.n)
-        if self.kind != "graded":
-            raise ValidationError(f"unknown grid kind {self.kind!r}")
         n_geo = int(math.ceil(math.log(1.0 / a) / math.log(_GRID_RATIO))) + 1
         n_geo = min(max(n_geo, 16), self.n - 16)
         geo = np.geomspace(a, 1.0, n_geo)
@@ -935,6 +935,8 @@ def model_from_csv(path, N: int) -> ModelFunction:
         raise ValidationError(f"{path} holds no table rows")
     if rows[0][0] != 0.0:
         rows.insert(0, (0.0, 0.0, 1.0))
+    if len(rows) < 3:
+        raise ValidationError(f"{path} holds fewer than two table rows with r > 0")
     r, p, dp = map(np.asarray, zip(*rows))
     if np.any(np.diff(r) <= 0):
         raise ValidationError("imported radii must be strictly increasing")

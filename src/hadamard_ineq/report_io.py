@@ -28,14 +28,8 @@ def header_line(cfg_hash: str, quantity: str) -> str:
 
 def fmt(x) -> str:
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.17g}"
-    if x is None:
-        return ""
-    return str(x)
+        return f"{x:.17g}"  # "nan", "inf" and "-inf" when not finite
+    return "" if x is None else str(x)
 
 
 def write_csv(path, cfg_hash: str, quantity: str, columns, rows):
@@ -56,11 +50,8 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if hasattr(x, "tolist"):
         return _jsonable(x.tolist())
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return fmt(x)
     return x
 
 

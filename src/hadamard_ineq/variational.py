@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 from .geometry import ModelFunction, ricci_uniformization
@@ -64,57 +63,54 @@ class DiscreteFunction:
 # finite element pieces
 # ---------------------------------------------------------------------------
 
+# the two hat functions of the reference element [-1, 1] at its Gauss nodes
+_PHI_L, _PHI_R = 0.5 * (1.0 - GL5_NODES), 0.5 * (1.0 + GL5_NODES)
+
+
+def _assemble(ll, rr, lr):
+    """(main, off) diagonals over the free nodes of the symmetric matrix to
+    which element e adds [[ll_e, lr_e], [lr_e, rr_e]] at its nodes e, e + 1."""
+    main = ll.copy()
+    main[1:] += rr[:-1]
+    return main, lr[:-1]
+
+
+def _tridiagonal_matvec(main, off, x):
+    y = main * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
 class _Mesh:
     """P1 elements on the weight grid truncated at R_domain (Dirichlet there)."""
 
     def __init__(self, weight: WeightMeasure, R_domain: float, stride: int = 1):
-        if R_domain > weight.Rmax * (1 + 1e-12):
-            raise OutOfDomain(f"R_domain {R_domain} exceeds Rmax {weight.Rmax}")
+        if not 0.0 < R_domain <= weight.Rmax * (1 + 1e-12):
+            raise OutOfDomain(f"R_domain {R_domain} must lie in (0, Rmax = {weight.Rmax}]")
         inner = weight.rgrid[weight.rgrid < R_domain * (1 - 1e-12)]
         nodes = np.concatenate([inner[::stride], [R_domain]])
         if nodes[0] != 0.0:
             nodes = np.concatenate([[0.0], nodes])
         if len(nodes) < 8:
             raise GridTooCoarse("mesh has too few nodes inside R_domain")
-        self.weight = weight
         self.nodes = nodes
-        self.h = np.diff(nodes)
-        wint = (np.asarray(weight.W_at(nodes[1:]), float)
-                - np.asarray(weight.W_at(nodes[:-1]), float))
-        self.k = wint / self.h ** 2  # element integral of w * phi' * phi'
-        # Gauss data per element for mass / Lp quadrature: weight times w
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        half = 0.5 * self.h
-        qpts = mid[None, :] + half[None, :] * GL5_NODES[:, None]
-        self.qwwq = GL5_WEIGHTS[:, None] * half[None, :] * weight.w_at(qpts)
-        # hat function values at quadrature points: phi_left, phi_right
-        self.phi_r = (qpts - nodes[None, :-1]) / self.h[None, :]
-        self.phi_l = 1.0 - self.phi_r
+        h = np.diff(nodes)
+        self.k = np.diff(weight.W_at(nodes)) / h ** 2  # element integral of w * phi' * phi'
+        # Gauss weight times w per element, for mass and L^p quadrature
+        qpts = 0.5 * (nodes[:-1] + nodes[1:]) + 0.5 * h * GL5_NODES[:, None]
+        self.qwwq = GL5_WEIGHTS[:, None] * 0.5 * h * weight.w_at(qpts)
+        # stiffness A and mass M; A = L D L^T is factored once for both solvers
+        self.A = _assemble(self.k, self.k, -self.k)
+        self.M = _assemble(*(np.array([_PHI_L ** 2, _PHI_R ** 2, _PHI_L * _PHI_R]) @ self.qwwq))
+        d, e, info = dpttrf(*self.A)
+        if info != 0:
+            raise GridTooCoarse(f"stiffness matrix is not positive definite (dpttrf info {info})")
+        self.solve = lambda b: dpttrs(d, e, b)[0]  # A^{-1} b
 
     @property
     def n_free(self):
         return len(self.nodes) - 1  # all but the Dirichlet node
-
-    def stiffness_diagonals(self):
-        """Main and off diagonal of the symmetric tridiagonal stiffness."""
-        n = self.n_free
-        main = self.k[:n].copy()
-        main[1:] += self.k[: n - 1]
-        return main, -self.k[: n - 1]
-
-    def stiffness(self):
-        main, off = self.stiffness_diagonals()
-        return diags([off, main, off], [-1, 0, 1], format="csc")
-
-    def mass(self):
-        mll = np.sum(self.qwwq * self.phi_l ** 2, axis=0)
-        mrr = np.sum(self.qwwq * self.phi_r ** 2, axis=0)
-        mlr = np.sum(self.qwwq * self.phi_l * self.phi_r, axis=0)
-        n = self.n_free
-        main = mll[:n].copy()
-        main[1:] += mrr[: n - 1]
-        off = mlr[: n - 1]
-        return diags([off, main, off], [-1, 0, 1], format="csc")
 
     def full(self, gf):
         return np.concatenate([gf, [0.0]])
@@ -127,12 +123,12 @@ class _Mesh:
         """int w |g|^p and its gradient in the free nodal values g_i, from
         one evaluation of |g|^(p-1) at the Gauss points."""
         g = self.full(gf)
-        gq = self.phi_l * g[None, :-1] + self.phi_r * g[None, 1:]
+        gq = np.outer(_PHI_L, g[:-1]) + np.outer(_PHI_R, g[1:])
         aq = np.abs(gq)
         wa = self.qwwq * aq ** (p - 1.0)
         core = np.copysign(p * wa, gq)
-        grad = np.sum(core * self.phi_l, axis=0)
-        grad[1:] += np.sum(core[:, :-1] * self.phi_r[:, :-1], axis=0)
+        grad = _PHI_L @ core
+        grad[1:] += _PHI_R @ core[:, :-1]
         return float(np.sum(wa * aq)), grad
 
 
@@ -149,11 +145,16 @@ class PoincareResult:
 
 
 def _smallest_eig(mesh: _Mesh):
-    A = mesh.stiffness()
-    M = mesh.mass()
-    v0 = np.ones(mesh.n_free)  # fixed start vector keeps runs reproducible
-    vals, vecs = eigsh(A, k=1, M=M, sigma=0.0, which="LM", v0=v0)
-    return float(vals[0]), vecs[:, 0]
+    """Shift-invert Lanczos at sigma = 0 through the stiffness factor; the
+    eigenvalue is the Rayleigh quotient of the returned vector."""
+    n = mesh.n_free
+    op = lambda matvec: LinearOperator((n, n), matvec=matvec, dtype=float)
+    tridiagonal = lambda diagonals: op(lambda x: _tridiagonal_matvec(*diagonals, x))
+    # with OPinv given, ARPACK reads only the shape of the stiffness operator
+    _, vecs = eigsh(tridiagonal(mesh.A), k=1, M=tridiagonal(mesh.M), sigma=0.0, which="LM",
+                    v0=np.ones(n), OPinv=op(mesh.solve))  # fixed v0: reproducible runs
+    v = vecs[:, 0]
+    return mesh.energy(v) / float(v @ _tridiagonal_matvec(*mesh.M, v)), v
 
 
 def poincare_eigen(weight: WeightMeasure, R_domain: float) -> PoincareResult:
@@ -171,9 +172,7 @@ def poincare_eigen(weight: WeightMeasure, R_domain: float) -> PoincareResult:
     if abs(lam2 - lam) > 0.01 * lam:
         raise GridTooCoarse(
             f"eigenvalue moved {abs(lam2 - lam) / lam:.2%} under coarsening")
-    g = mesh.full(vec)
-    i = np.argmax(np.abs(g))
-    g = g / g[i]
+    g = mesh.full(vec) / vec[np.argmax(np.abs(vec))]
     return PoincareResult(lambda1=lam, best_constant=1.0 / math.sqrt(lam),
                           r=mesh.nodes, eigenfunction=g)
 
@@ -216,11 +215,6 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
     if not np.any(g != 0.0):
         raise ValidationError("initial iterate vanishes identically")
 
-    # preconditioner: descend in the gradient metric, A = L D L^T factored once
-    d_fac, e_fac, info = dpttrf(*mesh.stiffness_diagonals())
-    if info != 0:
-        raise GridTooCoarse(f"stiffness matrix is not positive definite (dpttrf info {info})")
-
     # one power_sum per trial: v / n has quotient v.A.v / n^2, and its gradient
     # of int w |.|^p / p is grad(int w |v|^p) / (p n^(p-1))
     total, grad = mesh.power_sum(g, p)
@@ -229,7 +223,7 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        direction = g - val * dpttrs(d_fac, e_fac, dN)[0]  # A^{-1} of the projected gradient
+        direction = g - val * mesh.solve(dN)  # A^{-1} of the projected gradient
         eta = 1.0
         improved = False
         for _ in range(50):

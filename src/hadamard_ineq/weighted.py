@@ -117,8 +117,6 @@ def _tail_integral(model: ModelFunction, tail: TailModel) -> float:
 
 def _gl5_between(f, lo, hi):
     """Vectorized 5-point Gauss-Legendre of f over [lo, hi] (elementwise)."""
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
     return _gl5(f, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
 

@@ -194,6 +194,59 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "m").exists()
 
 
+PME_FLAGS = ["pme", "--m", "2", "--rdomain", "8", "--t-end", "1"]
+PME_TIMES = "--t-end must be positive and --outputs at least 2"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--p", "nan"], "--p"),
+    (["rayleigh", "--p", "inf", "--rdomain", "8"], "--p"),
+    (["pme", "--m", "2", "--rdomain", "8", "--t-end", "inf"], "--t-end"),
+    (["pme", "--m", "2", "--rdomain", "8", "--t-end", "nan"], "--t-end"),
+    (PME_FLAGS + ["--height", "nan"], "--height"),
+    (["pme", "--m", "inf", "--rdomain", "8", "--t-end", "1"], "--m"),
+    (["sweep", "--p", "3", "--tol", "refine=nan"], "--tol"),
+    (PME_FLAGS + ["--fit-window", "nan:1"], "--fit-window"),
+    (["model", "--k", "nan"], "--k"),
+], ids=["sweep_p", "rayleigh_p", "t_end_inf", "t_end_nan", "height", "m", "tol",
+        "fit_window", "k"])
+def test_nonfinite_numbers_are_usage_errors(tmp_path, capsys, argv, flag):
+    profile = "hyperbolic" if flag == "--k" else "euclidean"
+    rc = run_cli(argv + ["--profile", profile, "--rmax", "10",
+                         "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert any("error: " in line and flag in line for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pme", "--m", "2", "--rdomain", "8", "--t-end", "0"], PME_TIMES),
+    (PME_FLAGS + ["--outputs", "0"], PME_TIMES),
+    (PME_FLAGS + ["--outputs", "-1"], PME_TIMES),
+    (["pme", "--m", "2", "--rdomain", "8", "--t-end", "5", "--outputs", "1"], PME_TIMES),
+    (["poincare", "--rdomain", "0"], "R_domain 0.0 must lie in"),
+    (["poincare", "--rdomain", "-1"], "R_domain -1.0 must lie in"),
+], ids=["t_end_0", "outputs_0", "outputs_-1", "outputs_1", "rdomain_0", "rdomain_-1"])
+def test_degenerate_inputs_are_refused(tmp_path, capsys, argv, message):
+    rc = run_cli(argv + ["--profile", "euclidean", "--rmax", "10",
+                         "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "m").exists()
+
+
+def test_poincare_on_a_large_hyperbolic_domain(tmp_path):
+    # the eigenvalue on this mesh must pass the 1 % coarsening guard
+    rc = run_cli(["poincare", "--profile", "hyperbolic", "--k", "1", "--n", "3",
+                  "--rmax", "60", "--rdomain", "40", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "poincare.json").read_text())
+    assert doc["lambda1"] == pytest.approx(1.0 + (math.pi / 40.0) ** 2, rel=1e-4)
+
+
 def test_poincare_command(tmp_path):
     out = tmp_path / "p"
     rc = run_cli(["poincare", "--profile", "hyperbolic", "--k", "1", "--n", "3",

@@ -382,9 +382,10 @@ def _from_r(r0, field, value):
     (_from_r(15.0, 1, "inf"), r"not finite at r = 15\.0"),
     (_from_r(7.0, 2, "nan"), r"not finite at r = 7\.0"),
     (lambda rows: [], "holds no table rows"),
+    (lambda rows: rows[1:2], "fewer than two table rows"),
     (lambda rows: rows[:10] + [rows[10].rsplit(",", 1)[0]] + rows[11:],
      "line 12 .* not three numbers"),
-], ids=["inf_psi", "nan_dpsi", "empty", "two_fields"])
+], ids=["inf_psi", "nan_dpsi", "empty", "one_row", "two_fields"])
 def test_imported_table_validation(tmp_path, hyperbolic_model, spoil, message):
     path = tmp_path / "model.csv"
     geo.model_to_csv(hyperbolic_model, path)
@@ -407,3 +408,10 @@ def test_grid_spec():
     assert np.allclose(tail, tail[0], rtol=1e-9)
     with pytest.raises(ValidationError):
         geo.GridSpec(n=10).nodes(20.0)
+
+
+@pytest.mark.parametrize("rmax", [0.5, 20.0])
+def test_grid_spec_refuses_an_unknown_kind(rmax):
+    # below rmax = 1 every kind is geometric, so the kind is checked first
+    with pytest.raises(ValidationError, match="unknown grid kind 'bogus'"):
+        geo.GridSpec(kind="bogus").nodes(rmax)

@@ -60,6 +60,41 @@ def test_poincare_out_of_domain(hyperbolic_weight):
         var.poincare_eigen(hyperbolic_weight, 25.0)
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0])
+def test_poincare_refuses_a_nonpositive_domain(hyperbolic_weight, R):
+    with pytest.raises(OutOfDomain, match="must lie in"):
+        var.poincare_eigen(hyperbolic_weight, R)
+
+
+@pytest.mark.parametrize("rmax, R", [(20.0, 20.0), (60.0, 30.0)], ids=["readme", "rmax60"])
+def test_poincare_lambda1_is_the_rayleigh_quotient_of_its_eigenfunction(rmax, R):
+    # hyperbolic k = 1, N = 3: lambda1 is the quotient of the returned
+    # vector, not a Ritz value
+    weight = wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), 3, rmax))
+    res = var.poincare_eigen(weight, R)
+    mesh = var._Mesh(weight, R)
+    assert np.array_equal(res.r, mesh.nodes)
+    g = res.eigenfunction[:-1]
+    quotient = mesh.energy(g) / mesh.power_sum(g, 2.0)[0]
+    assert res.lambda1 == pytest.approx(quotient, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, rmax, R", [(1.0, 60.0, 40.0), (1.0, 60.0, 60.0),
+                                        (4.0, 30.0, 30.0)])
+def test_poincare_large_hyperbolic_domains(k, rmax, R):
+    # closed form on the truncated domain, N = 3: k + (pi/R)^2
+    weight = wgt.build_weight(geo.build_model(geo.Hyperbolic(k), 3, rmax))
+    res = var.poincare_eigen(weight, R)
+    assert res.lambda1 == pytest.approx(k + (math.pi / R) ** 2, rel=1e-4)
+
+
+def test_poincare_on_the_power_law_certificate_geometry():
+    # beta = 1 out to Rmax = 2000 (the README certificate's geometry)
+    weight = wgt.build_weight(geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 2000.0))
+    res = var.poincare_eigen(weight, 2000.0)
+    assert 0.0 < res.lambda1 < var.poincare_eigen(weight, 1000.0).lambda1
+
+
 # ---------------------------------------------------------------------------
 # Rayleigh quotient
 # ---------------------------------------------------------------------------
@@ -98,16 +133,18 @@ def test_power_sum_matches_a_direct_gauss_sum(euclidean_weight):
     tent = np.maximum(1.0 - r[:-1] / 20.0, 0.0)
     iterate = rng.standard_normal(len(r) - 1)
     for g in (tent, iterate):
+        gl = np.append(g, 0.0).astype(np.longdouble)
         for p in (3.0, 6.0):
-            # independent oracle: GL5 on each element, g by linear interpolation
-            total = 0.0
+            # independent oracle: GL5 on each element, g from the hat values
+            # (1 -+ x)/2 of the reference element, summed in long double
+            total = np.longdouble(0.0)
             for x, wt in zip(wgt.GL5_NODES, wgt.GL5_WEIGHTS):
                 s = 0.5 * (r[:-1] + r[1:]) + 0.5 * np.diff(r) * x
-                gs = np.interp(s, r, np.append(g, 0.0))
+                gs = (1 - np.longdouble(x)) / 2 * gl[:-1] + (1 + np.longdouble(x)) / 2 * gl[1:]
                 total += np.sum(wt * 0.5 * np.diff(r) * euclidean_weight.w_at(s)
                                 * np.abs(gs) ** p)
             got, _ = mesh.power_sum(g, p)
-            assert got == pytest.approx(total, rel=1e-13)
+            assert got == pytest.approx(float(total), rel=1e-14)
 
 
 def test_power_sum_gradient_matches_central_differences(euclidean_weight):
