@@ -34,15 +34,15 @@ and optionally
 
 * ``psi``, ``dpsi``, ``logpsi``, ``dlogpsi`` -- a closed form.  Without
   one, the law is checked to be nonnegative and integrated as above;
-* ``tail_integral(model)`` -- the integral of psi^(1-N) over
-  (Rmax, infinity), by quadrature of the closed form.  Without it the
-  generic formula of the tail family, :meth:`TailModel.integral`, is used.
+* ``tail_integral(model)`` -- the integral of psi^(1-N) over (Rmax,
+  infinity).  Without it (or when it is None) :func:`tail_past_rmax` takes
+  the closed form of the tail family anchored at psi(Rmax).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -57,6 +57,7 @@ from .errors import (
     NonHadamardProfile,
     NumericalError,
     OutOfDomain,
+    TailUnclassifiable,
     ValidationError,
 )
 
@@ -69,6 +70,7 @@ __all__ = [
     "ExponentialPower",
     "CurvatureProfile",
     "TailModel",
+    "tail_past_rmax",
     "GridSpec",
     "ModelFunction",
     "CurvatureReport",
@@ -106,9 +108,10 @@ class TailModel:
     family 'power':       psi ~ amplitude * r^shape
     family 'divergent':   1/psi^(N-1) is not integrable at infinity
 
-    A profile states its tail exactly (residual 0).  The ``fit_*``
-    constructors classify an imported table, whose residual is that of the
-    least-squares fit.
+    A profile states its tail with residual 0; for ``Constant(k > 0)`` and
+    the power law at beta = 2 the stated form is the leading term of psi,
+    not psi itself.  The ``fit_*`` constructors classify an imported table,
+    whose residual is that of the least-squares fit.
     """
 
     family: str
@@ -131,34 +134,13 @@ class TailModel:
     @classmethod
     def fit_exponential(cls, model) -> "TailModel":
         """log psi = rate r + log amplitude, fitted on [Rmax/10, Rmax]."""
-        rate, amplitude, residual = cls._line_fit(model, lambda r: r)
-        return cls("exponential", shape=1.0, rate=rate, amplitude=amplitude,
-                   residual=residual)
+        return cls("exponential", 1.0, *cls._line_fit(model, lambda r: r))
 
     @classmethod
     def fit_power(cls, model) -> "TailModel":
         """log psi = shape log r + log amplitude, fitted on [Rmax/10, Rmax]."""
         shape, amplitude, residual = cls._line_fit(model, np.log)
         return cls("power", shape=shape, amplitude=amplitude, residual=residual)
-
-    def integral(self, model) -> float:
-        """Integral of psi^(1-N) over (Rmax, infinity), anchored at psi(Rmax)."""
-        if self.family == "divergent":
-            return math.inf
-        R, N = model.Rmax, model.N
-        yR = float(model.logpsi(np.float64(R)))
-        if self.family == "power":
-            g = self.shape * (N - 1)
-            return R * math.exp((1.0 - N) * yR) / (g - 1.0)
-        # exponential family: integrate the anchored, shifted integrand
-        s, a = self.shape, self.rate
-
-        def shifted(r):
-            return math.exp(-(N - 1.0) * (a * (r ** s - R ** s)))
-
-        span = (R ** s + 45.0 / ((N - 1.0) * a)) ** (1.0 / s) - R
-        val, _ = quad(shifted, R, R + span, limit=200)
-        return val * math.exp((1.0 - N) * yR)
 
 
 def _tail_quadrature(profile, model) -> float:
@@ -176,6 +158,39 @@ def _tail_quadrature(profile, model) -> float:
 
     val, _ = quad(anchored, 0.0, 1.0 / R, epsabs=0.0, epsrel=1e-12, limit=200)
     return val * math.exp((1.0 - N) * yR)
+
+
+def tail_past_rmax(model) -> tuple:
+    """(TailModel of psi past Rmax, T(Rmax) = integral of psi^(1-N) there).
+
+    An imported table takes the better of the two fits, refused above
+    residual 1e-3.  A fitted rate <= 0 or a power tail with shape (N-1) <= 1
+    diverges, and T(Rmax) is infinite; else it is the profile's
+    ``tail_integral`` or the family's closed form anchored at psi(Rmax),
+    which exists for power tails and exponential tails of shape 1.
+    """
+    N, R = model.N, model.Rmax
+    if model.profile is not None:
+        tm = model.profile.tail(model)
+    else:
+        tm = min((TailModel.fit_power(model), TailModel.fit_exponential(model)),
+                 key=lambda t: t.residual)
+        if tm.residual > 1e-3:
+            raise TailUnclassifiable(f"tail fit residual {tm.residual:.2e} exceeds 1e-3")
+        if tm.family == "exponential" and tm.rate <= 0:
+            tm = TailModel("divergent")
+    if tm.family == "power" and tm.shape * (N - 1) <= 1.0 + 1e-12:
+        tm = replace(tm, family="divergent")
+    if tm.family == "divergent":
+        return tm, math.inf
+    if getattr(model.profile, "tail_integral", None) is not None:
+        return tm, model.profile.tail_integral(model)
+    anchor = math.exp((1.0 - N) * float(model.logpsi(np.float64(R))))
+    if tm.family == "power":
+        return tm, R * anchor / (tm.shape * (N - 1) - 1.0)
+    if tm.shape != 1.0:
+        raise ValidationError(f"exponential tail of shape {tm.shape} needs a tail_integral")
+    return tm, anchor / ((N - 1.0) * tm.rate)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +217,27 @@ class Constant:
             return TailModel("power", shape=1.0, amplitude=1.0)
         s = math.sqrt(self.k)
         return TailModel("exponential", shape=1.0, rate=s, amplitude=0.5 / s)
+
+    @property
+    def tail_integral(self):
+        """Exact T(Rmax) for k > 0; the flat tail has no need of one."""
+        return self._sinh_tail_integral if self.k > 0.0 else None
+
+    def _sinh_tail_integral(self, model) -> float:
+        """With s = sqrt(k), n = N - 1 and q = exp(-2 s Rmax), expanding
+        psi^(-n) in powers of exp(-2 s r) integrates to T = psi(Rmax)^(-n)
+        (1-q)^n sum_j C(n-1+j, j) q^j / ((n+2j) s).  By Euler's transformation
+        of this hypergeometric series, T = psi(Rmax)^(-n) (1-q) / (n s) *
+        sum_j (1-n/2)_j / (1+n/2)_j q^j: a polynomial for even n, else summed
+        while q^j > e^(-37)."""
+        s, n, R = math.sqrt(self.k), model.N - 1, model.Rmax
+        terms = n // 2 if n % 2 == 0 else int(math.ceil(18.5 / (s * R))) + 1
+        if terms > 10 ** 6:
+            raise ValidationError(f"sqrt(k) Rmax = {s * R:.3g} is too small for the tail series")
+        j = np.arange(terms - 1)
+        series = 1.0 + math.fsum(np.cumprod((j + 1.0 - n / 2.0) / (j + 1.0 + n / 2.0)
+                                            * math.exp(-2.0 * s * R)))
+        return math.exp(-n * float(self.logpsi(R))) * -math.expm1(-2.0 * s * R) / (n * s) * series
 
     def psi(self, r):
         r = np.asarray(r, float)

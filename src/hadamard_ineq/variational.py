@@ -26,8 +26,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 from .geometry import ModelFunction, ricci_uniformization
-from .weighted import (GL5_NODES, GL5_WEIGHTS, WeightMeasure, near_extremal, plin_norms,
-                       sobolev_critical, supremum_B, unit_sphere_area)
+from .weighted import (_PHI_L, _PHI_R, GL5_NODES, GL5_WEIGHTS, WeightMeasure, near_extremal,
+                       plin_norms, sobolev_critical, supremum_B, unit_sphere_area)
 
 __all__ = [
     "DiscreteFunction",
@@ -62,10 +62,6 @@ class DiscreteFunction:
 # ---------------------------------------------------------------------------
 # finite element pieces
 # ---------------------------------------------------------------------------
-
-# the two hat functions of the reference element [-1, 1] at its Gauss nodes
-_PHI_L, _PHI_R = 0.5 * (1.0 - GL5_NODES), 0.5 * (1.0 + GL5_NODES)
-
 
 def _assemble(ll, rr, lr):
     """(main, off) diagonals over the free nodes of the symmetric matrix to

@@ -1,8 +1,8 @@
 """One-dimensional weighted-inequality machinery for the weight w = psi^(N-1).
 
 Central objects: the cumulative integral W(r) of w, the tail integral T(r)
-of 1/w (finished off past the sampled range by the profile's exact tail, or
-by a fitted analytic tail for an imported table), the product
+of 1/w (finished off past the sampled range by the T(Rmax) of
+:func:`geometry.tail_past_rmax`), the product
 
     Q(r) = W(r)^(1/p) * T(r)^(1/2),
 
@@ -27,10 +27,9 @@ from .errors import (
     BelowCriticalExponent,
     DivergentPoint,
     InvalidExponent,
-    TailUnclassifiable,
     ValidationError,
 )
-from .geometry import ModelFunction, PowerLaw, TailModel
+from .geometry import ModelFunction, PowerLaw, TailModel, tail_past_rmax
 
 __all__ = [
     "WeightMeasure",
@@ -55,6 +54,8 @@ __all__ = [
 ]
 
 GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# the two hat functions of the reference element [-1, 1] at its Gauss nodes
+_PHI_L, _PHI_R = 0.5 * (1.0 - GL5_NODES), 0.5 * (1.0 + GL5_NODES)
 
 
 def _gl5(f, mid, half):
@@ -77,38 +78,6 @@ def unit_sphere_area(N: int) -> float:
 def sobolev_critical(N: int) -> float:
     """2N/(N-2) for N >= 3, infinity for N = 2."""
     return math.inf if N <= 2 else 2.0 * N / (N - 2.0)
-
-
-# ---------------------------------------------------------------------------
-# analytic tails
-# ---------------------------------------------------------------------------
-
-def _classify_tail(model: ModelFunction) -> TailModel:
-    if model.profile is not None:
-        tm = model.profile.tail(model)
-    else:
-        # imported table: choose whichever analytic family explains the tail
-        tm = min((TailModel.fit_power(model), TailModel.fit_exponential(model)),
-                 key=lambda t: t.residual)
-        if tm.residual > 1e-3:
-            raise TailUnclassifiable(
-                f"tail fit residual {tm.residual:.2e} exceeds 1e-3")
-        if tm.family == "exponential" and tm.rate <= 0:
-            tm = TailModel("divergent")
-
-    # a power-decay weight whose reciprocal is not integrable has no finite tail
-    if tm.family == "power" and tm.shape * (model.N - 1) <= 1.0 + 1e-12:
-        tm = TailModel("divergent", shape=tm.shape, amplitude=tm.amplitude,
-                       residual=tm.residual)
-    return tm
-
-
-def _tail_integral(model: ModelFunction, tail: TailModel) -> float:
-    """T(Rmax) = integral of psi^(1-N) past the sampled range."""
-    exact = getattr(model.profile, "tail_integral", None)
-    if exact is None or tail.family == "divergent":
-        return tail.integral(model)
-    return exact(model)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +135,13 @@ class WeightMeasure:
 
 
 def build_weight(model: ModelFunction) -> WeightMeasure:
-    """Tabulate W and T on the model grid and classify the analytic tail."""
+    """Tabulate W and T on the model grid, T finished by the analytic tail."""
     N = model.N
     y_end = float(model.logpsi(np.float64(model.Rmax)))
     if (N - 1) * y_end > 700.0:
         raise ValidationError(
             "weight overflows float64 at Rmax; reduce Rmax or the curvature scale")
-    tail = _classify_tail(model)
+    tail, t_end = tail_past_rmax(model)
     rg = model.grid_r
     w_seg = _gl5_between(lambda s: np.exp((N - 1.0) * np.asarray(model.logpsi(s), float)),
                          rg[:-1], rg[1:])
@@ -180,7 +149,6 @@ def build_weight(model: ModelFunction) -> WeightMeasure:
     if tail.family == "divergent":
         Ttab = np.full_like(Wtab, math.inf)
     else:
-        t_end = _tail_integral(model, tail)
         tin_seg = _gl5_between(lambda s: np.exp(-(N - 1.0) * np.asarray(model.logpsi(s), float)),
                                rg[1:-1], rg[2:])
         Ttab = np.concatenate([[math.inf],
@@ -551,10 +519,7 @@ def plin_norms(weight: WeightMeasure, r: np.ndarray, g: np.ndarray, p: float):
     wint = np.asarray(weight.W_at(hi), float) - np.asarray(weight.W_at(lo), float)
     grad2 = float(np.sum(slope ** 2 * wint))
 
-    def integrand(s):
-        gi = glo + slope * (s - lo)
-        return np.abs(gi) ** p * weight.w_at(s)
-
-    pint = float(np.sum(_gl5_between(integrand, lo, hi)))
+    gq = np.abs(np.outer(_PHI_L, glo) + np.outer(_PHI_R, ghi)) ** p  # |g|^p at the Gauss points
+    pint = float(np.sum(_gl5_between(lambda s: gq * weight.w_at(s), lo, hi)))
     pint += float(weight.W_at(np.float64(r[0]))) * abs(g[0]) ** p
     return math.sqrt(grad2), pint ** (1.0 / p)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,75 @@ def test_divergent_tails():
     assert wgt.build_weight(m2).tail.family == "divergent"
     me = geo.build_model(geo.ExponentialPower(1.0, 0.5), 3, 30.0)
     assert wgt.build_weight(me).tail.family == "divergent"
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_hyperbolic_tail_integral_is_exact(k):
+    # N = 3: T(R) = sqrt(k) (coth(sqrt(k) R) - 1) = 2 sqrt(k) / expm1(2 sqrt(k) R)
+    s = math.sqrt(k)
+    for R in (0.5, 3.0, 5.0, 20.0):
+        _, t_end = geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(k), 3, R))
+        assert t_end == pytest.approx(2.0 * s / math.expm1(2.0 * s * R), rel=1e-14, abs=0.0)
+
+
+def test_hyperbolic_tail_integral_in_even_dimension():
+    # odd n = N - 1, where the series does not terminate: N = 2 has
+    # T(R) = -log tanh(R / 2), N = 4 is checked against quadrature
+    for R in (0.05, 1.0, 6.0):
+        _, t2 = geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(1.0), 2, R))
+        assert t2 == pytest.approx(-math.log(math.tanh(R / 2.0)), rel=1e-13, abs=0.0)
+        _, t4 = geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(1.0), 4, R))
+        oracle = quad(lambda r: (math.sinh(R) / math.sinh(r)) ** 3, R, R + 40.0,
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0] / math.sinh(R) ** 3
+        assert t4 == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    with pytest.raises(ValidationError):  # the series would need ~2e7 terms
+        geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(1.0), 2, 1e-6))
+
+
+def test_hyperbolic_supremum_does_not_depend_on_rmax():
+    # with T(Rmax) exact, a maximizer inside [0, 3] gives the same B at any Rmax
+    reps = [wgt.supremum_B(wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), 3, R)), 2.5)
+            for R in (3.0, 20.0)]
+    assert reps[0].r_bar < 3.0
+    assert reps[0].B == pytest.approx(reps[1].B, rel=1e-12, abs=0.0)
+    # p = 2 keeps its supremum at infinity
+    rep = wgt.supremum_B(wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), 3, 20.0)), 2.0)
+    assert rep.at_infinity and rep.r_bar is None
+
+
+def test_imported_table_tail(tmp_path):
+    # a re-imported export has no profile, so its tail is fitted
+    hyp = geo.build_model(geo.Hyperbolic(1.0), 3, 20.0)
+    geo.model_to_csv(hyp, tmp_path / "hyp.csv")
+    imported = wgt.build_weight(geo.model_from_csv(tmp_path / "hyp.csv", 3))
+    closed = wgt.build_weight(hyp)
+    assert imported.tail.family == "exponential" and imported.tail.shape == 1.0
+    assert imported.tail.rate == pytest.approx(1.0, rel=1e-3)
+    # T(Rmax) inherits the fitted rate; B sits at r ~ 1.4 and sees the spline only
+    assert float(imported.T_at(20.0)) == pytest.approx(float(closed.T_at(20.0)), rel=1e-3)
+    assert wgt.supremum_B(imported, 2.5).B == pytest.approx(
+        wgt.supremum_B(closed, 2.5).B, rel=1e-7)
+
+    flat = geo.build_model(geo.Euclidean(), 3, 50.0)
+    geo.model_to_csv(flat, tmp_path / "flat.csv")
+    imported = wgt.build_weight(geo.model_from_csv(tmp_path / "flat.csv", 3))
+    assert imported.tail.family == "power"
+    assert imported.tail.shape == pytest.approx(1.0, rel=1e-10)
+    assert float(imported.T_at(50.0)) == pytest.approx(1.0 / 50.0, rel=1e-10)
+
+
+class _StretchedTail(geo.PowerLaw):
+    """The power law with its tail integral taken away."""
+
+    tail_integral = None
+
+
+def test_stretched_tail_needs_its_own_integral():
+    # no closed form anchors exp(-a r^m) with m < 1; it is refused, not integrated
+    model = geo.build_model(_StretchedTail(1.0, 1.0, 1.0), 3, 100.0)
+    assert model.profile.tail(model).shape == 0.5
+    with pytest.raises(ValidationError):
+        wgt.build_weight(model)
 
 
 def test_overflow_guard():
@@ -425,3 +495,23 @@ def test_gl5_calls_f_once_and_sums_in_node_order(half):
     for x, w in zip(wgt.GL5_NODES, wgt.GL5_WEIGHTS):
         ref = ref + w * f(mid + half * x)
     assert np.array_equal(got, ref * half)
+
+
+def test_plin_norms_is_exact_far_from_the_pole():
+    # w = r^2 and g piecewise linear: GL5 integrates g^2 w exactly, so the L2
+    # norm must match the rational integral up to rounding of the sum
+    weight = wgt.build_weight(geo.build_model(geo.Euclidean(), 3, 1200.0))
+    r = weight.rgrid[(weight.rgrid > 990.0) & (weight.rgrid < 1000.0)]
+    g = np.random.default_rng(7).uniform(-1.0, 1.0, r.size)
+    g[0] = g[-1] = 0.0
+    exact = Fraction(0)
+    for a, b, ga, gb in zip(r[:-1], r[1:], g[:-1], g[1:]):
+        a, b, ga, gb = map(Fraction, (a, b, ga, gb))
+        slope = (gb - ga) / (b - a)
+        c = ga - slope * a  # g = c + slope x on [a, b]
+
+        def F(x):
+            return c * c * x ** 3 / 3 + c * slope * x ** 4 / 2 + slope * slope * x ** 5 / 5
+        exact += F(b) - F(a)
+    _, lp = wgt.plin_norms(weight, r, g, 2.0)
+    assert lp == pytest.approx(math.sqrt(float(exact)), rel=1e-15, abs=0.0)
