@@ -36,7 +36,16 @@ and optionally
   one, the law is checked to be nonnegative and integrated as above;
 * ``tail_integral(model)`` -- the integral of psi^(1-N) over (Rmax,
   infinity).  Without it (or when it is None) :func:`tail_past_rmax` takes
-  the closed form of the tail family anchored at psi(Rmax).
+  the closed form of the tail family anchored at psi(Rmax);
+* ``tangential_curvature(r)`` -- (psi'^2 - 1) / psi^2 in closed form, which
+  the tangential Ricci curvature otherwise takes as z^2 - psi^(-2), z = psi'/psi.
+
+Only the integrator and the spline of an integrated or imported warping use
+``scipy.integrate`` and ``scipy.interpolate``, and they import them when
+called, so work on closed-form profiles never loads either.  Every
+quadrature here and in the modules built on it is the one 5-point
+Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
+over log-radius panels (:func:`_tail_quadrature`).
 """
 
 from __future__ import annotations
@@ -46,8 +55,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import ive, kve
 
 from .errors import (
@@ -93,6 +100,23 @@ _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-13
 _GRID_RATIO = 1.05  # node spacing ratio of the geometric part of a graded grid
 _EXP_POWER_BLEND = (0.5, 1.5)  # radii between which ExponentialPower blends r into its tail
+_TAIL_PANELS = 1 << 16  # cap on the log-radius panels of a tail integral
+_TAIL_STOP = math.exp(-40.0)  # panel mean of the tail integrand / running sum that ends it
+_TAIL_SETTLED = 1e-12  # change of the tail's power over its last panel that makes it exact
+
+GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def _gl5(f, mid, half):
+    """5-point Gauss-Legendre of f over [mid - half, mid + half], elementwise.
+
+    f is called once, on the nodes stacked along a new leading axis.
+    """
+    nodes = mid + half * GL5_NODES.reshape((5,) + (1,) * np.broadcast(mid, half).ndim)
+    acc = np.zeros_like(mid)
+    for w, row in zip(GL5_WEIGHTS, f(nodes)):
+        acc = acc + w * row
+    return acc * half
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +170,52 @@ class TailModel:
 def _tail_quadrature(profile, model) -> float:
     """Integral of psi^(1-N) over (Rmax, infinity) from a closed-form log psi.
 
-    Adaptive quadrature in u = 1/r over (0, 1/Rmax) of the integrand
-    anchored at psi(Rmax), so neither psi nor the integral leaves the float64
-    range.  The ``tail_integral`` of :class:`PowerLaw`.
+    With n = N - 1 and r = Rmax e^t it is Rmax psi(Rmax)^(-n) times the
+    integral over t > 0 of f(t) = exp(t - n (log psi(r) - log psi(Rmax))),
+    which is 1 at t = 0 and falls at the local rate lam = n r (log psi)' - 1.
+    f is summed by GL5 on panels of width 0.25 / max(lam(Rmax), 2), each run
+    of panels in one call of ``logpsi``, until a panel's mean of f is below
+    e^-40 of the running sum; the power law f / lam at the last panel end
+    closes the sum.  Anchored at psi(Rmax), neither f nor the sum leaves the
+    float64 range.  When r would overflow or the panel cap is reached first,
+    the closure is exact only if the power has settled, lam changing by at
+    most 1e-12 (lam + 1) over the last panel, as that of psi ~ r^q1 (1 +
+    O(r^(q2 - q1))) has long before r = 1e308.  Otherwise, or when the sum
+    is not finite (a NaN log psi), NumericalError.  The ``tail_integral``
+    of :class:`PowerLaw`.
     """
-    N, R = model.N, model.Rmax
+    n, R = model.N - 1.0, model.Rmax
     yR = float(profile.logpsi(np.float64(R)))
 
-    def anchored(u):
-        return math.exp((1.0 - N) * (float(profile.logpsi(np.float64(1.0 / u))) - yR)) / (u * u)
+    def f(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(t - n * (np.asarray(profile.logpsi(R * np.exp(t)), float) - yR))
 
-    val, _ = quad(anchored, 0.0, 1.0 / R, epsabs=0.0, epsrel=1e-12, limit=200)
-    return val * math.exp((1.0 - N) * yR)
+    def rate(t):
+        r = np.float64(R * math.exp(t))
+        return n * r * float(profile.dlogpsi(r)) - 1.0
+
+    lam = rate(0.0)
+    if not math.isfinite(lam):
+        raise NumericalError(f"(log psi)' is not finite at Rmax = {R:.6g}")
+    h = 0.25 / max(lam, 2.0)
+    last = min(_TAIL_PANELS, int((math.log(np.finfo(float).max / R) - 1.0) / h))
+    total, done, chunk, stopped = 0.0, 0, 256, False
+    while done < last and not stopped and math.isfinite(total):
+        k = np.arange(done, min(done + chunk, last))
+        panels = _gl5(f, (k + 0.5) * h, 0.5 * h)
+        running = total + np.cumsum(panels)  # a NaN panel stops no sum: it leaves NaN
+        ends = panels < _TAIL_STOP * h * running
+        stopped = bool(np.any(ends))
+        j = int(np.argmax(ends)) if stopped else len(k) - 1
+        total, done, chunk = float(running[j]), int(k[j]) + 1, 2 * chunk
+    lam = rate(done * h)
+    closure = float(f(np.float64(done * h))) / lam if lam > 0.0 else math.inf
+    settled = abs(lam - rate((done - 1) * h)) <= _TAIL_SETTLED * (lam + 1.0)
+    if not (math.isfinite(total + closure) and (stopped or settled)):
+        raise NumericalError(f"tail integral past Rmax = {R:.6g} is not finite or not "
+                             f"settled at r = {R * math.exp(done * h):.3g}")
+    return R * math.exp(-n * yR) * (total + closure)
 
 
 def tail_past_rmax(model) -> tuple:
@@ -238,6 +296,10 @@ class Constant:
         series = 1.0 + math.fsum(np.cumprod((j + 1.0 - n / 2.0) / (j + 1.0 + n / 2.0)
                                             * math.exp(-2.0 * s * R)))
         return math.exp(-n * float(self.logpsi(R))) * -math.expm1(-2.0 * s * R) / (n * s) * series
+
+    def tangential_curvature(self, r):
+        """(psi'^2 - 1) / psi^2 = (cosh^2 - 1) / (sinh / sqrt(k))^2 = k."""
+        return np.full_like(np.asarray(r, float), float(self.k))
 
     def psi(self, r):
         r = np.asarray(r, float)
@@ -623,6 +685,8 @@ class _LogSpline:
     """
 
     def __init__(self, r, y, z, K=None):
+        from scipy.interpolate import CubicHermiteSpline, CubicSpline
+
         self.r1 = float(r[0])
         self.y_shift = float(y[0]) - math.log(self.r1)
         self.y_spl = CubicHermiteSpline(r, y, z)
@@ -678,6 +742,8 @@ def _series_start(K0: float, r: float):
 
 def _integrate_profile(profile, rmax, r_a, n_nodes) -> _LogSpline:
     """Integrate y' = z, z' = K - z^2 from r_a and spline the result."""
+    from scipy.integrate import solve_ivp
+
     Kf = profile.curvature
 
     def rhs(r, state):
@@ -752,11 +818,26 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
 # curvature queries
 # ---------------------------------------------------------------------------
 
-def _ric_tangential(model: ModelFunction, r):
-    K = model.curvature(r)
+def _tangential_curvature(model: ModelFunction, r):
+    """(psi'^2 - 1) / psi^2, minus the sectional curvature of a tangential plane.
+
+    Exact where a closed form exists: from a warping that supplies
+    ``tangential_curvature`` (k for :class:`Constant`), and 0 on the flat
+    cap psi = r.  Elsewhere it is z^2 - psi^(-2), z = psi'/psi, where both
+    terms grow like 1/r^2 near the pole.
+    """
+    r = model._check(r)
+    exact = getattr(model.warping, "tangential_curvature", None)
+    if exact is not None:
+        return exact(r)
     z = model.dlogpsi(r)
-    inv_psi2 = np.exp(-2.0 * model.logpsi(r))
-    return -K - (model.N - 2) * (z * z - inv_psi2)
+    excess = z * z - np.exp(-2.0 * model.logpsi(r))
+    cap = model.profile.flat_cap if model.profile is not None else 0.0
+    return np.where(r <= cap, 0.0, excess)
+
+
+def _ric_tangential(model: ModelFunction, r):
+    return -model.curvature(r) - (model.N - 2) * _tangential_curvature(model, r)
 
 
 def curvature_at(model: ModelFunction, r: float) -> CurvatureReport:
@@ -914,7 +995,7 @@ def ricci_uniformization(model: ModelFunction, R: float,
     z = np.asarray(model.dlogpsi(rr), float)
     inv_psi2 = np.exp(-2.0 * np.asarray(model.logpsi(rr), float))
     rad = (model.N - 1) * K
-    tang = K + (model.N - 2) * (z * z - inv_psi2)
+    tang = K + (model.N - 2) * _tangential_curvature(model, rr)
     lam_pt = np.maximum(rad, np.maximum(tang, 0.0))
     lam = float(np.max(lam_pt))
     # cancellation noise floor: z^2 - 1/psi^2 is a difference of near-equal terms

@@ -26,8 +26,8 @@ from .errors import (
     StabilityFailure,
     ValidationError,
 )
-from .geometry import ModelFunction
-from .weighted import _gl5, sobolev_critical, unit_sphere_area
+from .geometry import ModelFunction, _gl5
+from .weighted import sobolev_critical, unit_sphere_area
 
 __all__ = [
     "Characteristic",

@@ -25,9 +25,9 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
-from .geometry import ModelFunction, ricci_uniformization
-from .weighted import (_PHI_L, _PHI_R, GL5_NODES, GL5_WEIGHTS, WeightMeasure, near_extremal,
-                       plin_norms, sobolev_critical, supremum_B, unit_sphere_area)
+from .geometry import GL5_NODES, GL5_WEIGHTS, ModelFunction, ricci_uniformization
+from .weighted import (_PHI_L, _PHI_R, WeightMeasure, near_extremal, plin_norms,
+                       sobolev_critical, supremum_B, unit_sphere_area)
 
 __all__ = [
     "DiscreteFunction",

@@ -29,7 +29,7 @@ from .errors import (
     InvalidExponent,
     ValidationError,
 )
-from .geometry import ModelFunction, PowerLaw, TailModel, tail_past_rmax
+from .geometry import GL5_NODES, ModelFunction, PowerLaw, TailModel, _gl5, tail_past_rmax
 
 __all__ = [
     "WeightMeasure",
@@ -53,21 +53,8 @@ __all__ = [
     "unit_sphere_area",
 ]
 
-GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # the two hat functions of the reference element [-1, 1] at its Gauss nodes
 _PHI_L, _PHI_R = 0.5 * (1.0 - GL5_NODES), 0.5 * (1.0 + GL5_NODES)
-
-
-def _gl5(f, mid, half):
-    """5-point Gauss-Legendre of f over [mid - half, mid + half], elementwise.
-
-    f is called once, on the nodes stacked along a new leading axis.
-    """
-    nodes = mid + half * GL5_NODES.reshape((5,) + (1,) * np.broadcast(mid, half).ndim)
-    acc = np.zeros_like(mid)
-    for w, row in zip(GL5_WEIGHTS, f(nodes)):
-        acc = acc + w * row
-    return acc * half
 
 
 def unit_sphere_area(N: int) -> float:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,46 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag} ")
     assert "Traceback" not in err
     assert not (tmp_path / "m").exists()
+
+
+README_PME = ["pme", "--profile", "quasi", "--c1", "2", "--r0", "1", "--n", "3", "--rmax", "60",
+              "--rdomain", "50", "--m", "2", "--r-support", "2", "--t-end", "500",
+              "--cells", "800"]
+# run in a fresh interpreter: pytest itself loads scipy.integrate for its warning filter
+_IMPORT_GUARD = """
+import json, os, sys
+import hadamard_ineq.cli as cli
+from hadamard_ineq import geometry as geo
+lazy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+codes = [cli.main(argv + ["--out-dir", os.path.join(out, str(i))])
+         for i, argv in enumerate(commands)]
+loaded = [m for m in lazy if m in sys.modules]
+model = geo.build_model(geo.Hyperbolic(1.0), 3, 5.0, method="ode")
+geo.model_to_csv(model, os.path.join(out, "ode.csv"))
+table = geo.model_from_csv(os.path.join(out, "ode.csv"), 3)
+print(json.dumps({"codes": codes, "loaded": loaded, "built_by": model.built_by,
+                  "psi": float(table.psi(2.0)), "after": [m for m in lazy if m in sys.modules]}))
+"""
+
+
+def test_readme_commands_load_no_ode_or_spline_code(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    commands = [POWER_SWEEP, FLAT_RAYLEIGH, README_PME]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path),
+                           json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["loaded"] == []
+    # the integrator and the imported table load them on demand
+    assert doc["built_by"] == "ode"
+    assert doc["psi"] == pytest.approx(math.sinh(2.0), rel=1e-8)
+    assert doc["after"] == ["scipy.integrate", "scipy.interpolate", "scipy.optimize"]
 
 
 PME_FLAGS = ["pme", "--m", "2", "--rdomain", "8", "--t-end", "1"]

@@ -110,6 +110,21 @@ def test_curvature_report_hyperbolic(hyperbolic_model):
     assert math.isclose(rep.laplacian_density, 2.0 / math.tanh(1.0), rel_tol=1e-12)
 
 
+def test_tangential_ricci_is_exact_where_a_closed_form_exists():
+    # -K - (N-2) (psi'^2 - 1) / psi^2 is -(N-1) k under constant curvature and
+    # 0 on a flat cap, though z^2 and psi^-2 each grow like 1/r^2 at the pole
+    for k, N in ((1.0, 3), (4.0, 5)):
+        model = geo.build_model(geo.Hyperbolic(k), N, 20.0)
+        r = model.grid_r[1:]
+        assert np.all(geo._ric_tangential(model, r) == -(N - 1) * k)
+        assert geo.curvature_at(model, float(r[0])).ric_tangential == -(N - 1) * k
+        assert geo.ricci_uniformization(model, 1.0, allow_constant=True) == 1.0 / math.sqrt(k)
+    for method in ("auto", "ode"):
+        model = geo.build_model(geo.PowerLaw(1.0, 1.0, 2.0), 4, 50.0, method=method)
+        r = model.grid_r[1:]
+        assert np.all(geo._ric_tangential(model, r[r <= 2.0]) == 0.0)
+
+
 def test_curvature_report_euclidean(euclidean_model):
     for r in (0.3, 2.0, 17.0):
         rep = geo.curvature_at(euclidean_model, r)

@@ -11,7 +11,7 @@ from hadamard_ineq.errors import (
     StabilityFailure,
     ValidationError,
 )
-from hadamard_ineq.weighted import _gl5
+from hadamard_ineq.geometry import _gl5
 
 
 @pytest.fixture(scope="module")

@@ -138,7 +138,7 @@ def test_power_sum_matches_a_direct_gauss_sum(euclidean_weight):
             # independent oracle: GL5 on each element, g from the hat values
             # (1 -+ x)/2 of the reference element, summed in long double
             total = np.longdouble(0.0)
-            for x, wt in zip(wgt.GL5_NODES, wgt.GL5_WEIGHTS):
+            for x, wt in zip(geo.GL5_NODES, geo.GL5_WEIGHTS):
                 s = 0.5 * (r[:-1] + r[1:]) + 0.5 * np.diff(r) * x
                 gs = (1 - np.longdouble(x)) / 2 * gl[:-1] + (1 + np.longdouble(x)) / 2 * gl[1:]
                 total += np.sum(wt * 0.5 * np.diff(r) * euclidean_weight.w_at(s)

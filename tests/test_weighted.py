@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hadamard_ineq.errors import (
     BelowCriticalExponent,
     DivergentPoint,
     InvalidExponent,
+    NumericalError,
     ValidationError,
 )
 
@@ -95,6 +97,64 @@ def test_power_tail_integral_is_the_closed_form_past_rmax():
                  for lo, hi in ((R, 2 * R), (2 * R, math.inf)))
     weight = wgt.build_weight(geo.build_model(geo.PowerLaw(1.0, 1.5, 1.0), 3, R))
     assert float(weight.T_at(R)) == pytest.approx(oracle, rel=1e-8, abs=0.0)
+
+
+def test_near_divergent_euler_tail_is_its_series():
+    # K = c0 r^-2 past r0 = 1, N = 2: psi = A r^q1 + B r^q2 with q (q - 1) = c0,
+    # so 1/psi ~ r^(-q1) and T(R) = sum_j (-B/A)^j R^(-a_j) / (A a_j),
+    # a_j = (q1 - 1) + j (q1 - q2).  At c0 = 0.05, 1/psi ~ r^(-1.048) has not
+    # decayed by e^-40 when r leaves float64; at c0 = 1e-4 most of T lies past it
+    R = 2.0
+    for c0, rel in ((0.05, 1e-12), (1e-4, 1e-11)):
+        d = math.sqrt(1.0 + 4.0 * c0)
+        q1, q2 = (1.0 + d) / 2.0, (1.0 - d) / 2.0
+        A, B = (1.0 - q2) / d, (q1 - 1.0) / d
+        series = math.fsum((-B / A) ** j * R ** -(q1 - 1.0 + j * d) / (A * (q1 - 1.0 + j * d))
+                           for j in range(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail, t_end = geo.tail_past_rmax(geo.build_model(geo.PowerLaw(c0, 2.0, 1.0), 2, R))
+        assert tail.family == "power"
+        assert t_end == pytest.approx(series, rel=rel, abs=0.0)
+        if c0 == 0.05:
+            assert series == pytest.approx(21.17737897652848, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
+def test_power_tail_agrees_across_rmax(beta):
+    # T(130) closed past Rmax = 130 equals T(130) tabulated on [130, 2000] and closed there
+    law = geo.PowerLaw(1.0, beta, 1.0)
+    _, t130 = geo.tail_past_rmax(geo.build_model(law, 2, 130.0))
+    far = wgt.build_weight(geo.build_model(law, 2, 2000.0))
+    assert float(far.T_at(130.0)) == pytest.approx(t130, rel=1e-12, abs=0.0)
+
+
+class _NanPastTen(geo.PowerLaw):
+    """The power law with a log psi that is NaN past r = 10."""
+
+    def logpsi(self, r):
+        return np.where(np.asarray(r) > 10.0, np.nan, super().logpsi(r))
+
+
+class _LogSquaredTail(geo.PowerLaw):
+    """The power law with its tail replaced by psi = r log(r)^2."""
+
+    def logpsi(self, r):
+        return np.log(r) + 2.0 * np.log(np.log(r))
+
+    def dlogpsi(self, r):
+        return (1.0 + 2.0 / np.log(r)) / r
+
+
+@pytest.mark.parametrize("profile, N", [
+    # 1/psi = 1/(r log(r)^2) is integrable, but past r = 1e308 it still holds
+    # 1/709 of T, and its power never settles
+    (_LogSquaredTail(1.0, 1.0, 1.0), 2),
+    (_NanPastTen(1.0, 1.0, 1.0), 3),
+], ids=["unsettled_past_float64", "nan_logpsi"])
+def test_power_tail_that_cannot_be_summed_is_refused(profile, N):
+    with pytest.raises(NumericalError):
+        geo.tail_past_rmax(geo.build_model(profile, N, 5.0))
 
 
 def test_divergent_tails():
@@ -489,10 +549,10 @@ def test_gl5_calls_f_once_and_sums_in_node_order(half):
         return np.exp(-x) * x ** 2
 
     mid = np.array([0.5, 2.0, 3.0])
-    got = wgt._gl5(f, mid, half)
+    got = geo._gl5(f, mid, half)
     assert calls == [(5, 3)]
     ref = np.zeros_like(mid)  # the per-node loop, one call of f per node
-    for x, w in zip(wgt.GL5_NODES, wgt.GL5_WEIGHTS):
+    for x, w in zip(geo.GL5_NODES, geo.GL5_WEIGHTS):
         ref = ref + w * f(mid + half * x)
     assert np.array_equal(got, ref * half)
 
