@@ -26,7 +26,7 @@ def main():
 
     ntilde, _ = wgt.critical_exponents(3, 2.0)
     print(f"\nquadratic curvature decay, m=2 (effective dimension {ntilde}, "
-          f"target slope {-pme.quasi_smoothing_exponent(ntilde, 2.0):.4f}):")
+          f"target slope {-pme.smoothing_exponent(ntilde, 2.0):.4f}):")
     mq = geo.build_model(geo.QuasiEuclideanOptimal(2.0, 1.0), 3, 60.0)
     run = pme.pme_run(pme.PMEConfig(m=2.0, model=mq, R_domain=50.0,
                                     initial=pme.Characteristic(2.0, 1.0),

@@ -417,7 +417,7 @@ def cmd_pme(args, out: Path, h: str):
         payload["fit_error"] = str(exc)
     if law == "quadratic":
         ntilde, _ = weighted.critical_exponents(model.N, model.profile.c0)
-        payload["predicted_power_exponent"] = -pme.quasi_smoothing_exponent(ntilde, args.m)
+        payload["predicted_power_exponent"] = -pme.smoothing_exponent(ntilde, args.m)
     elif law == "flat":
         payload["predicted_power_exponent"] = -pme.smoothing_exponent(model.N, args.m)
     return ("pme_fit.json", "pme-decay-fit", payload,

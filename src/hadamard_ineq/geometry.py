@@ -222,10 +222,11 @@ def tail_past_rmax(model) -> tuple:
     """(TailModel of psi past Rmax, T(Rmax) = integral of psi^(1-N) there).
 
     An imported table takes the better of the two fits, refused above
-    residual 1e-3.  A fitted rate <= 0 or a power tail with shape (N-1) <= 1
-    diverges, and T(Rmax) is infinite; else it is the profile's
-    ``tail_integral`` or the family's closed form anchored at psi(Rmax),
-    which exists for power tails and exponential tails of shape 1.
+    residual 1e-3; an exponential one takes its rate from psi'/psi at Rmax,
+    where the fitted slope is bent by the curvature of log psi.  A rate <= 0
+    or a power tail with shape (N-1) <= 1 diverges, and T(Rmax) is infinite;
+    else it is the profile's ``tail_integral`` or the family's closed form
+    anchored at psi(Rmax), for power tails and exponential tails of shape 1.
     """
     N, R = model.N, model.Rmax
     if model.profile is not None:
@@ -235,8 +236,9 @@ def tail_past_rmax(model) -> tuple:
                  key=lambda t: t.residual)
         if tm.residual > 1e-3:
             raise TailUnclassifiable(f"tail fit residual {tm.residual:.2e} exceeds 1e-3")
-        if tm.family == "exponential" and tm.rate <= 0:
-            tm = TailModel("divergent")
+        if tm.family == "exponential":
+            rate = float(model.dlogpsi(np.float64(R)))
+            tm = replace(tm, rate=rate) if rate > 0 else TailModel("divergent")
     if tm.family == "power" and tm.shape * (N - 1) <= 1.0 + 1e-12:
         tm = replace(tm, family="divergent")
     if tm.family == "divergent":
@@ -424,7 +426,7 @@ class _BesselWarping:
 
         log psi = log(r)/2 + (x - x0) + log(a ive(x) + b e^(-2 (x - x0)) kve(x)),
 
-    every term of which stays finite for all r >= r0.
+    finite term by term until ive and kve turn NaN past x ~ 1.07e9.
     """
 
     def __init__(self, c0: float, beta: float, r0: float):
@@ -435,9 +437,13 @@ class _BesselWarping:
         i0, k0 = ive(self.nu, x0), kve(self.nu, x0)
         i1, k1 = ive(self.nu - 1.0, x0), kve(self.nu - 1.0, x0)
         slope = r0 ** ((beta - 1.0) / 2.0) / self.sqrt_c0  # psi' bracket giving psi'(r0) = 1
-        det = i0 * k1 + k0 * i1
-        self.a = (math.sqrt(r0) * k1 + slope * k0) / det
-        self.b = (math.sqrt(r0) * i1 - slope * i0) / det
+        with np.errstate(invalid="ignore", divide="ignore"):  # ive underflows, kve overflows
+            det = i0 * k1 + k0 * i1
+            self.a = (math.sqrt(r0) * k1 + slope * k0) / det
+            self.b = (math.sqrt(r0) * i1 - slope * i0) / det
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise NumericalError(f"Bessel glue of c0 = {c0:g}, beta = {beta:g} "
+                                 f"(nu = {self.nu:.6g}) is not finite in float64")
 
     def _bracket(self, r, order: float, sign: float):
         """(x - x0, the scaled bracket of the given order)."""

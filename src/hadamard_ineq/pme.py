@@ -45,7 +45,6 @@ __all__ = [
     "fit_envelopes",
     "moser_chain_constant",
     "smoothing_exponent",
-    "quasi_smoothing_exponent",
 ]
 
 # ---------------------------------------------------------------------------
@@ -237,14 +236,9 @@ def pme_run(config: PMEConfig) -> PMERun:
 # decay-law fitting
 # ---------------------------------------------------------------------------
 
-def smoothing_exponent(N: int, m: float) -> float:
-    """Flat-space sup-norm decay exponent N / (N (m - 1) + 2)."""
+def smoothing_exponent(N: float, m: float) -> float:
+    """Sup-norm decay exponent N / (N (m - 1) + 2) in (effective) dimension N."""
     return N / (N * (m - 1.0) + 2.0)
-
-
-def quasi_smoothing_exponent(ntilde: float, m: float) -> float:
-    """Same law with the effective dimension of a quasi-Euclidean geometry."""
-    return ntilde / (ntilde * (m - 1.0) + 2.0)
 
 
 def log_correction_exponent(beta: float, m: float) -> float:

@@ -1,8 +1,8 @@
 """Direct variational estimates on the weighted half line.
 
 Two independent routes to the same constants as the supremum criterion:
-a generalized tridiagonal eigensolve for the p = 2 (spectral gap) case and
-a projected-gradient minimizer of the weighted Rayleigh quotient
+inertia bisection on the tridiagonal pencil for the p = 2 (spectral gap)
+case and a projected-gradient minimizer of the weighted Rayleigh quotient
 
     ||g'||_{2,w} / ||g||_{p,w}
 
@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 from .geometry import GL5_NODES, GL5_WEIGHTS, ModelFunction, ricci_uniformization
@@ -96,7 +95,7 @@ class _Mesh:
         # Gauss weight times w per element, for mass and L^p quadrature
         qpts = 0.5 * (nodes[:-1] + nodes[1:]) + 0.5 * h * GL5_NODES[:, None]
         self.qwwq = GL5_WEIGHTS[:, None] * 0.5 * h * weight.w_at(qpts)
-        # stiffness A and mass M; A = L D L^T is factored once for both solvers
+        # stiffness A and mass M; A = L D L^T preconditions rayleigh, A - s M bisects
         self.A = _assemble(self.k, self.k, -self.k)
         self.M = _assemble(*(np.array([_PHI_L ** 2, _PHI_R ** 2, _PHI_L * _PHI_R]) @ self.qwwq))
         d, e, info = dpttrf(*self.A)
@@ -141,16 +140,21 @@ class PoincareResult:
 
 
 def _smallest_eig(mesh: _Mesh):
-    """Shift-invert Lanczos at sigma = 0 through the stiffness factor; the
-    eigenvalue is the Rayleigh quotient of the returned vector."""
-    n = mesh.n_free
-    op = lambda matvec: LinearOperator((n, n), matvec=matvec, dtype=float)
-    tridiagonal = lambda diagonals: op(lambda x: _tridiagonal_matvec(*diagonals, x))
-    # with OPinv given, ARPACK reads only the shape of the stiffness operator
-    _, vecs = eigsh(tridiagonal(mesh.A), k=1, M=tridiagonal(mesh.M), sigma=0.0, which="LM",
-                    v0=np.ones(n), OPinv=op(mesh.solve))  # fixed v0: reproducible runs
-    v = vecs[:, 0]
-    return mesh.energy(v) / float(v @ _tridiagonal_matvec(*mesh.M, v)), v
+    """A - s M factors (dpttrf info 0) exactly when s < lambda1 (Sylvester's
+    law of inertia), so [0, quotient of the ones vector] is bisected to
+    adjacent doubles; two inverse-iteration solves at the lower end give the
+    eigenvector, and its Rayleigh quotient the eigenvalue."""
+    mass = lambda v: _tridiagonal_matvec(*mesh.M, v)
+    shifted = lambda s: dpttrf(mesh.A[0] - s * mesh.M[0], mesh.A[1] - s * mesh.M[1])
+    v = np.ones(mesh.n_free)
+    lo, hi = 0.0, mesh.energy(v) / float(v @ mass(v))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if shifted(mid)[2] == 0 else (lo, mid)
+    d, e, _ = shifted(lo)
+    for _ in range(2):
+        v = dpttrs(d, e, mass(v))[0]
+        v = v / v[np.argmax(np.abs(v))]
+    return mesh.energy(v) / float(v @ mass(v)), v
 
 
 def poincare_eigen(weight: WeightMeasure, R_domain: float) -> PoincareResult:
@@ -162,15 +166,11 @@ def poincare_eigen(weight: WeightMeasure, R_domain: float) -> PoincareResult:
     """
     mesh = _Mesh(weight, R_domain)
     lam, vec = _smallest_eig(mesh)
-    if lam <= 0:
-        raise GridTooCoarse("nonpositive leading eigenvalue; mesh unusable")
     lam2, _ = _smallest_eig(_Mesh(weight, R_domain, stride=2))
     if abs(lam2 - lam) > 0.01 * lam:
-        raise GridTooCoarse(
-            f"eigenvalue moved {abs(lam2 - lam) / lam:.2%} under coarsening")
-    g = mesh.full(vec) / vec[np.argmax(np.abs(vec))]
+        raise GridTooCoarse(f"eigenvalue moved {abs(lam2 - lam) / lam:.2%} under coarsening")
     return PoincareResult(lambda1=lam, best_constant=1.0 / math.sqrt(lam),
-                          r=mesh.nodes, eigenfunction=g)
+                          r=mesh.nodes, eigenfunction=mesh.full(vec))
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_criterion_7_flat_space_decay(flat_pme_run):
 
 
 def test_criterion_8_quasi_smoothing(quasi_pme_run):
-    target = -pme.quasi_smoothing_exponent(5.0, 2.0)  # -5/7
+    target = -pme.smoothing_exponent(5.0, 2.0)  # -5/7
     fit = pme.fit_smoothing(quasi_pme_run.states, "power_only", window=(5.0, 500.0))
     ok = abs(fit.power_exponent - target) <= 0.1 * abs(target)
     _report(8, "quasi-Euclidean decay exponent 5/7 reproduced", ok,

@@ -65,6 +65,16 @@ def test_model_export_refuses_overflow(tmp_path, capsys):
         geo.model_to_csv(model, tmp_path / "table.csv")
 
 
+@pytest.mark.parametrize("command", [["model"], ["sweep", "--p", "2.5"]])
+def test_nonfinite_bessel_glue_is_a_numerical_failure(tmp_path, capsys, command):
+    # nu = 1000 at beta = 1.999: the law itself is refused, before any table
+    rc = run_cli(command + ["--profile", "power", "--c0", "0.05", "--beta", "1.999",
+                            "--rmax", "20", "--out-dir", str(tmp_path / "m")])
+    assert rc == 1
+    assert "Bessel glue of c0 = 0.05, beta = 1.999 (nu = 1000)" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_sweep_hyperbolic_point(tmp_path):
     out = tmp_path / "s"
     rc = run_cli(["sweep", "--profile", "hyperbolic", "--k", "1", "--n", "3",
@@ -198,6 +208,8 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "m").exists()
 
 
+README_POINCARE = ["poincare", "--profile", "hyperbolic", "--k", "1", "--n", "3", "--rmax", "20",
+                   "--rdomain", "20"]
 README_PME = ["pme", "--profile", "quasi", "--c1", "2", "--r0", "1", "--n", "3", "--rmax", "60",
               "--rdomain", "50", "--m", "2", "--r-support", "2", "--t-end", "500",
               "--cells", "800"]
@@ -211,10 +223,11 @@ out, commands = sys.argv[1], json.loads(sys.argv[2])
 codes = [cli.main(argv + ["--out-dir", os.path.join(out, str(i))])
          for i, argv in enumerate(commands)]
 loaded = [m for m in lazy if m in sys.modules]
+sparse = "scipy.sparse.linalg" in sys.modules
 model = geo.build_model(geo.Hyperbolic(1.0), 3, 5.0, method="ode")
 geo.model_to_csv(model, os.path.join(out, "ode.csv"))
 table = geo.model_from_csv(os.path.join(out, "ode.csv"), 3)
-print(json.dumps({"codes": codes, "loaded": loaded, "built_by": model.built_by,
+print(json.dumps({"codes": codes, "loaded": loaded, "sparse": sparse, "built_by": model.built_by,
                   "psi": float(table.psi(2.0)), "after": [m for m in lazy if m in sys.modules]}))
 """
 
@@ -224,14 +237,15 @@ def test_readme_commands_load_no_ode_or_spline_code(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    commands = [POWER_SWEEP, FLAT_RAYLEIGH, README_PME]
+    commands = [POWER_SWEEP, README_POINCARE, FLAT_RAYLEIGH, README_PME]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path),
                            json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["codes"] == [0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 0]
     assert doc["loaded"] == []
+    assert doc["sparse"] is False  # the spectral gap needs only LAPACK
     # the integrator and the imported table load them on demand
     assert doc["built_by"] == "ode"
     assert doc["psi"] == pytest.approx(math.sinh(2.0), rel=1e-8)

@@ -10,6 +10,7 @@ from hadamard_ineq.errors import (
     CurvatureNotVanishing,
     FlatProfile,
     NonHadamardProfile,
+    NumericalError,
     OutOfDomain,
     ValidationError,
 )
@@ -321,6 +322,13 @@ def test_power_law_logpsi_stays_finite():
     assert got == pytest.approx(20002.66, abs=0.01)
     assert abs(got - expected) < 1e-8
 
+
+def test_power_law_refuses_a_bessel_glue_that_is_not_finite():
+    # beta = 1.999: nu = 1000, and at x0 = 447 (c0 = 0.05) ive underflows to
+    # 0 and kve overflows, so the glue would be NaN; c0 = 1 still glues
+    with pytest.raises(NumericalError, match=r"c0 = 0.05, beta = 1.999 \(nu = 1000\)"):
+        geo.PowerLaw(0.05, 1.999, 1.0)
+    assert math.isfinite(float(geo.PowerLaw(1.0, 1.999, 1.0).logpsi(10.0)))
 
 
 def test_quadratic_law_logpsi_stays_finite():

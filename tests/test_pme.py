@@ -188,7 +188,7 @@ def test_envelope_exponent_identity():
 
 def test_smoothing_exponents():
     assert pme.smoothing_exponent(3, 2.0) == pytest.approx(0.6)
-    assert pme.quasi_smoothing_exponent(5.0, 2.0) == pytest.approx(5.0 / 7.0)
+    assert pme.smoothing_exponent(5.0, 2.0) == pytest.approx(5.0 / 7.0)
 
 
 # ---------------------------------------------------------------------------

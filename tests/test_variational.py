@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.lapack import dpttrf
 
 from hadamard_ineq import geometry as geo
 from hadamard_ineq import variational as var
 from hadamard_ineq import weighted as wgt
-from hadamard_ineq.errors import InvalidExponent, OutOfDomain
+from hadamard_ineq.errors import GridTooCoarse, InvalidExponent, OutOfDomain
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,25 @@ def test_poincare_lambda1_is_the_rayleigh_quotient_of_its_eigenfunction(rmax, R)
     g = res.eigenfunction[:-1]
     quotient = mesh.energy(g) / mesh.power_sum(g, 2.0)[0]
     assert res.lambda1 == pytest.approx(quotient, rel=1e-12)
+
+
+@pytest.mark.parametrize("rmax, R", [(20.0, 20.0), (60.0, 60.0)], ids=["readme", "rmax60"])
+def test_poincare_lambda1_is_certified_by_inertia(rmax, R):
+    # Sylvester's law of inertia: A - sigma M factors exactly when sigma < lambda1
+    weight = wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), 3, rmax))
+    lam = var.poincare_eigen(weight, R).lambda1
+    mesh = var._Mesh(weight, R)
+    info = lambda s: dpttrf(mesh.A[0] - s * mesh.M[0], mesh.A[1] - s * mesh.M[1])[2]
+    assert info(lam * (1.0 - 1e-12)) == 0
+    assert info(lam * (1.0 + 1e-12)) > 0
+
+
+def test_poincare_coarsening_guard_refuses_a_sparse_log_grid():
+    # 64 log-spaced nodes on (0, 20]: halving them moves lambda1 by 25 %
+    weight = wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), 3, 20.0,
+                                              grid=geo.GridSpec(n=64, kind="log")))
+    with pytest.raises(GridTooCoarse, match="eigenvalue moved 24.93% under coarsening"):
+        var.poincare_eigen(weight, 20.0)
 
 
 @pytest.mark.parametrize("k, rmax, R", [(1.0, 60.0, 40.0), (1.0, 60.0, 60.0),
