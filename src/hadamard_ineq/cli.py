@@ -315,8 +315,8 @@ def cmd_poincare(args, out: Path, h: str):
     res = variational.poincare_eigen(weight, args.rdomain)
     report_io.write_csv(out / "eigenfunction.csv", h, "spectral-gap-eigenfunction",
                         ("r", "g"), zip(res.r, res.eigenfunction))
-    report_io.write_gnuplot(out / "eigenfunction.gnuplot.dat", h,
-                            "spectral-gap-eigenfunction", res.r, res.eigenfunction)
+    report_io.write_csv(out / "eigenfunction.gnuplot.dat", h,
+                        "spectral-gap-eigenfunction", None, zip(res.r, res.eigenfunction))
     payload = {"lambda1": res.lambda1, "best_constant": res.best_constant,
                "R_domain": args.rdomain}
     if _law(model.profile) == "constant":
@@ -337,8 +337,8 @@ def cmd_rayleigh(args, out: Path, h: str):
                                         tol=tols["rayleigh"])
     report_io.write_csv(out / "minimizer.csv", h, "rayleigh-minimizer",
                         ("r", "g"), zip(res.r, res.minimizer))
-    report_io.write_gnuplot(out / "minimizer.gnuplot.dat", h, "rayleigh-minimizer",
-                            res.r, res.minimizer)
+    report_io.write_csv(out / "minimizer.gnuplot.dat", h, "rayleigh-minimizer",
+                        None, zip(res.r, res.minimizer))
     payload = {"p": args.p, "R_domain": args.rdomain, "ratio": res.ratio,
                "converged": res.converged, "iterations": res.iterations}
     if not rep.divergent:
@@ -357,10 +357,8 @@ def cmd_certificate(args, out: Path, h: str):
                         ("R", "G", "p", "lower_bound_on_C", "conclusion"),
                         ((c.R, c.G, c.p, c.lower_bound_on_C, c.conclusion)
                          for c in reports))
-    report_io.write_gnuplot(out / "certificate.gnuplot.dat", h,
-                            "nonradial-failure-certificate",
-                            [c.R for c in reports],
-                            [c.lower_bound_on_C for c in reports])
+    report_io.write_csv(out / "certificate.gnuplot.dat", h, "nonradial-failure-certificate",
+                        None, ((c.R, c.lower_bound_on_C) for c in reports))
     conclusion = "grows" if all(c.conclusion == "grows" for c in reports) else "bounded"
     payload = {"p": args.p, "R": radii,
                "lower_bound_on_C": [c.lower_bound_on_C for c in reports],
@@ -386,10 +384,8 @@ def cmd_pme(args, out: Path, h: str):
     report_io.write_csv(out / "timeseries.csv", h, "pme-decay-series",
                         ("t", "sup", "mass", "support_edge"),
                         ((s.t, s.sup, s.mass, s.support_edge) for s in run.states))
-    ts = [s.t for s in run.states if s.t > 0]
-    sups = [s.sup for s in run.states if s.t > 0]
-    report_io.write_gnuplot(out / "sup_vs_t.gnuplot.dat", h, "pme-decay-series",
-                            ts, sups)
+    report_io.write_csv(out / "sup_vs_t.gnuplot.dat", h, "pme-decay-series", None,
+                        ((s.t, s.sup) for s in run.states if s.t > 0))
     if args.snapshots <= 0:
         idx = np.arange(len(run.states))
     else:

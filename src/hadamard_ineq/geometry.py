@@ -57,6 +57,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import ive, kve
 
+from . import report_io
 from .errors import (
     CurvatureNotVanishing,
     FlatProfile,
@@ -920,7 +921,7 @@ def check_comparison(model: ModelFunction, bound) -> ComparisonReport:
     """Verify a pointwise lower bound on the Laplacian density (or on psi'/psi).
 
     * ``EuclideanBound``: (N-1) psi'/psi >= (N-1)/r for all r,
-    * ``Lemma31Bound(c, r0, beta)``: (N-1) psi'/psi >= c r^(-beta/2) for r >= r0,
+    * ``Lemma31Bound(c, r0, beta)``: psi'/psi >= c r^(-beta/2) for r >= r0,
     * ``McKeanBound(k)``: psi'/psi >= sqrt(k) for all r.
 
     The report flags the largest contiguous failing radius interval, if any.
@@ -931,8 +932,7 @@ def check_comparison(model: ModelFunction, bound) -> ComparisonReport:
     if isinstance(bound, EuclideanBound):
         ok = (model.N - 1) * z >= (model.N - 1) / r * (1 - slack)
     elif isinstance(bound, Lemma31Bound):
-        target = bound.c * r ** (-bound.beta / 2.0)
-        ok = (model.N - 1) * z >= target * (1 - slack)
+        ok = z >= bound.c * r ** (-bound.beta / 2.0) * (1 - slack)
         ok |= r < bound.r0
     elif isinstance(bound, McKeanBound):
         ok = z >= math.sqrt(bound.k) * (1 - slack)
@@ -1023,14 +1023,10 @@ def ricci_uniformization(model: ModelFunction, R: float,
 # ---------------------------------------------------------------------------
 
 def model_to_csv(model: ModelFunction, path, header_comment: Optional[str] = None):
-    """Write the sampled table as ``r,psi,dpsi`` at full double precision."""
-    rows = model.table()
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        f.write("r,psi,dpsi\n")
-        for r, p, dp in rows:
-            f.write(f"{r:.17g},{p:.17g},{dp:.17g}\n")
+    """Write the sampled table as a ``report_io`` CSV with columns ``r,psi,dpsi``
+    at 17 significant digits, under a ``# header_comment`` line when one is given."""
+    return report_io._write_table(path, header_comment, ("r", "psi", "dpsi"),
+                                  model.table())
 
 
 def model_from_csv(path, N: int) -> ModelFunction:

@@ -1,10 +1,12 @@
-"""Deterministic CSV / JSON emission shared by the command-line tools.
+"""Deterministic table / JSON emission shared by the command-line tools.
 
 Every file starts with a comment line carrying the tool version, a hash of
 the resolved run configuration, and a slug naming the quantity stored, so
 any output can be traced back to the exact invocation that produced it.
-CSV cells hold numbers at 17 significant digits (value-preserving for IEEE
-doubles); JSON is UTF-8 with sorted keys.
+A table is CSV, or with ``columns=None`` gnuplot data: space-separated, no
+column line.  Float columns hold 17 significant digits (value-preserving
+for IEEE doubles), any other column the ``fmt`` of each cell (``None`` is
+empty).  JSON is UTF-8 with sorted keys.
 """
 
 from __future__ import annotations
@@ -22,25 +24,42 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def header_line(cfg_hash: str, quantity: str) -> str:
-    return f"hadamard-ineq v{__version__} config={cfg_hash} quantity={quantity}"
-
-
 def fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"  # "nan", "inf" and "-inf" when not finite
     return "" if x is None else str(x)
 
 
-def write_csv(path, cfg_hash: str, quantity: str, columns, rows):
+def _save(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write(f"# {header_line(cfg_hash, quantity)}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(v) for v in row) + "\n")
+    path.write_text(text, encoding="utf-8", newline="")
     return path
+
+
+def _write_table(path, comment, columns, rows) -> Path:
+    """Write ``rows`` under a ``# comment`` line, if any; a ragged row raises."""
+    rows = [tuple(row) for row in rows]
+    width = len(columns if columns is not None else rows[0] if rows else ())
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"every row of {path} must hold {width} cells")
+    cells = [v for row in rows for v in row]
+    specs = []
+    for j in range(width):  # "%.17g" for a column of floats, else the fmt of each cell
+        floats = all(isinstance(v, float) for v in cells[j::width])
+        if not floats:
+            cells[j::width] = map(fmt, cells[j::width])
+        specs.append("%.17g" if floats else "%s")
+    head = f"# {comment}\n" if comment else ""
+    if columns is not None:
+        head += ",".join(columns) + "\n"
+    line = (" " if columns is None else ",").join(specs) + "\n"
+    return _save(path, head + line * len(rows) % tuple(cells))
+
+
+def write_csv(path, cfg_hash: str, quantity: str, columns, rows):
+    header = f"hadamard-ineq v{__version__} config={cfg_hash} quantity={quantity}"
+    return _write_table(path, header, columns, rows)
 
 
 def _jsonable(x):
@@ -56,22 +75,7 @@ def _jsonable(x):
 
 
 def write_json(path, cfg_hash: str, quantity: str, payload: dict):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"meta": {"tool": "hadamard-ineq", "version": __version__,
                     "config": cfg_hash, "quantity": quantity}}
     doc.update(_jsonable(payload))
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return path
-
-
-def write_gnuplot(path, cfg_hash: str, quantity: str, x, y):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(f"# {header_line(cfg_hash, quantity)}\n")
-        for a, b in zip(x, y):
-            f.write(f"{fmt(float(a))} {fmt(float(b))}\n")
-    return path
+    return _save(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -304,11 +304,14 @@ def nonradial_certificate(model: ModelFunction, p: float, R: float) -> Certifica
 
     The bound scales like G(R)^(N (1/p - 1/2*)): it grows without bound for
     p below the critical exponent whenever G does, and is exactly
-    R-independent at the critical exponent.
+    R-independent at the critical exponent.  R <= 0.4 Rmax: G is also taken at 2R.
     """
     crit = sobolev_critical(model.N)
     if not (2.0 <= p <= crit):
         raise InvalidExponent(f"need 2 <= p <= {crit}, got {p}")
+    if not (0.0 < R <= 0.4 * model.Rmax):
+        raise OutOfDomain(f"need 0 < R <= 0.4 Rmax = {0.4 * model.Rmax:.6g}: the "
+                          f"certificate also needs G at 2R = {2.0 * R:.6g} <= 0.8 Rmax")
     G1 = ricci_uniformization(model, R)
     v1 = _certificate_value(model.N, p, G1)
     G2 = ricci_uniformization(model, 2.0 * R)

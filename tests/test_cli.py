@@ -344,6 +344,28 @@ def test_certificate_command(tmp_path):
     assert len(rows) == 5
 
 
+def test_certificate_refuses_a_radius_whose_double_passes_the_domain(tmp_path, capsys):
+    # R = 900 <= 0.8 Rmax, but the conclusion also needs G at 2R = 1800 > 0.8 Rmax
+    rc = run_cli(["certificate", "--profile", "power", "--c0", "1", "--beta", "1",
+                  "--r0", "1", "--n", "3", "--rmax", "2000", "--p", "2",
+                  "--r", "50,900", "--out-dir", str(tmp_path / "c")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: need 0 < R <= 0.4 Rmax = 800: the certificate also needs G at 2R = 1800")
+
+
+@pytest.mark.parametrize("argv, stem", [
+    ("poincare --profile hyperbolic --k 1 --n 3 --rmax 20 --rdomain 20", "eigenfunction"),
+    ("rayleigh --profile euclidean --n 3 --rmax 60 --rdomain 50 --p 6", "minimizer"),
+], ids=["poincare", "rayleigh"])
+def test_gnuplot_files_match_their_csvs(tmp_path, argv, stem):
+    assert run_cli(argv.split() + ["--out-dir", str(tmp_path)]) == 0
+    csv = (tmp_path / f"{stem}.csv").read_text().splitlines()
+    dat = (tmp_path / f"{stem}.gnuplot.dat").read_text().splitlines()
+    assert dat[0] == csv[0]
+    assert dat[1:] == [row.replace(",", " ") for row in csv[2:]]
+
+
 def test_pme_command(tmp_path):
     out = tmp_path / "d"
     rc = run_cli(["pme", "--profile", "quasi", "--c1", "2", "--n", "3",

@@ -209,6 +209,17 @@ def test_lemma31_scan_and_growth(power_model):
     assert np.all(lhs >= rhs - 1e-9)
 
 
+@pytest.mark.parametrize("factor, holds", [(1.0, True), (1.5, False), (1.9, False)])
+def test_lemma31_bound_is_checked_on_psi_prime_over_psi(factor, holds):
+    # the bound is psi'/psi >= c r^(-beta/2), with no (N-1) factor
+    model = geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 2000.0)
+    _, r0 = geo.lemma31_constants(model)
+    r = model.grid_r[model.grid_r >= r0]
+    inf = float(np.min(model.dlogpsi(r) * np.sqrt(r)))
+    rep = geo.check_comparison(model, geo.Lemma31Bound(factor * inf, r0, 1.0))
+    assert rep.holds is holds
+
+
 def test_ricci_uniformization_constant_curvature(hyperbolic_model):
     with pytest.raises(CurvatureNotVanishing):
         geo.ricci_uniformization(hyperbolic_model, 5.0)

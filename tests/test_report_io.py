@@ -1,0 +1,43 @@
+import math
+
+import numpy as np
+import pytest
+
+from hadamard_ineq import __version__, report_io
+
+HEADER = f"# hadamard-ineq v{__version__} config=0123456789abcdef quantity=pin\n"
+
+
+def test_csv_bytes(tmp_path):
+    rows = [(0.1, np.float64(1.0 / 3.0), "at_infinity", 7),
+            (math.inf, -math.inf, None, True),
+            (math.nan, -0.0, 5e-324, False)]
+    path = report_io.write_csv(tmp_path / "pin.csv", "0123456789abcdef", "pin",
+                               ("x", "y", "label", "n"), iter(rows))
+    assert path.read_bytes() == (HEADER + "x,y,label,n\n"
+                                 "0.10000000000000001,0.33333333333333331,at_infinity,7\n"
+                                 "inf,-inf,,True\n"
+                                 "nan,-0,4.9406564584124654e-324,False\n").encode()
+
+
+def test_gnuplot_layout_bytes(tmp_path):
+    # no column names: space-separated rows and no column line
+    rows = zip(np.array([2.5e-310, 1e300, -math.inf]), [-0.0, math.nan, 3])
+    path = report_io.write_csv(tmp_path / "pin.gnuplot.dat", "0123456789abcdef", "pin",
+                               None, rows)
+    assert path.read_bytes() == (HEADER + "2.5000000000000171e-310 -0\n"
+                                 "1.0000000000000001e+300 nan\n"
+                                 "-inf 3\n").encode()
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (("a", "b"), [(1.0, 2.0), (3.0,)]),
+    (("a", "b"), [(1.0, 2.0), (3.0, 4.0, 5.0)]),
+    (None, [(1.0, 2.0), (3.0,)]),
+    (None, [(1.0,), (2.0, 3.0)]),
+], ids=["csv_short", "csv_long", "gnuplot_short", "gnuplot_long"])
+def test_ragged_rows_are_refused(tmp_path, columns, rows):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="must hold"):
+        report_io.write_csv(path, "0123456789abcdef", "pin", columns, rows)
+    assert not path.exists()
