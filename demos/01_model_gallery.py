@@ -38,7 +38,7 @@ def main():
     err = float(np.max(np.abs(back.psi(r) / model.psi(r) - 1.0)))
     print(f"\nexported demo_model.csv; round-trip relative error {err:.2e}")
 
-    # the scanned Laplacian lower bound for a power-law geometry
+    # the Laplacian lower bound of Lemma 3.1 for a power-law geometry
     mp = geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 200.0)
     c, r0 = geo.lemma31_constants(mp)
     rep = geo.check_comparison(mp, geo.Lemma31Bound(c, r0, 1.0))

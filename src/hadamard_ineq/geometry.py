@@ -958,30 +958,21 @@ def check_comparison(model: ModelFunction, bound) -> ComparisonReport:
 
 
 def lemma31_constants(model: ModelFunction):
-    """Scan for (c, r0) such that psi'/psi >= c r^(-beta/2) for r >= r0.
+    """(c, r0) with psi'/psi >= c r^(-beta/2) for r >= r0, read from the law.
 
-    beta is the decay exponent of the model's profile.  c is half the
-    infimum of (psi'/psi) r^(beta/2) over the scanned tail, which starts at
-    the larger of the profile's flat cap and Rmax/100; r0 is the earliest
-    grid radius past which the bound holds throughout.
+    For the power law c0 r^(-beta), beta < 2, with flat cap r0: c =
+    min(sqrt(c0), r0^(beta/2 - 1)), and r0 is the cap radius.  Proof: past
+    the cap z = psi'/psi solves z' = c0 r^(-beta) - z^2 with z(r0) = 1/r0.
+    The barrier b = c r^(-beta/2) has b' <= 0 <= (c0 - c^2) r^(-beta) =
+    c0 r^(-beta) - b^2 when c^2 <= c0, so it is a subsolution, and b(r0) =
+    c r0^(-beta/2) <= 1/r0 = z(r0); hence z >= b on [r0, infinity).  No
+    grid is read, so :func:`check_comparison` tests the built warping
+    against an independent prediction.
     """
-    beta = getattr(model.profile, "beta", None)
-    if beta is None:
-        raise ValidationError("profile has no decay exponent")
-    tail_start = max(float(getattr(model.profile, "flat_cap", 0.0)), 1e-2 * model.Rmax)
-    r = model.grid_r[1:]
-    prod = np.asarray(model.dlogpsi(r), float) * r ** (beta / 2.0)
-    tail = r >= tail_start
-    if not np.any(tail):
-        raise ValidationError("tail window empty: the profile's flat cap lies past Rmax")
-    c = 0.5 * float(np.min(prod[tail]))
-    if c <= 0:
-        raise ValidationError("psi'/psi not positive on the tail")
-    ok = prod >= c
-    # smallest radius from which the bound never fails again
-    good_from = np.flatnonzero(~ok)
-    r0 = float(r[good_from[-1] + 1]) if good_from.size else float(r[0])
-    return c, r0
+    prof = model.profile
+    if not (isinstance(prof, PowerLaw) and prof.beta < 2.0):
+        raise ValidationError("constants derive from a power law with beta < 2")
+    return min(math.sqrt(prof.c0), prof.r0 ** (prof.beta / 2.0 - 1.0)), prof.r0
 
 
 def ricci_uniformization(model: ModelFunction, R: float,

@@ -220,6 +220,19 @@ def test_lemma31_bound_is_checked_on_psi_prime_over_psi(factor, holds):
     assert rep.holds is holds
 
 
+def test_lemma31_bound_of_a_larger_c0_fails():
+    # psi'/psi ~ sqrt(c0) r^(-beta/2) far out, so the c = 2 of c0 = 4 cannot
+    # hold on the c0 = 1 law, whose own c = 1 must
+    model = geo.build_model(geo.PowerLaw(1.0, 1.0, 0.25), 3, 2000.0)
+    larger = geo.build_model(geo.PowerLaw(4.0, 1.0, 0.25), 3, 2000.0)
+    c, r0 = geo.lemma31_constants(larger)
+    assert (c, r0) == (pytest.approx(2.0), 0.25)
+    assert geo.check_comparison(model, geo.Lemma31Bound(c, r0, 1.0)).holds is False
+    c, r0 = geo.lemma31_constants(model)
+    assert (c, r0) == (pytest.approx(1.0), 0.25)
+    assert geo.check_comparison(model, geo.Lemma31Bound(c, r0, 1.0)).holds is True
+
+
 def test_ricci_uniformization_constant_curvature(hyperbolic_model):
     with pytest.raises(CurvatureNotVanishing):
         geo.ricci_uniformization(hyperbolic_model, 5.0)
