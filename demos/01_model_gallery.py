@@ -40,9 +40,9 @@ def main():
 
     # the Laplacian lower bound of Lemma 3.1 for a power-law geometry
     mp = geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 200.0)
-    c, r0 = geo.lemma31_constants(mp)
-    rep = geo.check_comparison(mp, geo.Lemma31Bound(c, r0, 1.0))
-    print(f"certified Laplacian density >= {c:.4f} r^-1/2 for r >= {r0:.3g}: "
+    c, r0 = mp.profile.lemma31
+    rep = geo.check_comparison(mp, mp.profile.barrier)
+    print(f"Lemma 3.1: psi'/psi >= {c:.4f} r^-1/2 for r >= {r0:.3g}: "
           f"holds={rep.holds}")
 
 

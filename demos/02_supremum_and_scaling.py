@@ -31,7 +31,7 @@ def main():
     wp = wgt.build_weight(mp)
     ps = np.linspace(2.02, 2.2, 10)
     print("\ncurvature -r^(-1): supremum vs exponent")
-    c, r0 = geo.lemma31_constants(mp)
+    c, r0 = mp.profile.lemma31
     reports = [wgt.supremum_B(wp, float(p)) for p in ps]
     for p, r in zip(ps, reports):
         bound = wgt.lemma41_bound(3, 0.5, c, r0, float(p))

@@ -39,15 +39,6 @@ _PROFILES = {
 }
 
 
-def _law(profile) -> str:
-    """The curvature law of a built profile, which every law-dependent bound
-    and prediction reads: 'flat', 'constant' (k > 0), 'power' (beta < 2) or
-    'quadratic' (the power law at beta = 2, whichever flag spelled it)."""
-    if isinstance(profile, geometry.PowerLaw):
-        return "power" if profile.beta < 2.0 else "quadratic"
-    return "constant" if profile.k > 0.0 else "flat"
-
-
 def _finite(text: str) -> float:
     """A finite float: the type of every float flag and number in a list flag."""
     try:
@@ -229,53 +220,12 @@ def cmd_model(args, out: Path, h: str):
     payload = {"profile": args.profile, "N": model.N, "Rmax": model.Rmax,
                "built_by": model.built_by, "cartan_hadamard": flag,
                "violation_radius": viol}
-    if _law(model.profile) == "power":
-        c, r0 = geometry.lemma31_constants(model)
-        rep = geometry.check_comparison(model,
-                                        geometry.Lemma31Bound(c, r0, model.profile.beta))
-        payload["laplacian_lower_bound"] = {"c": c, "r0": r0, "holds": rep.holds}
+    if model.profile.lemma31 is not None:
+        c, r0 = model.profile.lemma31
+        holds = geometry.check_comparison(model, model.profile.barrier).holds
+        payload["laplacian_lower_bound"] = {"c": c, "r0": r0, "holds": holds}
     return ("model.json", "model-summary", payload,
             f"model written: CH={flag} nodes={len(model.grid_r)}")
-
-
-def _lemma_bound(model):
-    """p -> the explicit bound on B for the model's law, nan where none applies.
-
-    Lemma 4.1 on power laws with beta < 2 and lemma 4.2 at beta = 2, each
-    on the exponents it admits; McKean's constant at p = 2 on constant
-    curvature k > 0.
-    """
-    law, prof = _law(model.profile), model.profile
-    explicit = lambda p: math.nan
-    if law == "power":
-        c, r0 = geometry.lemma31_constants(model)
-        explicit = lambda p: weighted.lemma41_bound(model.N, prof.beta / 2.0, c, r0, p)
-    elif law == "quadratic":
-        constants = weighted.lemma42_constants(model)
-        explicit = lambda p: weighted.lemma42_bound(model.N, *constants, p)
-    elif law == "constant":
-        mckean = weighted.mckean_bounds(model.N, prof.k)[0]
-        explicit = lambda p: mckean if p == 2.0 else math.nan
-
-    def bound(p: float) -> float:
-        try:
-            return explicit(p)
-        except ValidationError:  # p outside the exponents the lemma admits
-            return math.nan
-    return bound
-
-
-def _predicted_slope(profile, mode: str):
-    """The slope of log B that the law predicts: 1/2 against log p; against
-    log(p - 2), -beta/(2 - beta) under a power law, 0 under k > 0, where B
-    stays finite, and None in flat space and at beta = 2, where B diverges
-    at p = 2."""
-    if mode == "p_large":
-        return 0.5
-    law = _law(profile)
-    if law == "power":
-        return -profile.beta / (2.0 - profile.beta)
-    return 0.0 if law == "constant" else None
 
 
 def cmd_sweep(args, out: Path, h: str):
@@ -283,7 +233,6 @@ def cmd_sweep(args, out: Path, h: str):
     p_values = _parse_p_list(args.p)
     model = _model_from(args)
     weight = weighted.build_weight(model)
-    bound = _lemma_bound(model)
     reports = _parallel_map(
         lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
         [float(p) for p in p_values], args.jobs)
@@ -291,7 +240,8 @@ def cmd_sweep(args, out: Path, h: str):
                         ("p", "B", "r_bar", "sandwich_upper", "lemma_bound",
                          "divergent"),
                         ((p, rep.B, "at_infinity" if rep.at_infinity else rep.r_bar,
-                          rep.sandwich_upper, bound(float(p)), rep.divergent)
+                          rep.sandwich_upper,
+                          model.profile.bound_on_B(model.N, float(p)), rep.divergent)
                          for p, rep in zip(p_values, reports)))
 
     payload = {"p": list(map(float, p_values)),
@@ -303,8 +253,9 @@ def cmd_sweep(args, out: Path, h: str):
         payload["regression"] = {"mode": args.regress, "fitted_slope": fit.slope,
                                  "intercept": fit.intercept,
                                  "residual_rms": fit.residual_rms,
-                                 "predicted_slope": _predicted_slope(model.profile,
-                                                                     args.regress)}
+                                 # B grows like sqrt(p) under every law
+                                 "predicted_slope": (0.5 if args.regress == "p_large"
+                                                     else model.profile.p_to_2_slope)}
     return ("sweep.json", "weighted-supremum-sweep", payload,
             f"sweep of {len(p_values)} exponents written")
 
@@ -319,9 +270,10 @@ def cmd_poincare(args, out: Path, h: str):
                         "spectral-gap-eigenfunction", None, zip(res.r, res.eigenfunction))
     payload = {"lambda1": res.lambda1, "best_constant": res.best_constant,
                "R_domain": args.rdomain}
-    if _law(model.profile) == "constant":
+    mckean = model.profile.mckean(model.N)
+    if mckean is not None:
         payload["mckean"] = dict(zip(("sup_bound", "poincare_constant", "spectral_gap"),
-                                     weighted.mckean_bounds(model.N, model.profile.k)))
+                                     mckean))
     return ("poincare.json", "spectral-gap", payload,
             f"lambda1={res.lambda1:.6g} best_constant={res.best_constant:.6g}")
 
@@ -399,23 +351,20 @@ def cmd_pme(args, out: Path, h: str):
     mass0 = run.states[0].mass
     payload = {"m": args.m, "mass": mass0, "steps": run.steps,
                "stopped_early": run.stopped_early, "stop_reason": run.stop_reason}
-    law = _law(model.profile)
+    beta = model.profile.log_fit_beta
     try:
         if args.fit in ("power_only", "both"):
             payload["power_only"] = dataclasses.asdict(
                 pme.fit_smoothing(run.states, "power_only", window=window))
-        if args.fit in ("power_with_log", "both") and law in ("power", "constant"):
+        if args.fit in ("power_with_log", "both") and beta is not None:
             payload["power_with_log"] = dataclasses.asdict(
-                pme.fit_smoothing(run.states, "power_with_log", m=args.m,
-                                  beta=getattr(model.profile, "beta", 0.0),
+                pme.fit_smoothing(run.states, "power_with_log", m=args.m, beta=beta,
                                   mass=mass0, window=window))
     except ValidationError as exc:
         payload["fit_error"] = str(exc)
-    if law == "quadratic":
-        ntilde, _ = weighted.critical_exponents(model.N, model.profile.c0)
-        payload["predicted_power_exponent"] = -pme.smoothing_exponent(ntilde, args.m)
-    elif law == "flat":
-        payload["predicted_power_exponent"] = -pme.smoothing_exponent(model.N, args.m)
+    dimension = model.profile.pme_dimension(model.N)
+    if dimension is not None:
+        payload["predicted_power_exponent"] = -pme.smoothing_exponent(dimension, args.m)
     return ("pme_fit.json", "pme-decay-fit", payload,
             f"pme run: steps={run.steps} stopped_early={run.stopped_early}")
 

@@ -40,6 +40,27 @@ and optionally
 * ``tangential_curvature(r)`` -- (psi'^2 - 1) / psi^2 in closed form, which
   the tangential Ricci curvature otherwise takes as z^2 - psi^(-2), z = psi'/psi.
 
+The laws the command line builds, :class:`Constant` and :class:`PowerLaw`,
+also state what they imply, with None (nan for a bound, -inf for a
+barrier) where they imply nothing:
+
+* ``lemma31``          -- the pair (c, r0) of Lemma 3.1, psi'/psi >= c
+  r^(-beta/2) for r >= r0;
+* ``barrier(r)``       -- its lower bound on psi'/psi, vectorised over r,
+  for :func:`check_comparison`;
+* ``bound_on_B(N, p)`` -- the explicit bound on B (Lemma 4.1, Lemma 4.2,
+  or McKean's at p = 2);
+* ``p_to_2_slope``     -- the predicted slope of log B against log(p - 2);
+* ``log_fit_beta``     -- the beta of the porous-medium ``power_with_log`` fit;
+* ``pme_dimension(N)`` -- the dimension of the predicted porous-medium
+  decay exponent (N flat, Ntilde at beta = 2);
+* ``mckean(N)``        -- McKean's (supremum bound, Poincare constant,
+  spectral gap).
+
+The members evaluate the pure formulas of :mod:`weighted` (``lemma41_bound``,
+``lemma42_bound``, ``mckean_bounds``, ``critical_exponents``), imported where
+called, since :mod:`weighted` imports this module.
+
 Only the integrator and the spline of an integrated or imported warping use
 ``scipy.integrate`` and ``scipy.interpolate``, and they import them when
 called, so work on closed-form profiles never loads either.  Every
@@ -59,9 +80,11 @@ from scipy.special import ive, kve
 
 from . import report_io
 from .errors import (
+    BelowCriticalExponent,
     CurvatureNotVanishing,
     FlatProfile,
     GridTooCoarse,
+    InvalidExponent,
     NonHadamardProfile,
     NumericalError,
     OutOfDomain,
@@ -83,15 +106,10 @@ __all__ = [
     "ModelFunction",
     "CurvatureReport",
     "ComparisonReport",
-    "EuclideanBound",
-    "Lemma31Bound",
-    "McKeanBound",
-    "WeakRicciBound",
     "build_model",
     "curvature_at",
     "is_cartan_hadamard",
     "check_comparison",
-    "lemma31_constants",
     "ricci_uniformization",
     "model_to_csv",
     "model_from_csv",
@@ -304,6 +322,39 @@ class Constant:
         """(psi'^2 - 1) / psi^2 = (cosh^2 - 1) / (sinh / sqrt(k))^2 = k."""
         return np.full_like(np.asarray(r, float), float(self.k))
 
+    # what the law implies (module docstring): McKean's bounds for k > 0,
+    # and the flat predictions at k = 0
+    lemma31 = None
+
+    def barrier(self, r):
+        """psi'/psi = sqrt(k) coth(sqrt(k) r) >= sqrt(k) (McKean); 1/r when flat."""
+        r = np.asarray(r, float)
+        if self.k == 0.0:
+            with np.errstate(divide="ignore"):
+                return 1.0 / r
+        return np.full_like(r, math.sqrt(self.k))
+
+    def mckean(self, N: int):
+        from .weighted import mckean_bounds
+        return mckean_bounds(N, self.k) if self.k > 0.0 else None
+
+    def bound_on_B(self, N: int, p: float) -> float:
+        """McKean's 1/(sqrt(k) (N-1)) at p = 2."""
+        return self.mckean(N)[0] if self.k > 0.0 and p == 2.0 else math.nan
+
+    @property
+    def p_to_2_slope(self):
+        """0 for k > 0, where B stays finite as p drops to 2; None when flat,
+        where it diverges."""
+        return 0.0 if self.k > 0.0 else None
+
+    @property
+    def log_fit_beta(self):
+        return 0.0 if self.k > 0.0 else None
+
+    def pme_dimension(self, N: int):
+        return float(N) if self.k == 0.0 else None
+
     def psi(self, r):
         r = np.asarray(r, float)
         if self.k == 0.0:
@@ -410,6 +461,79 @@ class PowerLaw:
         return self.exact.tail(model)
 
     tail_integral = _tail_quadrature
+
+    # what the law implies (module docstring): lemma 3.1 and 4.1 for
+    # beta < 2, lemma 4.2 and the effective dimension at beta = 2
+    @property
+    def lemma31(self):
+        """(c, r0) with psi'/psi >= c r^(-beta/2) for r >= r0 when beta < 2.
+
+        c = min(sqrt(c0), r0^(beta/2 - 1)), r0 the cap radius.  Proof: past
+        the cap z = psi'/psi solves z' = c0 r^(-beta) - z^2 with z(r0) = 1/r0.
+        The barrier b = c r^(-beta/2) has b' <= 0 <= (c0 - c^2) r^(-beta) =
+        c0 r^(-beta) - b^2 when c^2 <= c0, so it is a subsolution, and b(r0) =
+        c r0^(-beta/2) <= 1/r0 = z(r0); hence z >= b on [r0, infinity).  No
+        grid is read, so :func:`check_comparison` tests the built warping
+        against an independent prediction.
+        """
+        if self.beta == 2.0:
+            return None
+        return min(math.sqrt(self.c0), self.r0 ** (self.beta / 2.0 - 1.0)), self.r0
+
+    @property
+    def lemma42(self):
+        """(c, c', q, r0) with psi'/psi >= c/r - c'/r^q for r >= r0 at beta = 2.
+
+        From the two-power glue: psi'/psi = (q1 - (q1 - q2) rho) / r +
+        (q1 - q2) rho^2 / (r (1 + rho)) with rho = (a2/a1) r^(q2 - q1), so c =
+        q1, c' = (q1 - q2) a2 / a1 and q = 1 + q1 - q2; a2 > 0 for c0 > 0.
+        """
+        if self.beta < 2.0:
+            return None
+        glue = self.exact
+        return glue.q1, (glue.q1 - glue.q2) * glue.a2 / glue.a1, 1.0 + glue.q1 - glue.q2, self.r0
+
+    def barrier(self, r):
+        """The lower bound on psi'/psi of lemma 3.1 (beta < 2) or 4.2 (beta = 2)
+        past r0, -inf on the cap."""
+        r = np.asarray(r, float)
+        if self.beta < 2.0:
+            c, r0 = self.lemma31
+            low = lambda q: c * q ** (-self.beta / 2.0)
+        else:
+            c, cprime, power, r0 = self.lemma42
+            low = lambda q: c / q - cprime * q ** -power
+        return np.where(r >= r0, low(np.maximum(r, r0)), -np.inf)
+
+    def mckean(self, N: int):
+        return None
+
+    def bound_on_B(self, N: int, p: float) -> float:
+        """Lemma 4.1 (beta < 2) or 4.2 (beta = 2); nan at an exponent it does
+        not admit."""
+        from .weighted import lemma41_bound, lemma42_bound
+        try:
+            if self.beta < 2.0:
+                return lemma41_bound(N, self.beta / 2.0, *self.lemma31, p)
+            return lemma42_bound(N, *self.lemma42, p)
+        except (InvalidExponent, BelowCriticalExponent):
+            return math.nan
+
+    @property
+    def p_to_2_slope(self):
+        """-beta/(2 - beta); None at beta = 2, where B diverges at p = 2."""
+        return -self.beta / (2.0 - self.beta) if self.beta < 2.0 else None
+
+    @property
+    def log_fit_beta(self):
+        return self.beta if self.beta < 2.0 else None
+
+    def pme_dimension(self, N: int):
+        """Ntilde at beta = 2, with c0 the quadratic amplitude."""
+        if self.beta < 2.0:
+            return None
+        from .weighted import critical_exponents
+        return critical_exponents(N, self.c0)[0]
 
 
 class _BesselWarping:
@@ -879,100 +1003,29 @@ def is_cartan_hadamard(model: ModelFunction, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    bound: str
     holds: bool
-    r: np.ndarray
-    ok: np.ndarray
     fail_interval: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class EuclideanBound:
-    name = "euclidean"
+def check_comparison(model: ModelFunction, barrier) -> ComparisonReport:
+    """Verify psi'/psi >= barrier(r) at every grid radius, to 1e-12 relative.
 
-
-@dataclass(frozen=True)
-class Lemma31Bound:
-    c: float
-    r0: float
-    beta: float
-    name = "lemma31"
-
-
-@dataclass(frozen=True)
-class McKeanBound:
-    k: float
-    name = "mckean"
-
-
-@dataclass(frozen=True)
-class WeakRicciBound:
-    """Comparison via the model's own warping sampled at sqrt(N-1) r.
-
-    Valid under one-directional Ricci (rather than sectional) control; on
-    a model it is strictly weaker than the sectional version, and is
-    exposed only as an optional mode.
-    """
-
-    name = "weak_ricci"
-
-
-def check_comparison(model: ModelFunction, bound) -> ComparisonReport:
-    """Verify a pointwise lower bound on the Laplacian density (or on psi'/psi).
-
-    * ``EuclideanBound``: (N-1) psi'/psi >= (N-1)/r for all r,
-    * ``Lemma31Bound(c, r0, beta)``: psi'/psi >= c r^(-beta/2) for r >= r0,
-    * ``McKeanBound(k)``: psi'/psi >= sqrt(k) for all r.
-
-    The report flags the largest contiguous failing radius interval, if any.
+    ``barrier`` maps radii to lower bounds on psi'/psi, -inf where it claims
+    nothing; a law's own is its ``barrier`` (lemma 3.1 for a power law with
+    beta < 2).  The report gives the longest contiguous failing radius
+    interval, if any.
     """
     r = model.grid_r[1:]
-    z = np.asarray(model.dlogpsi(r), float)
-    slack = 1e-12
-    if isinstance(bound, EuclideanBound):
-        ok = (model.N - 1) * z >= (model.N - 1) / r * (1 - slack)
-    elif isinstance(bound, Lemma31Bound):
-        ok = z >= bound.c * r ** (-bound.beta / 2.0) * (1 - slack)
-        ok |= r < bound.r0
-    elif isinstance(bound, McKeanBound):
-        ok = z >= math.sqrt(bound.k) * (1 - slack)
-    elif isinstance(bound, WeakRicciBound):
-        s = math.sqrt(model.N - 1)
-        reach = r * s <= model.Rmax
-        r = r[reach]
-        z = z[reach]
-        ok = (model.N - 1) * z >= s * np.asarray(model.dlogpsi(s * r), float) * (1 - slack)
-    else:
-        raise ValidationError(f"unknown comparison bound {bound!r}")
+    ok = np.asarray(model.dlogpsi(r), float) >= np.asarray(barrier(r), float) * (1 - 1e-12)
     holds = bool(np.all(ok))
     interval = None
     if not holds:
         # longest run of failures
-        fail = ~ok
-        idx = np.flatnonzero(np.diff(np.concatenate([[0], fail.view(np.int8), [0]])))
+        idx = np.flatnonzero(np.diff(np.concatenate([[0], (~ok).view(np.int8), [0]])))
         starts, ends = idx[0::2], idx[1::2]
         j = np.argmax(ends - starts)
         interval = (float(r[starts[j]]), float(r[ends[j] - 1]))
-    return ComparisonReport(bound=bound.name, holds=holds, r=r, ok=ok,
-                            fail_interval=interval)
-
-
-def lemma31_constants(model: ModelFunction):
-    """(c, r0) with psi'/psi >= c r^(-beta/2) for r >= r0, read from the law.
-
-    For the power law c0 r^(-beta), beta < 2, with flat cap r0: c =
-    min(sqrt(c0), r0^(beta/2 - 1)), and r0 is the cap radius.  Proof: past
-    the cap z = psi'/psi solves z' = c0 r^(-beta) - z^2 with z(r0) = 1/r0.
-    The barrier b = c r^(-beta/2) has b' <= 0 <= (c0 - c^2) r^(-beta) =
-    c0 r^(-beta) - b^2 when c^2 <= c0, so it is a subsolution, and b(r0) =
-    c r0^(-beta/2) <= 1/r0 = z(r0); hence z >= b on [r0, infinity).  No
-    grid is read, so :func:`check_comparison` tests the built warping
-    against an independent prediction.
-    """
-    prof = model.profile
-    if not (isinstance(prof, PowerLaw) and prof.beta < 2.0):
-        raise ValidationError("constants derive from a power law with beta < 2")
-    return min(math.sqrt(prof.c0), prof.r0 ** (prof.beta / 2.0 - 1.0)), prof.r0
+    return ComparisonReport(holds=holds, fail_interval=interval)
 
 
 def ricci_uniformization(model: ModelFunction, R: float,

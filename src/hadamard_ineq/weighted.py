@@ -29,7 +29,7 @@ from .errors import (
     InvalidExponent,
     ValidationError,
 )
-from .geometry import GL5_NODES, ModelFunction, PowerLaw, TailModel, _gl5, tail_past_rmax
+from .geometry import GL5_NODES, ModelFunction, TailModel, _gl5, tail_past_rmax
 
 __all__ = [
     "WeightMeasure",
@@ -43,7 +43,6 @@ __all__ = [
     "sandwich_factor",
     "lemma41_bound",
     "lemma42_bound",
-    "lemma42_constants",
     "critical_exponents",
     "mckean_bounds",
     "scaling_regression",
@@ -378,19 +377,6 @@ def lemma42_bound(N: int, c: float, cprime: float, q: float, r0: float, p: float
     )
     sup_tail = bracket ** ((p + 2.0) / (2.0 * p))
     return math.sqrt(p / 2.0) * max(sup_head, sup_tail)
-
-
-def lemma42_constants(model: ModelFunction):
-    """(c, cprime, q, r0) certified for the quadratic law K = c0 r^(-2),
-    read from the two-power glue of a :class:`PowerLaw` at beta = 2."""
-    prof = model.profile
-    if not (isinstance(prof, PowerLaw) and prof.beta == 2.0):
-        raise ValidationError("constants derive from a power law at beta = 2")
-    glue = prof.exact
-    h = (glue.q1 - glue.q2) * max(glue.a2, 0.0) / glue.a1
-    if h == 0.0:
-        h = 1e-12
-    return glue.q1, h, 1.0 + (glue.q1 - glue.q2), prof.r0
 
 
 def critical_exponents(N: int, C1: float):

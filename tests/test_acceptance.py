@@ -77,7 +77,7 @@ def test_criterion_2_subhyperbolic_scaling(power_model, power_weight):
     p_values = np.linspace(2.02, 2.2, 10)
     fit = wgt.scaling_regression([wgt.supremum_B(power_weight, float(p))
                                   for p in p_values], "p_to_2")
-    c, r0 = geo.lemma31_constants(power_model)
+    c, r0 = power_model.profile.lemma31
     dominated = all(
         wgt.lemma41_bound(3, 0.5, c, r0, float(p)) >= B
         for p, B in zip(fit.p_values, fit.B_values))

@@ -515,3 +515,22 @@ def test_predicted_slope_follows_the_law(tmp_path, argv, slope):
     assert run_cli(["sweep", "--regress", "p_to_2", "--out-dir", str(tmp_path)] + argv) == 0
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["regression"]["predicted_slope"] == slope
+
+
+@pytest.mark.parametrize("name", cli._PROFILES)
+def test_every_law_answers_the_law_protocol(name):
+    # a law that misses a member, or answers with the wrong type, fails here
+    # rather than in a command run
+    law = cli._PROFILES[name](cli.build_parser().parse_args(["model", "--profile", name]))
+    floats = lambda values, count: (isinstance(values, tuple) and len(values) == count
+                                    and all(type(v) is float for v in values))
+    assert law.lemma31 is None or floats(law.lemma31, 2)
+    r = np.geomspace(1e-3, 1e3, 13)
+    barrier = law.barrier(r)
+    assert barrier.shape == r.shape and barrier.dtype == float
+    assert not np.any(np.isnan(barrier) | (barrier == np.inf))
+    assert geo.check_comparison(geo.build_model(law, 3, 50.0), law.barrier).holds
+    assert all(type(law.bound_on_B(3, p)) is float for p in (2.0, 2.5, 4.0))
+    for answer in (law.p_to_2_slope, law.log_fit_beta, law.pme_dimension(3)):
+        assert answer is None or type(answer) is float
+    assert law.mckean(3) is None or floats(law.mckean(3), 3)

@@ -176,8 +176,9 @@ def test_class_membership_invariants(profile, N):
 
 
 def test_comparison_mckean(hyperbolic_model, euclidean_model):
-    assert geo.check_comparison(hyperbolic_model, geo.McKeanBound(1.0)).holds
-    rep = geo.check_comparison(euclidean_model, geo.McKeanBound(1.0))
+    mckean = geo.Hyperbolic(1.0).barrier
+    assert geo.check_comparison(hyperbolic_model, mckean).holds
+    rep = geo.check_comparison(euclidean_model, mckean)
     assert not rep.holds
     lo, hi = rep.fail_interval
     assert lo == pytest.approx(1.0, rel=0.02)  # 1/r < 1 exactly past r = 1
@@ -185,20 +186,27 @@ def test_comparison_mckean(hyperbolic_model, euclidean_model):
 
 
 def test_comparison_euclidean_bound(power_model, hyperbolic_model):
-    assert geo.check_comparison(power_model, geo.EuclideanBound()).holds
-    assert geo.check_comparison(hyperbolic_model, geo.EuclideanBound()).holds
+    euclidean = geo.Euclidean().barrier
+    assert geo.check_comparison(power_model, euclidean).holds
+    assert geo.check_comparison(hyperbolic_model, euclidean).holds
 
 
 def test_comparison_weak_ricci_mode(hyperbolic_model, euclidean_model, power_model):
-    # the one-directional Ricci route is weaker on models, so it must hold
+    # the one-directional Ricci route is weaker on models, so it must hold:
+    # (N-1) psi'/psi(r) >= s psi'/psi(s r) with s = sqrt(N-1), within Rmax
     for m in (hyperbolic_model, euclidean_model, power_model):
-        assert geo.check_comparison(m, geo.WeakRicciBound()).holds
+        s = math.sqrt(m.N - 1)
+
+        def weak_ricci(r):
+            return np.where(s * r <= m.Rmax,
+                            s * m.dlogpsi(np.minimum(s * r, m.Rmax)) / (m.N - 1), -np.inf)
+        assert geo.check_comparison(m, weak_ricci).holds
 
 
 def test_lemma31_scan_and_growth(power_model):
-    c, r0 = geo.lemma31_constants(power_model)
+    c, r0 = power_model.profile.lemma31
     assert c > 0 and r0 > 0
-    rep = geo.check_comparison(power_model, geo.Lemma31Bound(c, r0, 1.0))
+    rep = geo.check_comparison(power_model, power_model.profile.barrier)
     assert rep.holds
     # growth floor implied by the certified pair: psi >= kappa exp(2c sqrt(r))
     alpha = 0.5
@@ -213,10 +221,11 @@ def test_lemma31_scan_and_growth(power_model):
 def test_lemma31_bound_is_checked_on_psi_prime_over_psi(factor, holds):
     # the bound is psi'/psi >= c r^(-beta/2), with no (N-1) factor
     model = geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 2000.0)
-    _, r0 = geo.lemma31_constants(model)
+    _, r0 = model.profile.lemma31
     r = model.grid_r[model.grid_r >= r0]
     inf = float(np.min(model.dlogpsi(r) * np.sqrt(r)))
-    rep = geo.check_comparison(model, geo.Lemma31Bound(factor * inf, r0, 1.0))
+    rep = geo.check_comparison(
+        model, lambda q: np.where(q >= r0, factor * inf / np.sqrt(q), -np.inf))
     assert rep.holds is holds
 
 
@@ -224,13 +233,11 @@ def test_lemma31_bound_of_a_larger_c0_fails():
     # psi'/psi ~ sqrt(c0) r^(-beta/2) far out, so the c = 2 of c0 = 4 cannot
     # hold on the c0 = 1 law, whose own c = 1 must
     model = geo.build_model(geo.PowerLaw(1.0, 1.0, 0.25), 3, 2000.0)
-    larger = geo.build_model(geo.PowerLaw(4.0, 1.0, 0.25), 3, 2000.0)
-    c, r0 = geo.lemma31_constants(larger)
-    assert (c, r0) == (pytest.approx(2.0), 0.25)
-    assert geo.check_comparison(model, geo.Lemma31Bound(c, r0, 1.0)).holds is False
-    c, r0 = geo.lemma31_constants(model)
-    assert (c, r0) == (pytest.approx(1.0), 0.25)
-    assert geo.check_comparison(model, geo.Lemma31Bound(c, r0, 1.0)).holds is True
+    larger = geo.PowerLaw(4.0, 1.0, 0.25)
+    assert larger.lemma31 == (pytest.approx(2.0), 0.25)
+    assert geo.check_comparison(model, larger.barrier).holds is False
+    assert model.profile.lemma31 == (pytest.approx(1.0), 0.25)
+    assert geo.check_comparison(model, model.profile.barrier).holds is True
 
 
 def test_ricci_uniformization_constant_curvature(hyperbolic_model):

@@ -374,7 +374,7 @@ def test_sandwich():
 # ---------------------------------------------------------------------------
 
 def test_lemma41_bound_dominates(power_model, power_weight):
-    c, r0 = geo.lemma31_constants(power_model)
+    c, r0 = power_model.profile.lemma31
     for p in list(np.linspace(2.02, 2.2, 10)) + [2.5, 3.0, 4.0, 5.0, 5.9]:
         bound = wgt.lemma41_bound(3, 0.5, c, r0, float(p))
         b = wgt.supremum_B(power_weight, float(p)).B
@@ -413,7 +413,7 @@ def test_lemma42_threshold_and_growth():
 
 
 def test_lemma42_dominates_quasi(quasi_model, quasi_weight):
-    c, cp, q, r0 = wgt.lemma42_constants(quasi_model)
+    c, cp, q, r0 = quasi_model.profile.lemma42
     assert c == 2.0 and q == 4.0
     for p in (10.0 / 3.0, 4.0, 5.0):
         bound = wgt.lemma42_bound(3, c, cp, q, r0, p)
