@@ -382,6 +382,19 @@ def test_lemma41_bound_dominates(power_model, power_weight):
     assert math.isfinite(wgt.lemma41_bound(3, 0.5, 1.0, 1.0, 4.0))
 
 
+def test_explicit_bound_is_nan_only_outside_the_admitted_exponents(monkeypatch):
+    power, quasi = geo.PowerLaw(1.0, 1.0, 1.0), geo.QuasiEuclideanOptimal(2.0, 1.0)
+    assert math.isnan(power.bound_on_B(3, 2.0)) and math.isnan(power.bound_on_B(3, 6.0))
+    assert math.isnan(quasi.bound_on_B(3, 3.0))  # below the threshold 10/3
+    assert math.isfinite(power.bound_on_B(3, 2.1)) and math.isfinite(quasi.bound_on_B(3, 4.0))
+
+    def bad_constant(*args):
+        raise ValidationError("c and r0 must be positive")
+    monkeypatch.setattr(wgt, "lemma41_bound", bad_constant)
+    with pytest.raises(ValidationError, match="c and r0"):
+        power.bound_on_B(3, 2.1)
+
+
 def test_lemma41_blowup_rate():
     # (p-2)^(-alpha/(1-alpha)) with alpha = 1/2 gives slope -1 toward p = 2
     pp = 2.0 + np.geomspace(1e-4, 1e-3, 6)
