@@ -205,8 +205,7 @@ def _parallel_map(fn, items, jobs: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_model(args, out: Path, h: str):
-    model = _model_from(args)
+def cmd_model(args, model, out: Path, h: str):
     report_io.write_csv(out / "model.csv", h, "model-warping-table",
                         ("r", "psi", "dpsi"), model.table())
     sample = model.grid_r[1:][:: max(1, len(model.grid_r) // 256)]
@@ -228,10 +227,9 @@ def cmd_model(args, out: Path, h: str):
             f"model written: CH={flag} nodes={len(model.grid_r)}")
 
 
-def cmd_sweep(args, out: Path, h: str):
+def cmd_sweep(args, model, out: Path, h: str):
     tols = _tols(args)
     p_values = _parse_p_list(args.p)
-    model = _model_from(args)
     weight = weighted.build_weight(model)
     reports = _parallel_map(
         lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
@@ -260,8 +258,7 @@ def cmd_sweep(args, out: Path, h: str):
             f"sweep of {len(p_values)} exponents written")
 
 
-def cmd_poincare(args, out: Path, h: str):
-    model = _model_from(args)
+def cmd_poincare(args, model, out: Path, h: str):
     weight = weighted.build_weight(model)
     res = variational.poincare_eigen(weight, args.rdomain)
     report_io.write_csv(out / "eigenfunction.csv", h, "spectral-gap-eigenfunction",
@@ -278,9 +275,8 @@ def cmd_poincare(args, out: Path, h: str):
             f"lambda1={res.lambda1:.6g} best_constant={res.best_constant:.6g}")
 
 
-def cmd_rayleigh(args, out: Path, h: str):
+def cmd_rayleigh(args, model, out: Path, h: str):
     tols = _tols(args)
-    model = _model_from(args)
     weight = weighted.build_weight(model)
     rep = weighted.supremum_B(weight, args.p, refine_tol=tols["refine"])
     init = (variational.DiscreteFunction(*weighted.near_extremal(weight, rep))
@@ -299,9 +295,8 @@ def cmd_rayleigh(args, out: Path, h: str):
     return "rayleigh.json", "rayleigh-ratio", payload, f"ratio={res.ratio:.8g}"
 
 
-def cmd_certificate(args, out: Path, h: str):
+def cmd_certificate(args, model, out: Path, h: str):
     radii = sorted(_floats("--r", args.r, ","))
-    model = _model_from(args)
     reports = _parallel_map(
         lambda R: variational.nonradial_certificate(model, args.p, R),
         radii, args.jobs)
@@ -319,15 +314,12 @@ def cmd_certificate(args, out: Path, h: str):
             f"conclusion={conclusion}")
 
 
-def cmd_pme(args, out: Path, h: str):
+def cmd_pme(args, model, out: Path, h: str):
     window = tuple(_floats("--fit-window", args.fit_window, ":", 2)) if args.fit_window else None
     if not (args.t_end > 0.0 and args.outputs >= 2):  # the output times span (0, t_end]
         raise ValidationError("--t-end must be positive and --outputs at least 2")
-    model = _model_from(args)
-    if args.initial == "characteristic":
-        datum = pme.Characteristic(args.r_support, args.height)
-    else:
-        datum = pme.GaussianLike(args.scale, args.height)
+    datum = (pme.Characteristic(args.r_support, args.height) if args.initial == "characteristic"
+             else pme.GaussianLike(args.scale, args.height))
     outs = np.geomspace(args.t_end * 1e-6, args.t_end, args.outputs)
     cfg = pme.PMEConfig(m=args.m, model=model, R_domain=args.rdomain,
                         initial=datum, t_end=args.t_end, n_cells=args.cells,
@@ -384,7 +376,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:i] + _config_flags(args.config) + argv[i:])
         out = Path(args.out_dir or os.environ.get("HADAMARD_INEQ_OUT", "out"))
         h = report_io.config_hash(_resolved(args))
-        name, quantity, payload, summary = _DISPATCH[args.command](args, out, h)
+        model = _model_from(args)
+        name, quantity, payload, summary = _DISPATCH[args.command](args, model, out, h)
         json_path = report_io.write_json(out / name, h, quantity, payload)
     except SystemExit as exc:  # from argparse: usage error (2), --help or --version (0)
         return exc.code

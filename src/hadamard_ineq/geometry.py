@@ -122,6 +122,7 @@ _EXP_POWER_BLEND = (0.5, 1.5)  # radii between which ExponentialPower blends r i
 _TAIL_PANELS = 1 << 16  # cap on the log-radius panels of a tail integral
 _TAIL_STOP = math.exp(-40.0)  # panel mean of the tail integrand / running sum that ends it
 _TAIL_SETTLED = 1e-12  # change of the tail's power over its last panel that makes it exact
+_CH_TOL = 1e-10  # K below -_CH_TOL max(1, max |K|) breaks the Cartan-Hadamard check
 
 GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -218,7 +219,7 @@ def _tail_quadrature(profile, model) -> float:
     if not math.isfinite(lam):
         raise NumericalError(f"(log psi)' is not finite at Rmax = {R:.6g}")
     h = 0.25 / max(lam, 2.0)
-    last = min(_TAIL_PANELS, int((math.log(np.finfo(float).max / R) - 1.0) / h))
+    last = min(_TAIL_PANELS, int((math.log(np.finfo(float).max) - math.log(R) - 1.0) / h))
     total, done, chunk, stopped = 0.0, 0, 256, False
     while done < last and not stopped and math.isfinite(total):
         k = np.arange(done, min(done + chunk, last))
@@ -318,9 +319,8 @@ class Constant:
                                             * math.exp(-2.0 * s * R)))
         return math.exp(-n * float(self.logpsi(R))) * -math.expm1(-2.0 * s * R) / (n * s) * series
 
-    def tangential_curvature(self, r):
-        """(psi'^2 - 1) / psi^2 = (cosh^2 - 1) / (sinh / sqrt(k))^2 = k."""
-        return np.full_like(np.asarray(r, float), float(self.k))
+    # (psi'^2 - 1) / psi^2 = (cosh^2 - 1) / (sinh / sqrt(k))^2 = k
+    tangential_curvature = curvature
 
     # what the law implies (module docstring): McKean's bounds for k > 0,
     # and the flat predictions at k = 0
@@ -986,7 +986,7 @@ def curvature_at(model: ModelFunction, r: float) -> CurvatureReport:
     )
 
 
-def is_cartan_hadamard(model: ModelFunction, tol: float = 1e-10):
+def is_cartan_hadamard(model: ModelFunction):
     """(flag, first violation radius): nonpositive sectional curvature check.
 
     True iff K(r) >= 0 on the whole sampled range; otherwise the smallest
@@ -994,7 +994,7 @@ def is_cartan_hadamard(model: ModelFunction, tol: float = 1e-10):
     """
     r = model.grid_r[1:]
     K = np.asarray(model.curvature(r), float)
-    thresh = -tol * max(1.0, float(np.max(np.abs(K))))
+    thresh = -_CH_TOL * max(1.0, float(np.max(np.abs(K))))
     bad = K < thresh
     if not np.any(bad):
         return True, None
@@ -1045,7 +1045,7 @@ def ricci_uniformization(model: ModelFunction, R: float,
     z = np.asarray(model.dlogpsi(rr), float)
     inv_psi2 = np.exp(-2.0 * np.asarray(model.logpsi(rr), float))
     rad = (model.N - 1) * K
-    tang = K + (model.N - 2) * _tangential_curvature(model, rr)
+    tang = -_ric_tangential(model, rr)
     lam_pt = np.maximum(rad, np.maximum(tang, 0.0))
     lam = float(np.max(lam_pt))
     # cancellation noise floor: z^2 - 1/psi^2 is a difference of near-equal terms

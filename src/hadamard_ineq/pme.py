@@ -9,13 +9,16 @@ decay-law fitting of the sup norm against the two analytic envelopes
 (power decay with and without a logarithmic correction).  The scheme is
 monotone at any step: mass is conserved to rounding while the support stays
 interior, the sup norm never increases, and ordered data stay ordered.
+
+An initial datum is any object whose ``values(centers)`` returns u0 at the cell
+centers: :class:`Characteristic`, :class:`GaussianLike` or :class:`CustomTable`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -56,11 +59,22 @@ class Characteristic:
     r_support: float
     height: float = 1.0
 
+    def values(self, centers):
+        if self.r_support <= 0 or self.height <= 0:
+            raise ValidationError("characteristic datum needs positive size and height")
+        return np.where(centers <= self.r_support, self.height, 0.0)
+
 
 @dataclass(frozen=True)
 class GaussianLike:
     scale: float
     height: float = 1.0
+
+    def values(self, centers):
+        if self.scale <= 0 or self.height <= 0:
+            raise ValidationError("gaussian-like datum needs positive scale and height")
+        u = self.height * np.exp(-((centers / self.scale) ** 2))
+        return np.where(u > 1e-14 * self.height, u, 0.0)
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,13 @@ class CustomTable:
     r: np.ndarray
     u: np.ndarray
 
+    def values(self, centers):
+        u = np.interp(centers, np.asarray(self.r, float),
+                      np.asarray(self.u, float), left=None, right=0.0)
+        if np.any(u < 0):
+            raise ValidationError("custom datum must be nonnegative")
+        return u
 
-InitialDatum = Union[Characteristic, GaussianLike, CustomTable]
 
 _GROWTH = 0.02  # steps are max(dt0, _GROWTH t), dt0 the explicit stability limit of u0
 _NEWTON_TOL = 1e-13  # residual over the Jacobian diagonal, relative to sup u before the step
@@ -82,7 +101,7 @@ class PMEConfig:
     m: float
     model: ModelFunction
     R_domain: float
-    initial: InitialDatum
+    initial: object  # any datum with values(centers), u0 at the cell centers
     t_end: float
     output_times: Optional[np.ndarray] = None
     n_cells: int = 800
@@ -91,6 +110,8 @@ class PMEConfig:
     def __post_init__(self):
         if self.m <= 1.0:
             raise ValidationError(f"need m > 1, got {self.m}")
+        if not callable(getattr(self.initial, "values", None)):
+            raise ValidationError(f"initial datum {self.initial!r} has no values(centers)")
         if not (0 < self.R_domain <= self.model.Rmax * (1 + 1e-12)):
             raise ValidationError("R_domain must lie in (0, Rmax]")
         if self.t_end <= 0:
@@ -112,7 +133,6 @@ class PMEState:
 
 @dataclass
 class PMERun:
-    config: PMEConfig
     r_centers: np.ndarray
     r_faces: np.ndarray
     states: list
@@ -120,25 +140,6 @@ class PMERun:
     stop_reason: Optional[str]
     steps: int
     newton_iterations: int
-
-
-def _initial_values(initial: InitialDatum, centers: np.ndarray) -> np.ndarray:
-    if isinstance(initial, Characteristic):
-        if initial.r_support <= 0 or initial.height <= 0:
-            raise ValidationError("characteristic datum needs positive size and height")
-        return np.where(centers <= initial.r_support, initial.height, 0.0)
-    if isinstance(initial, GaussianLike):
-        if initial.scale <= 0 or initial.height <= 0:
-            raise ValidationError("gaussian-like datum needs positive scale and height")
-        u = initial.height * np.exp(-((centers / initial.scale) ** 2))
-        return np.where(u > 1e-14 * initial.height, u, 0.0)
-    if isinstance(initial, CustomTable):
-        u = np.interp(centers, np.asarray(initial.r, float),
-                      np.asarray(initial.u, float), left=None, right=0.0)
-        if np.any(u < 0):
-            raise ValidationError("custom datum must be nonnegative")
-        return u
-    raise ValidationError(f"unknown initial datum {initial!r}")
 
 
 def _support_edge(u, faces, threshold):
@@ -163,7 +164,7 @@ def pme_run(config: PMEConfig) -> PMERun:
     cond = w(faces[1:-1]) / dx  # interior faces only; flux vanishes at r = 0 and the wall
     cond_sum = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
 
-    u = _initial_values(config.initial, centers)
+    u = config.initial.values(centers)
     sup0 = float(np.max(u))
     thr = _SUPPORT_THRESHOLD * sup0
     if _support_edge(u, faces, thr) > config.R_domain / 2 + dx:
@@ -227,7 +228,7 @@ def pme_run(config: PMEConfig) -> PMERun:
         states.append(snapshot(t))
         if reason is not None:
             break
-    return PMERun(config=config, r_centers=centers, r_faces=faces, states=states,
+    return PMERun(r_centers=centers, r_faces=faces, states=states,
                   stopped_early=reason is not None, stop_reason=reason, steps=steps,
                   newton_iterations=iterations)
 

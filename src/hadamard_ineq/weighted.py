@@ -113,8 +113,6 @@ class WeightMeasure:
 
     def T_at(self, r):
         r = np.asarray(r, float)
-        if self.tail.family == "divergent":
-            return np.full_like(r, math.inf)
         j = np.clip(np.searchsorted(self.rgrid, r, side="left"),
                     1, len(self.rgrid) - 1)
         return self.Ttab[j] + _gl5_between(self.winv_at, r, self.rgrid[j])
@@ -247,8 +245,6 @@ def supremum_B(weight: WeightMeasure, p: float, refine_tol: float = 1e-10) -> Su
     bracket, plus the analytic limits at 0 and infinity from the tail
     classification.  Divergence is reported, not raised.
     """
-    if p <= 0:
-        raise InvalidExponent(f"exponent must be positive, got {p}")
     upper_factor = sandwich_factor(p)
     lim_inf = _limit_infinity(weight, p)
     lim_zero = _limit_zero(weight.N, p)
@@ -284,7 +280,7 @@ def supremum_B(weight: WeightMeasure, p: float, refine_tol: float = 1e-10) -> Su
 
     B_interior = math.exp(best_val) if best_r is not None else 0.0
     B = max(B_interior, lim_inf, lim_zero)
-    at_infinity = lim_inf >= B_interior and lim_inf >= lim_zero and lim_inf == B
+    at_infinity = lim_inf == B
     r_bar = crit_res = None
     if not at_infinity and lim_zero == B and lim_zero > B_interior:
         r_bar = 0.0
@@ -321,6 +317,16 @@ def sandwich(B: float, p: float):
 # explicit proof-chain bounds
 # ---------------------------------------------------------------------------
 
+def _head_and_tail(N: int, p: float, r_split: float, tail_term: float) -> float:
+    """The last step of Lemmas 4.1 and 4.2: sqrt(p/2) times the larger of the
+    supremum of Q on (0, r_split] and the bracket bounding it past r_split,
+    given the lemma's own tail term of that bracket."""
+    head_exp = 4.0 if N == 2 else (N - 2.0) * (sobolev_critical(N) - p)
+    sup_head = r_split ** (head_exp / (2.0 * p))
+    sup_tail = (r_split ** (head_exp / (p + 2.0)) + tail_term) ** ((p + 2.0) / (2.0 * p))
+    return math.sqrt(p / 2.0) * max(sup_head, sup_tail)
+
+
 def lemma41_bound(N: int, alpha: float, c: float, r0: float, p: float) -> float:
     """Explicit upper bound for B under psi'/psi >= c r^(-alpha) past r0.
 
@@ -336,16 +342,10 @@ def lemma41_bound(N: int, alpha: float, c: float, r0: float, p: float) -> float:
         raise InvalidExponent(f"p must lie in (2, {crit}), got {p}")
     cn = c * (N - 1.0)
     a_frac = alpha / (1.0 - alpha)
-    head_exp = 4.0 if N == 2 else (N - 2.0) * (crit - p)
-    sup_head = r0 ** (head_exp / (2.0 * p))
-    bracket = (
-        r0 ** (head_exp / (p + 2.0))
-        + (alpha * (p + 2.0)) ** a_frac / (cn ** (1.0 / (1.0 - alpha)) * (p - 2.0) ** a_frac)
+    return _head_and_tail(N, p, r0, (
+        (alpha * (p + 2.0)) ** a_frac / (cn ** (1.0 / (1.0 - alpha)) * (p - 2.0) ** a_frac)
         * r0 ** (-(N - 1.0) * (p - 2.0) / (p + 2.0))
-        * math.exp(cn * (p - 2.0) / ((p + 2.0) * (1.0 - alpha)) * r0 ** (1.0 - alpha) - a_frac)
-    )
-    sup_tail = bracket ** ((p + 2.0) / (2.0 * p))
-    return math.sqrt(p / 2.0) * max(sup_head, sup_tail)
+        * math.exp(cn * (p - 2.0) / ((p + 2.0) * (1.0 - alpha)) * r0 ** (1.0 - alpha) - a_frac)))
 
 
 def lemma42_bound(N: int, c: float, cprime: float, q: float, r0: float, p: float) -> float:
@@ -367,16 +367,10 @@ def lemma42_bound(N: int, c: float, cprime: float, q: float, r0: float, p: float
         raise InvalidExponent(f"p must lie in [{p_low}, {crit}), got {p}")
     r_hat = max(r0, (2.0 * cprime / (c - 1.0)) ** (1.0 / (q - 1.0)))
     kappa = r0 ** (1.0 - c) * math.exp(-cprime * r0 ** (1.0 - q) / (q - 1.0))
-    head_exp = 4.0 if N == 2 else (N - 2.0) * (crit - p)
-    sup_head = r_hat ** (head_exp / (2.0 * p))
-    bracket = (
-        r_hat ** (head_exp / (p + 2.0))
-        + 2.0 * kappa ** (-(N - 1.0) * (p - 2.0) / (p + 2.0))
+    return _head_and_tail(N, p, r_hat, (
+        2.0 * kappa ** (-(N - 1.0) * (p - 2.0) / (p + 2.0))
         * r_hat ** (1.0 - c * (N - 1.0) * (p - 2.0) / (p + 2.0))
-        / ((c + 1.0) * (N - 1.0))
-    )
-    sup_tail = bracket ** ((p + 2.0) / (2.0 * p))
-    return math.sqrt(p / 2.0) * max(sup_head, sup_tail)
+        / ((c + 1.0) * (N - 1.0))))
 
 
 def critical_exponents(N: int, C1: float):

@@ -384,6 +384,41 @@ def test_pme_command(tmp_path):
     assert (out / "sup_vs_t.gnuplot.dat").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--profile", "power", "--r0", "0.25", "--p", "2.1"],
+    ["sweep", "--profile", "quasi", "--r0", "0.5", "--p", "2.1"],
+    ["poincare", "--profile", "power", "--r0", "0.25", "--rdomain", "0.9"],
+    ["rayleigh", "--profile", "power", "--r0", "0.25", "--p", "2.1", "--rdomain", "0.9"],
+], ids=["power-sweep", "quasi-sweep", "poincare", "rayleigh"])
+def test_power_laws_run_below_rmax_one(tmp_path, argv):
+    assert run_cli(argv + ["--n", "3", "--rmax", "0.9", "--out-dir", str(tmp_path / "o")]) == 0
+
+
+def test_pme_snapshots_span_the_run(tmp_path):
+    out = tmp_path / "d"
+    rc = run_cli(["pme", "--profile", "euclidean", "--n", "3", "--rmax", "30",
+                  "--rdomain", "24", "--m", "2", "--t-end", "20", "--cells", "200",
+                  "--outputs", "12", "--snapshots", "5", "--out-dir", str(out)])
+    assert rc == 0
+    names = sorted(p.name for p in out.glob("snapshot_*.csv"))
+    assert names == [f"snapshot_{j:03d}.csv" for j in range(5)]
+    first, last = ((out / names[j]).read_text().splitlines()[0] for j in (0, -1))
+    assert first.endswith("quantity=pme-profile-t=0")
+    assert last.endswith("quantity=pme-profile-t=20")
+
+
+def test_pme_gaussian_datum(tmp_path):
+    out = tmp_path / "d"
+    rc = run_cli(["pme", "--profile", "euclidean", "--n", "3", "--rmax", "30",
+                  "--rdomain", "24", "--m", "2", "--initial", "gaussian", "--scale", "1",
+                  "--height", "2", "--t-end", "50", "--cells", "800", "--out-dir", str(out)])
+    assert rc == 0
+    rows = (out / "timeseries.csv").read_text().splitlines()[2:]
+    mass = np.array([float(row.split(",")[2]) for row in rows])
+    assert mass[0] == pytest.approx(2.0 * math.pi ** 1.5, rel=1e-3)  # 2 exp(-r^2) over R^3
+    assert np.max(np.abs(mass / mass[0] - 1.0)) <= 1e-12
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("rmax = 25\nk = 4\n# comment\n")

@@ -158,6 +158,12 @@ def test_decaying_warping_is_not_hadamard():
     assert float(m.curvature(np.float64(r_bad))) < 0.0
 
 
+def test_exponential_power_dlogpsi():
+    law = geo.ExponentialPower(1.0, 0.5)
+    r = np.linspace(0.0, 20.0, 2001)[1:]
+    np.testing.assert_allclose(law.dlogpsi(r), law.dpsi(r) / law.psi(r), rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("profile, N", [
     (geo.Hyperbolic(1.0), 3),
     (geo.Hyperbolic(4.0), 2),

@@ -95,6 +95,11 @@ def test_support_validation(flat_model):
         _flat_config(flat_model, m=1.0)
 
 
+def test_initial_datum_needs_values(flat_model):
+    with pytest.raises(ValidationError, match="has no values"):
+        _flat_config(flat_model, initial=(1.0, 1.0))
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
 def test_dt_fixed_must_be_positive_and_finite(flat_model, dt):
     with pytest.raises(ValidationError, match="dt_fixed"):
@@ -254,7 +259,7 @@ def _finite_volumes(cfg):
     w = lambda s: np.exp((model.N - 1.0) * np.asarray(model.logpsi(s), float))
     vol = _gl5(w, centers, 0.5 * faces[1])
     cond = w(faces[1:-1]) / faces[1]
-    u0 = pme._initial_values(cfg.initial, centers)
+    u0 = cfg.initial.values(centers)
     return vol, cond, np.append(cond, 0.0) + np.insert(cond, 0, 0.0), u0
 
 

@@ -129,6 +129,16 @@ def test_power_tail_agrees_across_rmax(beta):
     assert float(far.T_at(130.0)) == pytest.approx(t130, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("law, N", [(geo.PowerLaw(1.0, 1.0, 0.25), 3),
+                                     (geo.PowerLaw(2.0, 2.0, 0.5), 3),
+                                     (geo.PowerLaw(1.0, 1.5, 0.1), 2)])
+def test_power_tail_past_an_rmax_below_one(law, N):
+    # log(float max / Rmax) overflowed in the division for Rmax < 1
+    _, t09 = geo.tail_past_rmax(geo.build_model(law, N, 0.9))
+    far = wgt.build_weight(geo.build_model(law, N, 130.0))
+    assert t09 == pytest.approx(float(far.T_at(0.9)), rel=1e-12, abs=0.0)
+
+
 class _NanPastTen(geo.PowerLaw):
     """The power law with a log psi that is NaN past r = 10."""
 
