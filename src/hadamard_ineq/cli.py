@@ -334,11 +334,12 @@ def cmd_pme(args, model, out: Path, h: str):
         idx = np.arange(len(run.states))
     else:
         idx = np.unique(np.linspace(0, len(run.states) - 1, args.snapshots).astype(int))
+    r_text = [report_io.fmt(r) for r in run.r_centers.tolist()]  # the same column in every file
     for j, i in enumerate(idx):
         st = run.states[i]
         report_io.write_csv(out / f"snapshot_{j:03d}.csv", h,
                             f"pme-profile-t={st.t:.6g}",
-                            ("r", "u"), zip(run.r_centers, st.u))
+                            ("r", "u"), zip(r_text, st.u))
 
     mass0 = run.states[0].mass
     payload = {"m": args.m, "mass": mass0, "steps": run.steps,

@@ -9,6 +9,9 @@ decay-law fitting of the sup norm against the two analytic envelopes
 (power decay with and without a logarithmic correction).  The scheme is
 monotone at any step: mass is conserved to rounding while the support stays
 interior, the sup norm never increases, and ordered data stay ordered.
+Solutions have compact support, so each Newton system runs only from the pole
+to the front plus ``_NEWTON_CAP`` + 2 cells; the cells past it stay exactly 0
+and the result is the full-domain solve's to the bit (see :func:`pme_run`).
 
 An initial datum is any object whose ``values(centers)`` returns u0 at the cell
 centers: :class:`Characteristic`, :class:`GaussianLike` or :class:`CustomTable`.
@@ -152,16 +155,30 @@ def pme_run(config: PMEConfig) -> PMERun:
 
     Stops early (flagged, not raised) once the support reaches the guard two
     cells inside the outer boundary: states past it would be polluted by the wall.
+
+    Each step's Newton system covers the cells from the pole to the last cell
+    where u or the predictor is nonzero, plus ``_NEWTON_CAP`` + 2 more, and
+    leaves every cell past them exactly 0.  This is exact, not an approximation:
+    a row whose cell and left neighbour are both 0 has zero residual and zero
+    off-diagonals, so Newton moves the front at most one cell per iteration;
+    and the Jacobian diag(vol) + dt L diag(m u^(m-1)) is strictly column
+    diagonally dominant, so ``dgtsv`` makes no row interchange and the
+    decoupled trailing rows change none of the window's arithmetic.
     """
     model, m = config.model, config.m
+    area = unit_sphere_area(model.N)
     faces = np.linspace(0.0, config.R_domain, config.n_cells + 1)
     dx = faces[1] - faces[0]
     centers = 0.5 * (faces[:-1] + faces[1:])
 
     # cell volumes int w dr and face conductivities w(face)/dx
     w = lambda s: np.exp((model.N - 1.0) * np.asarray(model.logpsi(s), float))
-    vol = _gl5(w, centers, 0.5 * dx)
-    cond = w(faces[1:-1]) / dx  # interior faces only; flux vanishes at r = 0 and the wall
+    with np.errstate(over="ignore"):  # refused just below, naming the dimension
+        vol = _gl5(w, centers, 0.5 * dx)
+        cond = w(faces[1:-1]) / dx  # interior faces only; flux vanishes at r = 0 and the wall
+    if not (np.isfinite(vol).all() and np.isfinite(cond).all()):
+        raise ParameterOutOfRange(f"cell volumes overflow float64 in dimension N = {model.N} "
+                                  f"on R_domain = {config.R_domain:g}")
     cond_sum = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
 
     u = config.initial.values(centers)
@@ -179,34 +196,62 @@ def pme_run(config: PMEConfig) -> PMERun:
 
     def snapshot(t):
         return PMEState(t=float(t), u=u.copy(),
-                        mass=unit_sphere_area(model.N) * float(u @ vol),
+                        mass=area * float(u @ vol),
                         sup=float(np.max(u)) if u.size else 0.0,
                         support_edge=_support_edge(u, faces, thr))
 
     flux = np.zeros(config.n_cells + 1)
+    # the Newton loop's work arrays, sliced to each step's window: numpy keeps up
+    # to seven freed buffers of each size under 1 KiB, so fresh temporaries of
+    # every window size under 128 cells would stay allocated (about 0.4 MB)
+    work = np.empty((5, config.n_cells))
     iterations = 0
 
     def backward_euler(t_new):
-        """Newton from the state u at t to t_new, starting from the last rate."""
+        """Newton from the state u at t to t_new, starting from the last rate.
+
+        Only cells [0, k) are solved: k is the last cell where u or the
+        predictor is nonzero plus _NEWTON_CAP + 3, and every cell past k stays
+        exactly 0 (see pme_run).
+        """
         nonlocal iterations
         dt = t_new - t
         off, dt_sum, tol = -dt * cond, dt * cond_sum, _NEWTON_TOL * u.max()
         x = np.maximum(u + dt * rate, 0.0)
+        end = config.n_cells - int(np.argmax((u + x)[::-1] != 0.0))  # n if all are 0
+        k = min(end + _NEWTON_CAP + 2, config.n_cells)
+        xk, uk, vk, off, dt_sum = x[:k], u[:k], vol[:k], off[:k - 1], dt_sum[:k]
+        v, dphi, res, diag, up = (a[:k] for a in work)
+        flux[k] = 0.0  # no flux between the empty cells k - 1 and k
         for _ in range(_NEWTON_CAP):
-            xp = np.maximum(x, 0.0)
-            v, dphi = xp ** m, m * xp ** (m - 1.0)
-            flux[1:-1] = off * (v[1:] - v[:-1])
-            res = vol * (x - u) + flux[1:] - flux[:-1]
-            diag = vol + dt_sum * dphi
-            if (np.abs(res) / diag).max() <= tol:  # false on a non-finite state
+            # v = max(x, 0)^m and dphi = m max(x, 0)^(m-1), with the operators' fast paths
+            np.maximum(xk, 0.0, out=v)
+            v **= m
+            np.maximum(xk, 0.0, out=dphi)
+            dphi **= m - 1.0
+            dphi *= m
+            np.subtract(v[1:], v[:-1], out=flux[1:k])
+            flux[1:k] *= off
+            np.subtract(xk, uk, out=res)  # res = vol (x - u) + flux out - flux in
+            res *= vk
+            res += flux[1:k + 1]
+            res -= flux[:k]
+            np.multiply(dt_sum, dphi, out=diag)
+            diag += vk
+            np.abs(res, out=v)
+            v /= diag
+            if v.max() <= tol:  # false on a non-finite state
                 if x.min() < -1e-10 * max(sup0, 1.0):
                     raise StabilityFailure(f"negative state at t = {t_new:.6g}")
                 return np.maximum(x, 0.0)
-            # sub-, main and super-diagonal; every input is fresh, so LAPACK may overwrite it
-            *_, step, info = dgtsv(off * dphi[:-1], diag, off * dphi[1:], res, 1, 1, 1, 1)
+            np.multiply(off, dphi[:-1], out=v[:-1])
+            np.multiply(off, dphi[1:], out=up[:-1])
+            # sub-, main and super-diagonal and the residual are all recomputed
+            # in the next iteration, so LAPACK may overwrite them
+            *_, step, info = dgtsv(v[:-1], diag, up[:-1], res, 1, 1, 1, 1)
             if info:
                 raise StabilityFailure(f"singular Newton system at t = {t_new:.6g}")
-            x = x - step
+            xk -= step
             iterations += 1
         raise StabilityFailure(
             f"Newton did not converge in {_NEWTON_CAP} iterations at t = {t_new:.6g}")

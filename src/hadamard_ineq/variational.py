@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
+from .errors import (GridTooCoarse, InvalidExponent, OutOfDomain, ParameterOutOfRange,
+                     ValidationError)
 from .geometry import GL5_NODES, GL5_WEIGHTS, ModelFunction, ricci_uniformization
 from .weighted import (_PHI_L, _PHI_R, WeightMeasure, near_extremal, plin_norms,
                        sobolev_critical, supremum_B, unit_sphere_area)
@@ -293,8 +294,14 @@ class CertificateReport:
 def _certificate_value(N: int, p: float, G: float) -> float:
     om = unit_sphere_area(N)
     aN = sinh_moment(N)
-    lp_lower = (om / (2.0 ** (p + N) * N)) ** (1.0 / p) * G ** (N / p)
-    grad_upper = math.sqrt(om * aN * G ** (N - 2.0))
+    try:
+        lp_lower = (om / (2.0 ** (p + N) * N)) ** (1.0 / p) * G ** (N / p)
+        grad_upper = math.sqrt(om * aN * G ** (N - 2.0))
+    except OverflowError:
+        grad_upper = math.inf
+    if math.isinf(grad_upper):
+        raise ParameterOutOfRange(f"dimension N = {N} is too large: the tent function's "
+                                  f"norms overflow float64 at G = {G:.6g}")
     return lp_lower / grad_upper
 
 

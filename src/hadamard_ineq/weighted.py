@@ -27,6 +27,7 @@ from .errors import (
     BelowCriticalExponent,
     DivergentPoint,
     InvalidExponent,
+    ParameterOutOfRange,
     ValidationError,
 )
 from .geometry import GL5_NODES, ModelFunction, TailModel, _gl5, tail_past_rmax
@@ -57,8 +58,12 @@ _PHI_L, _PHI_R = 0.5 * (1.0 - GL5_NODES), 0.5 * (1.0 + GL5_NODES)
 
 
 def unit_sphere_area(N: int) -> float:
-    """Surface area of the unit sphere in R^N."""
-    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    """Surface area of the unit sphere in R^N; Gamma(N/2) overflows past N = 343."""
+    try:
+        return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    except OverflowError:
+        raise ParameterOutOfRange(
+            f"dimension N = {N} is too large: Gamma(N/2) overflows float64") from None
 
 
 def sobolev_critical(N: int) -> float:

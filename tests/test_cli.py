@@ -354,6 +354,16 @@ def test_certificate_refuses_a_radius_whose_double_passes_the_domain(tmp_path, c
         "error: need 0 < R <= 0.4 Rmax = 800: the certificate also needs G at 2R = 1800")
 
 
+@pytest.mark.parametrize("n", [400, 343])
+def test_certificate_names_a_dimension_too_large(tmp_path, capsys, n):
+    # N = 400: Gamma(N/2) overflows in the sphere area; N = 343: G^(N-2) overflows
+    rc = run_cli(["certificate", "--profile", "power", "--n", str(n), "--rmax", "2000",
+                  "--p", "2", "--r", "50", "--out-dir", str(tmp_path / "c")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: dimension N = {n} is too large")
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("argv, stem", [
     ("poincare --profile hyperbolic --k 1 --n 3 --rmax 20 --rdomain 20", "eigenfunction"),
     ("rayleigh --profile euclidean --n 3 --rmax 60 --rdomain 50 --p 6", "minimizer"),
@@ -382,6 +392,19 @@ def test_pme_command(tmp_path):
     snapshots = sorted(out.glob("snapshot_*.csv"))
     assert len(snapshots) == len(series) - 2  # one profile per output time
     assert (out / "sup_vs_t.gnuplot.dat").exists()
+
+
+@pytest.mark.parametrize("argv, n", [
+    ("--profile quasi --n 400 --rmax 60 --rdomain 40", 400),  # Gamma(N/2) overflows
+    ("--profile euclidean --n 343 --rmax 30 --rdomain 24 --cells 100", 343),  # the volumes do
+], ids=["sphere-area", "cell-volumes"])
+def test_pme_names_a_dimension_too_large(tmp_path, capsys, argv, n):
+    rc = run_cli(["pme"] + argv.split() + ["--m", "2", "--t-end", "1",
+                                           "--out-dir", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"dimension N = {n}" in err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("argv", [

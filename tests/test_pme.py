@@ -337,3 +337,136 @@ def test_singular_newton_system_names_the_time(flat_model, monkeypatch):
     monkeypatch.setattr(pme, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 1))
     with pytest.raises(StabilityFailure, match=r"singular Newton system at t = "):
         pme.pme_run(_flat_config(flat_model, t_end=1.0))
+
+
+# ---------------------------------------------------------------------------
+# the Newton window against the full-domain solve
+# ---------------------------------------------------------------------------
+
+def _full_domain_run(cfg):
+    """Oracle: pme_run's stepping with every Newton system over all n_cells
+    cells, as it was before the window.  Returns the (t, u) of every state,
+    the step and Newton counts and the stop reason."""
+    m = cfg.m
+    vol, cond, cond_sum, u = _finite_volumes(cfg)
+    sup0 = float(np.max(u))
+    thr = pme._SUPPORT_THRESHOLD * sup0
+    out_t = cfg.output_times
+    if out_t is None:
+        out_t = np.geomspace(cfg.t_end * 1e-4, cfg.t_end, 60)
+    out_t = np.unique(np.append(np.asarray(out_t, float), 0.0))
+    flux = np.zeros(cfg.n_cells + 1)
+    iterations = 0
+
+    def backward_euler(t_new):
+        nonlocal iterations
+        dt = t_new - t
+        off, dt_sum, tol = -dt * cond, dt * cond_sum, pme._NEWTON_TOL * u.max()
+        x = np.maximum(u + dt * rate, 0.0)
+        for _ in range(pme._NEWTON_CAP):
+            xp = np.maximum(x, 0.0)
+            v, dphi = xp ** m, m * xp ** (m - 1.0)
+            flux[1:-1] = off * (v[1:] - v[:-1])
+            res = vol * (x - u) + flux[1:] - flux[:-1]
+            diag = vol + dt_sum * dphi
+            if (np.abs(res) / diag).max() <= tol:
+                assert x.min() >= -1e-10 * max(sup0, 1.0)
+                return np.maximum(x, 0.0)
+            *_, step, info = pme.dgtsv(off * dphi[:-1], diag, off * dphi[1:], res, 1, 1, 1, 1)
+            assert info == 0
+            x = x - step
+            iterations += 1
+        raise AssertionError("Newton did not converge")
+
+    dt0 = float(np.min(vol / cond_sum)) / (m * sup0 ** (m - 1.0)) if sup0 > 0 else cfg.t_end
+    states = [(0.0, u.copy())]
+    reason, t, steps, rate = None, 0.0, 0, 0.0
+    for t_next in out_t[1:]:
+        while t < t_next and reason is None:
+            dt = max(dt0, pme._GROWTH * t) if cfg.dt_fixed is None else cfg.dt_fixed
+            t_new = min(t + dt, t_next)
+            u_new = backward_euler(t_new)
+            while u_new[-2:].max() > thr:
+                t_new = t + 0.5 * (t_new - t)
+                u_new = backward_euler(t_new)
+            rate = (u_new - u) / (t_new - t)
+            u, t, steps = u_new, t_new, steps + 1
+            reason = "support-reached-boundary" if u[-3] > thr else None
+        states.append((float(t), u.copy()))
+        if reason is not None:
+            break
+    return states, steps, iterations, reason
+
+
+@pytest.fixture(scope="module")
+def criterion9_model():
+    return geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 130.0)
+
+
+def _criterion9_config(model, **kw):
+    base = dict(m=2.0, model=model, R_domain=100.0, initial=pme.Characteristic(2.0, 4.0),
+                t_end=1e10, n_cells=1000)
+    base.update(kw)
+    return pme.PMEConfig(**base)
+
+
+_ORACLE_CASES = {
+    "flat": lambda flat, c9: _flat_config(flat),
+    "criterion9": lambda flat, c9: _criterion9_config(c9, t_end=1e5),
+    "quasi": lambda flat, c9: pme.PMEConfig(
+        m=2.0, model=geo.build_model(geo.PowerLaw(2.0, 2.0, 1.0), 3, 60.0), R_domain=40.0,
+        initial=pme.Characteristic(1.0, 1.0), t_end=500.0, n_cells=800),
+    "gaussian-m1.5": lambda flat, c9: _flat_config(flat, m=1.5,
+                                                  initial=pme.GaussianLike(1.0, 2.0)),
+    "gaussian-m3": lambda flat, c9: _flat_config(flat, m=3.0, initial=pme.GaussianLike(1.0)),
+    # 83 times the explicit stability limit of the datum
+    "large-fixed-steps": lambda flat, c9: _flat_config(flat, t_end=5.0, dt_fixed=0.05),
+    "guard-stop": lambda flat, c9: _flat_config(flat, R_domain=6.0, t_end=2000.0),
+    "zero": lambda flat, c9: _flat_config(flat, t_end=1.0, initial=pme.CustomTable(
+        r=np.array([0.0, 1.0]), u=np.array([0.0, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_newton_window_matches_the_full_domain_solve(flat_model, criterion9_model, case):
+    cfg = _ORACLE_CASES[case](flat_model, criterion9_model)
+    run = pme.pme_run(cfg)
+    states, steps, iterations, reason = _full_domain_run(cfg)
+    assert (run.steps, run.newton_iterations, run.stop_reason) == (steps, iterations, reason)
+    assert len(run.states) == len(states)
+    for state, (t, u) in zip(run.states, states):
+        assert state.t == t
+        assert np.array_equal(state.u, u)
+    if case == "guard-stop":  # the window reached the wall
+        assert reason == "support-reached-boundary"
+
+
+def test_newton_systems_stop_near_the_front(criterion9_model, monkeypatch):
+    # the front of the criterion-9 run reaches r = 40 of 100 only at t = 1e10
+    sizes, dgtsv = [], pme.dgtsv
+
+    def counting(dl, d, du, b, *overwrite):
+        sizes.append(len(d))
+        return dgtsv(dl, d, du, b, *overwrite)
+
+    monkeypatch.setattr(pme, "dgtsv", counting)
+    run = pme.pme_run(_criterion9_config(criterion9_model))
+    assert len(sizes) == run.newton_iterations
+    assert np.mean(sizes) < 1000 / 2
+
+
+def test_barenblatt_solution_within_one_percent(flat_model):
+    # flat N = 3, m = 2: U(r, t) = t^(-3/5) (1 - r^2 t^(-2/5) / 20)_+, started at t = 1
+    def barenblatt(r, t):
+        return t ** -0.6 * np.maximum(1.0 - r ** 2 * t ** -0.4 / 20.0, 0.0)
+
+    faces = np.linspace(0.0, 24.0, 801)
+    centers = 0.5 * (faces[:-1] + faces[1:])
+    times = np.array([10.0, 100.0, 1000.0])
+    run = pme.pme_run(_flat_config(flat_model, n_cells=800, t_end=999.0,
+                                   initial=pme.CustomTable(centers, barenblatt(centers, 1.0)),
+                                   output_times=times - 1.0))
+    assert not run.stopped_early
+    for state, t in zip(run.states[1:], times):
+        exact = barenblatt(run.r_centers, t)
+        assert np.max(np.abs(state.u - exact)) < 0.01 * np.max(exact)
