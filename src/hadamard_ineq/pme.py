@@ -176,9 +176,9 @@ def pme_run(config: PMEConfig) -> PMERun:
     with np.errstate(over="ignore"):  # refused just below, naming the dimension
         vol = _gl5(w, centers, 0.5 * dx)
         cond = w(faces[1:-1]) / dx  # interior faces only; flux vanishes at r = 0 and the wall
-    if not (np.isfinite(vol).all() and np.isfinite(cond).all()):
-        raise ParameterOutOfRange(f"cell volumes overflow float64 in dimension N = {model.N} "
-                                  f"on R_domain = {config.R_domain:g}")
+    if not (np.isfinite(vol).all() and np.isfinite(cond).all() and vol.min() > 0.0):
+        raise ParameterOutOfRange(f"cell volumes leave the float64 range in dimension "
+                                  f"N = {model.N} on R_domain = {config.R_domain:g}")
     cond_sum = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
 
     u = config.initial.values(centers)
@@ -208,12 +208,8 @@ def pme_run(config: PMEConfig) -> PMERun:
     iterations = 0
 
     def backward_euler(t_new):
-        """Newton from the state u at t to t_new, starting from the last rate.
-
-        Only cells [0, k) are solved: k is the last cell where u or the
-        predictor is nonzero plus _NEWTON_CAP + 3, and every cell past k stays
-        exactly 0 (see pme_run).
-        """
+        """Newton from the state u at t to t_new, starting from the last rate,
+        on the cells [0, k) that the front can reach (see pme_run)."""
         nonlocal iterations
         dt = t_new - t
         off, dt_sum, tol = -dt * cond, dt * cond_sum, _NEWTON_TOL * u.max()

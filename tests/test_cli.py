@@ -397,7 +397,8 @@ def test_pme_command(tmp_path):
 @pytest.mark.parametrize("argv, n", [
     ("--profile quasi --n 400 --rmax 60 --rdomain 40", 400),  # Gamma(N/2) overflows
     ("--profile euclidean --n 343 --rmax 30 --rdomain 24 --cells 100", 343),  # the volumes do
-], ids=["sphere-area", "cell-volumes"])
+    ("--profile euclidean --n 200 --rmax 30 --rdomain 24 --cells 1000", 200),  # r^199 -> 0
+], ids=["sphere-area", "cell-volumes-overflow", "cell-volumes-underflow"])
 def test_pme_names_a_dimension_too_large(tmp_path, capsys, argv, n):
     rc = run_cli(["pme"] + argv.split() + ["--m", "2", "--t-end", "1",
                                            "--out-dir", str(tmp_path / "d")])

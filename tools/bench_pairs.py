@@ -69,10 +69,10 @@ def summarise(runs: list, workloads: list) -> dict:
             entry["all_checks_correct"] = all(r["correct"] for r in results)
             out[f"{workload}.{side}"] = entry
         for name in metrics:
-            pairs = list(zip(*(([r["metrics"][name]["value"] for r in by_side[side]])
-                               for side in ("parent", "change"))))
-            lower = sum(change < parent for parent, change in pairs)
-            out[f"{workload}.{name}.change_lower_in_pairs"] = f"{lower} of {len(pairs)}"
+            parent, change = ([r["metrics"][name]["value"] for r in by_side[side]]
+                              for side in ("parent", "change"))
+            lower = sum(c < p for p, c in zip(parent, change))
+            out[f"{workload}.{name}.change_lower_in_pairs"] = f"{lower} of {len(parent)}"
     return out
 
 
