@@ -937,8 +937,9 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
         warping, built_by = profile, "closed"
 
     rg = np.concatenate([[0.0], grid.nodes(Rmax)])
-    gp = np.asarray(warping.psi(rg), float)
-    gdp = np.asarray(warping.dpsi(rg), float)
+    with np.errstate(over="ignore"):  # ModelFunction.table() refuses the overflow
+        gp = np.asarray(warping.psi(rg), float)
+        gdp = np.asarray(warping.dpsi(rg), float)
     gp[0], gdp[0] = 0.0, 1.0
     return ModelFunction(profile=profile, N=int(N), Rmax=float(Rmax),
                          grid_r=rg, grid_psi=gp, grid_dpsi=gdp,
@@ -949,40 +950,39 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
 # curvature queries
 # ---------------------------------------------------------------------------
 
-def _tangential_curvature(model: ModelFunction, r):
-    """(psi'^2 - 1) / psi^2, minus the sectional curvature of a tangential plane.
-
-    Exact where a closed form exists: from a warping that supplies
-    ``tangential_curvature`` (k for :class:`Constant`), and 0 on the flat
-    cap psi = r.  Elsewhere it is z^2 - psi^(-2), z = psi'/psi, where both
+def _curvature_terms(model: ModelFunction, r):
+    """(K, z = psi'/psi, psi^(-2), tangential Ricci) at r from one call each of
+    ``curvature``, ``dlogpsi`` and ``logpsi``.  The tangential Ricci curvature
+    is -K - (N-2) (psi'^2 - 1) / psi^2, whose excess (psi'^2 - 1) / psi^2 is
+    exact from a warping's ``tangential_curvature`` (k for :class:`Constant`)
+    and 0 on the flat cap psi = r; elsewhere it is z^2 - psi^(-2), where both
     terms grow like 1/r^2 near the pole.
     """
     r = model._check(r)
+    K = np.asarray(model.curvature(r), float)
+    z = np.asarray(model.dlogpsi(r), float)
+    inv_psi2 = np.exp(-2.0 * np.asarray(model.logpsi(r), float))
     exact = getattr(model.warping, "tangential_curvature", None)
-    if exact is not None:
-        return exact(r)
-    z = model.dlogpsi(r)
-    excess = z * z - np.exp(-2.0 * model.logpsi(r))
     cap = model.profile.flat_cap if model.profile is not None else 0.0
-    return np.where(r <= cap, 0.0, excess)
+    excess = exact(r) if exact is not None else np.where(r <= cap, 0.0, z * z - inv_psi2)
+    return K, z, inv_psi2, -K - (model.N - 2) * excess
 
 
 def _ric_tangential(model: ModelFunction, r):
-    return -model.curvature(r) - (model.N - 2) * _tangential_curvature(model, r)
+    return _curvature_terms(model, r)[3]
 
 
 def curvature_at(model: ModelFunction, r: float) -> CurvatureReport:
     """All pointwise curvature data at radius r in (0, Rmax]."""
     if not (0.0 < r <= model.Rmax * (1 + 1e-12)):
         raise OutOfDomain(f"radius {r} outside (0, {model.Rmax}]")
-    rr = np.float64(r)
-    K = float(model.curvature(rr))
+    K, z, _, ric_tangential = map(float, _curvature_terms(model, np.float64(r)))
     return CurvatureReport(
         r=float(r),
         sect_radial=-K,
         ric_radial=-(model.N - 1) * K,
-        ric_tangential=float(_ric_tangential(model, rr)),
-        laplacian_density=float((model.N - 1) * model.dlogpsi(rr)),
+        ric_tangential=ric_tangential,
+        laplacian_density=(model.N - 1) * z,
     )
 
 
@@ -1033,28 +1033,24 @@ def ricci_uniformization(model: ModelFunction, R: float,
     """Radius scale G(R) with Ricci >= -(N-1)/G(R)^2 outside the ball of radius R.
 
     G is computed from the grid supremum of both Ricci eigenvalue magnitudes
-    past R, so it is the largest admissible scale and is nondecreasing in R.
-    Requires the curvature to vanish at large radius unless
-    ``allow_constant`` is set.
+    past R, taken in one :func:`_curvature_terms` pass, so it is the largest
+    admissible scale and is nondecreasing in R.  Unless ``allow_constant`` is
+    set, the curvature must vanish at large radius: the supremum over r >= 0.8
+    Rmax (never empty, as the grid ends at Rmax) must stay below 0.9 of it.
     """
     if not (0.0 < R <= 0.8 * model.Rmax):
         raise OutOfDomain(f"need 0 < R <= 0.8 Rmax = {0.8 * model.Rmax:.6g}")
     r = model.grid_r[1:]
     rr = np.concatenate([[R], r[r > R]])
-    K = np.asarray(model.curvature(rr), float)
-    z = np.asarray(model.dlogpsi(rr), float)
-    inv_psi2 = np.exp(-2.0 * np.asarray(model.logpsi(rr), float))
-    rad = (model.N - 1) * K
-    tang = -_ric_tangential(model, rr)
-    lam_pt = np.maximum(rad, np.maximum(tang, 0.0))
+    K, z, inv_psi2, ric_tangential = _curvature_terms(model, rr)
+    lam_pt = np.maximum((model.N - 1) * K, np.maximum(-ric_tangential, 0.0))
     lam = float(np.max(lam_pt))
     # cancellation noise floor: z^2 - 1/psi^2 is a difference of near-equal terms
     floor = 1e-12 * float(np.max(z * z + inv_psi2 + K))
     if lam <= floor:
         raise FlatProfile("Ricci curvature vanishes identically beyond R")
     if not allow_constant:
-        tail = rr >= 0.8 * model.Rmax
-        lam_tail = float(np.max(lam_pt[tail])) if np.any(tail) else lam
+        lam_tail = float(np.max(lam_pt[rr >= 0.8 * model.Rmax]))
         if lam_tail > 0.9 * lam:
             raise CurvatureNotVanishing(
                 "Ricci curvature does not decay beyond R; "

@@ -5,8 +5,8 @@ the resolved run configuration, and a slug naming the quantity stored, so
 any output can be traced back to the exact invocation that produced it.
 A table is CSV, or with ``columns=None`` gnuplot data: space-separated, no
 column line.  Float columns hold 17 significant digits (value-preserving
-for IEEE doubles), any other column the ``fmt`` of each cell (``None`` is
-empty).  JSON is UTF-8 with sorted keys.
+for IEEE doubles), text columns their strings, any other column the ``fmt``
+of each cell (``None`` is empty).  JSON is UTF-8 with sorted keys.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ def _write_table(path, comment, columns, rows) -> Path:
         raise ValueError(f"every row of {path} must hold {width} cells")
     cells = [v for row in rows for v in row]
     specs = []
-    for j in range(width):  # "%.17g" for a column of floats, else the fmt of each cell
+    for j in range(width):  # "%.17g" for floats, text as it is, else the fmt of each cell
         floats = all(isinstance(v, float) for v in cells[j::width])
-        if not floats:
+        if not floats and not all(isinstance(v, str) for v in cells[j::width]):
             cells[j::width] = map(fmt, cells[j::width])
         specs.append("%.17g" if floats else "%s")
     head = f"# {comment}\n" if comment else ""

@@ -85,9 +85,7 @@ class _Mesh:
         if not 0.0 < R_domain <= weight.Rmax * (1 + 1e-12):
             raise OutOfDomain(f"R_domain {R_domain} must lie in (0, Rmax = {weight.Rmax}]")
         inner = weight.rgrid[weight.rgrid < R_domain * (1 - 1e-12)]
-        nodes = np.concatenate([inner[::stride], [R_domain]])
-        if nodes[0] != 0.0:
-            nodes = np.concatenate([[0.0], nodes])
+        nodes = np.concatenate([inner[::stride], [R_domain]])  # rgrid starts at the pole
         if len(nodes) < 8:
             raise GridTooCoarse("mesh has too few nodes inside R_domain")
         self.nodes = nodes

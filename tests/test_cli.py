@@ -44,6 +44,40 @@ def test_model_round_trips_at_full_precision(tmp_path):
     assert np.max(np.abs(psi[sel] - np.sinh(r[sel]))) == 0.0  # 17 digits round trip
 
 
+def test_model_checks_the_power_laws_laplacian_bound(tmp_path):
+    out = tmp_path / "m"
+    rc = run_cli(["model", "--profile", "power", "--c0", "1", "--beta", "1", "--r0", "1",
+                  "--n", "3", "--rmax", "2000", "--out-dir", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "model.json").read_text())
+    assert doc["laplacian_lower_bound"] == {"c": 1.0, "r0": 1.0, "holds": True}
+
+
+def test_json_format_prints_the_json_file(tmp_path, capsys):
+    out = tmp_path / "m"
+    rc = run_cli(["model", "--profile", "hyperbolic", "--k", "1", "--n", "3",
+                  "--rmax", "20", "--format", "json", "--out-dir", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == (out / "model.json").read_text()
+
+
+HYPERBOLIC_OVERFLOW = ["--profile", "hyperbolic", "--k", "1e4", "--n", "3", "--rmax", "20"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["model"] + HYPERBOLIC_OVERFLOW, 2,
+     "error: warping table overflows float64 at r = 7.10767; "
+     "reduce Rmax or the curvature scale\n"),
+    (["pme"] + HYPERBOLIC_OVERFLOW + ["--rdomain", "0.1", "--m", "2", "--t-end", "1e-3",
+                                     "--r-support", "0.02"], 0, ""),
+], ids=["model", "pme"])
+def test_overflowing_warping_table_prints_no_numpy_warning(tmp_path, capsys, argv, code, err):
+    # the sinh and cosh columns overflow; only the export table is refused,
+    # and a RuntimeWarning would fail the test as an error
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_model_validation_exit_code(tmp_path):
     rc = run_cli(["model", "--profile", "power", "--beta", "3", "--n", "3",
                   "--rmax", "20", "--out-dir", str(tmp_path)])
@@ -392,6 +426,21 @@ def test_pme_command(tmp_path):
     snapshots = sorted(out.glob("snapshot_*.csv"))
     assert len(snapshots) == len(series) - 2  # one profile per output time
     assert (out / "sup_vs_t.gnuplot.dat").exists()
+
+
+def test_pme_fits_the_power_laws_log_correction(tmp_path):
+    # beta = 1, m = 2: power_with_log pins the slope to -1/(m-1) = -1 and the
+    # log exponent to (2+beta)/((m-1)(2-beta)) = 3; the power law has a log_fit_beta
+    out = tmp_path / "d"
+    rc = run_cli(["pme", "--profile", "power", "--c0", "1", "--beta", "1", "--r0", "1",
+                  "--n", "3", "--rmax", "60", "--rdomain", "50", "--m", "2",
+                  "--r-support", "2", "--t-end", "1e4", "--cells", "200",
+                  "--out-dir", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "pme_fit.json").read_text())
+    assert "fit_error" not in doc
+    assert doc["power_with_log"]["log_correction_exponent"] == 3.0
+    assert doc["power_with_log"]["power_exponent"] == -1.0
 
 
 @pytest.mark.parametrize("argv, n", [

@@ -126,6 +126,29 @@ def test_tangential_ricci_is_exact_where_a_closed_form_exists():
         assert np.all(geo._ric_tangential(model, r[r <= 2.0]) == 0.0)
 
 
+def test_curvature_queries_evaluate_the_law_once(monkeypatch):
+    # K, psi'/psi and log psi feed both Ricci eigenvalues and the Laplacian
+    model = geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 2000.0)
+    calls = {}
+    for name in ("curvature", "dlogpsi", "logpsi"):
+        def counted(r, name=name, member=getattr(model, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return member(r)
+        monkeypatch.setattr(model, name, counted)
+    geo.ricci_uniformization(model, 100.0)
+    assert calls == {"curvature": 1, "dlogpsi": 1, "logpsi": 1}
+    calls.clear()
+    geo.curvature_at(model, 4.0)
+    assert calls == {"curvature": 1, "dlogpsi": 1, "logpsi": 1}
+
+
+def test_overflowing_warping_table_is_refused_without_warnings():
+    # sinh and cosh overflow past r ~ 7.1 at k = 1e4; the table names the radius
+    model = geo.build_model(geo.Hyperbolic(1e4), 3, 20.0)
+    with pytest.raises(ValidationError, match=r"overflows float64 at r = 7\.10767"):
+        model.table()
+
+
 def test_curvature_report_euclidean(euclidean_model):
     for r in (0.3, 2.0, 17.0):
         rep = geo.curvature_at(euclidean_model, r)

@@ -41,3 +41,19 @@ def test_ragged_rows_are_refused(tmp_path, columns, rows):
     with pytest.raises(ValueError, match="must hold"):
         report_io.write_csv(path, "0123456789abcdef", "pin", columns, rows)
     assert not path.exists()
+
+
+def test_text_columns_are_written_without_fmt(tmp_path, monkeypatch):
+    # a column of strings (a pme snapshot's preformatted radii) is written as
+    # it is; a mixed column (sweep's r_bar) still goes through fmt cell by cell
+    calls = []
+    fmt = report_io.fmt
+    monkeypatch.setattr(report_io, "fmt", lambda x: calls.append(x) or fmt(x))
+    path = report_io.write_csv(tmp_path / "text.csv", "0123456789abcdef", "pin",
+                               ("r", "u"), [("0.5", 1.0), ("1.5", 0.25)])
+    assert calls == []
+    assert path.read_bytes() == (HEADER + "r,u\n0.5,1\n1.5,0.25\n").encode()
+    path = report_io.write_csv(tmp_path / "mixed.csv", "0123456789abcdef", "pin",
+                               ("r_bar",), [("at_infinity",), (0.1,)])
+    assert calls == ["at_infinity", 0.1]
+    assert path.read_bytes() == (HEADER + "r_bar\nat_infinity\n0.10000000000000001\n").encode()
