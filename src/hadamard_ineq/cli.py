@@ -210,11 +210,9 @@ def cmd_model(args, model, out: Path, h: str):
                         ("r", "psi", "dpsi"), model.table())
     sample = model.grid_r[1:][:: max(1, len(model.grid_r) // 256)]
     reports = [geometry.curvature_at(model, float(r)) for r in sample]
-    report_io.write_csv(out / "curvature.csv", h, "curvature-report",
-                        ("r", "sect_radial", "ric_radial", "ric_tangential",
-                         "laplacian_density"),
-                        ((c.r, c.sect_radial, c.ric_radial, c.ric_tangential,
-                          c.laplacian_density) for c in reports))
+    names = ("r", "sect_radial", "ric_radial", "ric_tangential", "laplacian_density")
+    report_io.write_csv(out / "curvature.csv", h, "curvature-report", names,
+                        [[getattr(c, f) for c in reports] for f in names])
     flag, viol = geometry.is_cartan_hadamard(model)
     payload = {"profile": args.profile, "N": model.N, "Rmax": model.Rmax,
                "built_by": model.built_by, "cartan_hadamard": flag,
@@ -237,10 +235,12 @@ def cmd_sweep(args, model, out: Path, h: str):
     report_io.write_csv(out / "sweep.csv", h, "weighted-supremum-sweep",
                         ("p", "B", "r_bar", "sandwich_upper", "lemma_bound",
                          "divergent"),
-                        ((p, rep.B, "at_infinity" if rep.at_infinity else rep.r_bar,
-                          rep.sandwich_upper,
-                          model.profile.bound_on_B(model.N, float(p)), rep.divergent)
-                         for p, rep in zip(p_values, reports)))
+                        (p_values, [rep.B for rep in reports],
+                         ["at_infinity" if rep.at_infinity else rep.r_bar
+                          for rep in reports],
+                         [rep.sandwich_upper for rep in reports],
+                         [model.profile.bound_on_B(model.N, float(p)) for p in p_values],
+                         [rep.divergent for rep in reports]))
 
     payload = {"p": list(map(float, p_values)),
                "B": [rep.B for rep in reports],
@@ -262,9 +262,9 @@ def cmd_poincare(args, model, out: Path, h: str):
     weight = weighted.build_weight(model)
     res = variational.poincare_eigen(weight, args.rdomain)
     report_io.write_csv(out / "eigenfunction.csv", h, "spectral-gap-eigenfunction",
-                        ("r", "g"), zip(res.r, res.eigenfunction))
+                        ("r", "g"), (res.r, res.eigenfunction))
     report_io.write_csv(out / "eigenfunction.gnuplot.dat", h,
-                        "spectral-gap-eigenfunction", None, zip(res.r, res.eigenfunction))
+                        "spectral-gap-eigenfunction", None, (res.r, res.eigenfunction))
     payload = {"lambda1": res.lambda1, "best_constant": res.best_constant,
                "R_domain": args.rdomain}
     mckean = model.profile.mckean(model.N)
@@ -284,9 +284,9 @@ def cmd_rayleigh(args, model, out: Path, h: str):
     res = variational.rayleigh_minimize(weight, args.p, args.rdomain, init=init,
                                         tol=tols["rayleigh"])
     report_io.write_csv(out / "minimizer.csv", h, "rayleigh-minimizer",
-                        ("r", "g"), zip(res.r, res.minimizer))
+                        ("r", "g"), (res.r, res.minimizer))
     report_io.write_csv(out / "minimizer.gnuplot.dat", h, "rayleigh-minimizer",
-                        None, zip(res.r, res.minimizer))
+                        None, (res.r, res.minimizer))
     payload = {"p": args.p, "R_domain": args.rdomain, "ratio": res.ratio,
                "converged": res.converged, "iterations": res.iterations}
     if not rep.divergent:
@@ -300,12 +300,11 @@ def cmd_certificate(args, model, out: Path, h: str):
     reports = _parallel_map(
         lambda R: variational.nonradial_certificate(model, args.p, R),
         radii, args.jobs)
+    names = ("R", "G", "p", "lower_bound_on_C", "conclusion")
     report_io.write_csv(out / "certificate.csv", h, "nonradial-failure-certificate",
-                        ("R", "G", "p", "lower_bound_on_C", "conclusion"),
-                        ((c.R, c.G, c.p, c.lower_bound_on_C, c.conclusion)
-                         for c in reports))
+                        names, [[getattr(c, f) for c in reports] for f in names])
     report_io.write_csv(out / "certificate.gnuplot.dat", h, "nonradial-failure-certificate",
-                        None, ((c.R, c.lower_bound_on_C) for c in reports))
+                        None, ([c.R for c in reports], [c.lower_bound_on_C for c in reports]))
     conclusion = "grows" if all(c.conclusion == "grows" for c in reports) else "bounded"
     payload = {"p": args.p, "R": radii,
                "lower_bound_on_C": [c.lower_bound_on_C for c in reports],
@@ -325,11 +324,12 @@ def cmd_pme(args, model, out: Path, h: str):
                         initial=datum, t_end=args.t_end, n_cells=args.cells,
                         output_times=outs)
     run = pme.pme_run(cfg)
-    report_io.write_csv(out / "timeseries.csv", h, "pme-decay-series",
-                        ("t", "sup", "mass", "support_edge"),
-                        ((s.t, s.sup, s.mass, s.support_edge) for s in run.states))
+    names = ("t", "sup", "mass", "support_edge")
+    report_io.write_csv(out / "timeseries.csv", h, "pme-decay-series", names,
+                        [[getattr(s, f) for s in run.states] for f in names])
+    later = [s for s in run.states if s.t > 0]
     report_io.write_csv(out / "sup_vs_t.gnuplot.dat", h, "pme-decay-series", None,
-                        ((s.t, s.sup) for s in run.states if s.t > 0))
+                        ([s.t for s in later], [s.sup for s in later]))
     if args.snapshots <= 0:
         idx = np.arange(len(run.states))
     else:
@@ -339,7 +339,7 @@ def cmd_pme(args, model, out: Path, h: str):
         st = run.states[i]
         report_io.write_csv(out / f"snapshot_{j:03d}.csv", h,
                             f"pme-profile-t={st.t:.6g}",
-                            ("r", "u"), zip(r_text, st.u))
+                            ("r", "u"), (r_text, st.u))
 
     mass0 = run.states[0].mass
     payload = {"m": args.m, "mass": mass0, "steps": run.steps,

@@ -72,7 +72,7 @@ over log-radius panels (:func:`_tail_quadrature`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -743,20 +743,39 @@ class GridSpec:
 class ModelFunction:
     """Warping function of a radial model geometry plus its curvature law.
 
-    Evaluation methods accept scalars or arrays in [0, Rmax].  ``grid_*``
-    arrays are the export table (first row is the exact origin values).
-    ``warping`` evaluates psi, psi', log psi, psi'/psi and K: the profile
-    itself when it has a closed form, else a :class:`_LogSpline`.
+    Evaluation methods accept scalars or arrays in [0, Rmax].  ``grid_r``,
+    ``grid_psi`` and ``grid_dpsi`` are the export table (first row is the
+    exact origin values).  A built model tabulates psi and psi' on ``grid_r``
+    at the first read of ``grid_psi``, ``grid_dpsi`` or :meth:`table`; an
+    imported one holds its file's values from the start.  ``warping``
+    evaluates psi, psi', log psi, psi'/psi and K: the profile itself when it
+    has a closed form, else a :class:`_LogSpline`.
     """
 
     profile: Optional[CurvatureProfile]
     N: int
     Rmax: float
     grid_r: np.ndarray
-    grid_psi: np.ndarray
-    grid_dpsi: np.ndarray
     built_by: str
     warping: object
+    _grid_values: Optional[tuple] = field(default=None, repr=False)  # (psi, psi')
+
+    def _export(self):
+        if self._grid_values is None:
+            with np.errstate(over="ignore"):  # table() refuses the overflow
+                gp = np.asarray(self.warping.psi(self.grid_r), float)
+                gdp = np.asarray(self.warping.dpsi(self.grid_r), float)
+            gp[0], gdp[0] = 0.0, 1.0
+            self._grid_values = gp, gdp
+        return self._grid_values
+
+    @property
+    def grid_psi(self) -> np.ndarray:
+        return self._export()[0]
+
+    @property
+    def grid_dpsi(self) -> np.ndarray:
+        return self._export()[1]
 
     def _check(self, r):
         r = np.asarray(r, float)
@@ -781,17 +800,18 @@ class ModelFunction:
         return self.warping.curvature(self._check(r))
 
     def table(self):
-        """Rows (r, psi, psi') of the export table.
+        """Columns (r, psi, psi') of the export table.
 
         Refuses a table that overflows float64, naming the first radius
         where psi or psi' is not finite.
         """
-        bad = ~(np.isfinite(self.grid_psi) & np.isfinite(self.grid_dpsi))
+        gp, gdp = self._export()
+        bad = ~(np.isfinite(gp) & np.isfinite(gdp))
         if np.any(bad):
             raise ValidationError(
                 f"warping table overflows float64 at r = {self.grid_r[np.argmax(bad)]:.6g}; "
                 "reduce Rmax or the curvature scale")
-        return zip(self.grid_r, self.grid_psi, self.grid_dpsi)
+        return self.grid_r, gp, gdp
 
 
 @dataclass(frozen=True)
@@ -936,13 +956,8 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
     else:
         warping, built_by = profile, "closed"
 
-    rg = np.concatenate([[0.0], grid.nodes(Rmax)])
-    with np.errstate(over="ignore"):  # ModelFunction.table() refuses the overflow
-        gp = np.asarray(warping.psi(rg), float)
-        gdp = np.asarray(warping.dpsi(rg), float)
-    gp[0], gdp[0] = 0.0, 1.0
     return ModelFunction(profile=profile, N=int(N), Rmax=float(Rmax),
-                         grid_r=rg, grid_psi=gp, grid_dpsi=gdp,
+                         grid_r=np.concatenate([[0.0], grid.nodes(Rmax)]),
                          built_by=built_by, warping=warping)
 
 
@@ -1103,5 +1118,5 @@ def model_from_csv(path, N: int) -> ModelFunction:
         raise ValidationError("imported psi must be positive for r > 0")
     rn, pn, dpn = r[1:], p[1:], dp[1:]
     return ModelFunction(profile=None, N=int(N), Rmax=float(rn[-1]),
-                         grid_r=r, grid_psi=p, grid_dpsi=dp, built_by="table",
-                         warping=_LogSpline(rn, np.log(pn), dpn / pn))
+                         grid_r=r, built_by="table",
+                         warping=_LogSpline(rn, np.log(pn), dpn / pn), _grid_values=(p, dp))

@@ -201,7 +201,8 @@ def pme_run(config: PMEConfig) -> PMERun:
                         support_edge=_support_edge(u, faces, thr))
 
     flux = np.zeros(config.n_cells + 1)
-    # the Newton loop's work arrays, sliced to each step's window: numpy keeps up
+    # the Newton loop's work arrays; each step takes its window's views of them
+    # (and of flux) once, and its iterations reuse those views.  Numpy keeps up
     # to seven freed buffers of each size under 1 KiB, so fresh temporaries of
     # every window size under 128 cells would stay allocated (about 0.4 MB)
     work = np.empty((5, config.n_cells))
@@ -218,6 +219,8 @@ def pme_run(config: PMEConfig) -> PMERun:
         k = min(end + _NEWTON_CAP + 2, config.n_cells)
         xk, uk, vk, off, dt_sum = x[:k], u[:k], vol[:k], off[:k - 1], dt_sum[:k]
         v, dphi, res, diag, up = (a[:k] for a in work)
+        v_lo, v_hi, dphi_lo, dphi_hi, up_lo = v[:-1], v[1:], dphi[:-1], dphi[1:], up[:-1]
+        flux_in, flux_out, flux_inner = flux[:k], flux[1:k + 1], flux[1:k]
         flux[k] = 0.0  # no flux between the empty cells k - 1 and k
         for _ in range(_NEWTON_CAP):
             # v = max(x, 0)^m and dphi = m max(x, 0)^(m-1), with the operators' fast paths
@@ -226,25 +229,25 @@ def pme_run(config: PMEConfig) -> PMERun:
             np.maximum(xk, 0.0, out=dphi)
             dphi **= m - 1.0
             dphi *= m
-            np.subtract(v[1:], v[:-1], out=flux[1:k])
-            flux[1:k] *= off
+            np.subtract(v_hi, v_lo, out=flux_inner)
+            flux_inner *= off
             np.subtract(xk, uk, out=res)  # res = vol (x - u) + flux out - flux in
             res *= vk
-            res += flux[1:k + 1]
-            res -= flux[:k]
+            res += flux_out
+            res -= flux_in
             np.multiply(dt_sum, dphi, out=diag)
             diag += vk
             np.abs(res, out=v)
             v /= diag
-            if v.max() <= tol:  # false on a non-finite state
+            if np.maximum.reduce(v) <= tol:  # false on a non-finite state
                 if x.min() < -1e-10 * max(sup0, 1.0):
                     raise StabilityFailure(f"negative state at t = {t_new:.6g}")
                 return np.maximum(x, 0.0)
-            np.multiply(off, dphi[:-1], out=v[:-1])
-            np.multiply(off, dphi[1:], out=up[:-1])
+            np.multiply(off, dphi_lo, out=v_lo)
+            np.multiply(off, dphi_hi, out=up_lo)
             # sub-, main and super-diagonal and the residual are all recomputed
             # in the next iteration, so LAPACK may overwrite them
-            *_, step, info = dgtsv(v[:-1], diag, up[:-1], res, 1, 1, 1, 1)
+            *_, step, info = dgtsv(v_lo, diag, up_lo, res, 1, 1, 1, 1)
             if info:
                 raise StabilityFailure(f"singular Newton system at t = {t_new:.6g}")
             xk -= step

@@ -3,10 +3,12 @@
 Every file starts with a comment line carrying the tool version, a hash of
 the resolved run configuration, and a slug naming the quantity stored, so
 any output can be traced back to the exact invocation that produced it.
-A table is CSV, or with ``columns=None`` gnuplot data: space-separated, no
-column line.  Float columns hold 17 significant digits (value-preserving
-for IEEE doubles), text columns their strings, any other column the ``fmt``
-of each cell (``None`` is empty).  JSON is UTF-8 with sorted keys.
+A table is given column-major, as its column names and a sequence of
+equal-length columns, and written as CSV, or with ``names=None`` as gnuplot
+data: space-separated, no column line.  Float columns (a float64 array, or
+cells that are all floats) hold 17 significant digits (value-preserving for
+IEEE doubles), text columns their strings, any other column the ``fmt`` of
+each cell (``None`` is empty).  JSON is UTF-8 with sorted keys.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import hashlib
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 
@@ -37,29 +41,42 @@ def _save(path, text: str) -> Path:
     return path
 
 
-def _write_table(path, comment, columns, rows) -> Path:
-    """Write ``rows`` under a ``# comment`` line, if any; a ragged row raises."""
-    rows = [tuple(row) for row in rows]
-    width = len(columns if columns is not None else rows[0] if rows else ())
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"every row of {path} must hold {width} cells")
-    cells = [v for row in rows for v in row]
-    specs = []
-    for j in range(width):  # "%.17g" for floats, text as it is, else the fmt of each cell
-        floats = all(isinstance(v, float) for v in cells[j::width])
-        if not floats and not all(isinstance(v, str) for v in cells[j::width]):
-            cells[j::width] = map(fmt, cells[j::width])
-        specs.append("%.17g" if floats else "%s")
+def _cells(column):
+    """A column's cells and their ``%`` template: a float64 array or a column of
+    floats ``%.17g``, a column of strings as it is, else the ``fmt`` of each cell."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return column.tolist(), "%.17g"
+    column = list(column)
+    if all(isinstance(v, float) for v in column):
+        return column, "%.17g"
+    if all(isinstance(v, str) for v in column):
+        return column, "%s"
+    return list(map(fmt, column)), "%s"
+
+
+def _write_table(path, comment, names, columns) -> Path:
+    """Write ``columns`` side by side under a ``# comment`` line, if any; a
+    column count other than ``len(names)`` or columns of unequal length raise."""
+    columns = [_cells(c) for c in columns]
+    if names is not None and len(columns) != len(names):
+        raise ValueError(f"{path} must hold {len(names)} columns")
+    n = len(columns[0][0]) if columns else 0
+    if any(len(cells) != n for cells, _ in columns):
+        raise ValueError(f"every column of {path} must hold {n} cells")
+    width = len(columns)
+    table = [None] * (n * width)  # row-major, one template for the whole body
+    for j, (cells, _) in enumerate(columns):
+        table[j::width] = cells
     head = f"# {comment}\n" if comment else ""
-    if columns is not None:
-        head += ",".join(columns) + "\n"
-    line = (" " if columns is None else ",").join(specs) + "\n"
-    return _save(path, head + line * len(rows) % tuple(cells))
+    if names is not None:
+        head += ",".join(names) + "\n"
+    line = (" " if names is None else ",").join(spec for _, spec in columns) + "\n"
+    return _save(path, head + line * n % tuple(table))
 
 
-def write_csv(path, cfg_hash: str, quantity: str, columns, rows):
+def write_csv(path, cfg_hash: str, quantity: str, names, columns):
     header = f"hadamard-ineq v{__version__} config={cfg_hash} quantity={quantity}"
-    return _write_table(path, header, columns, rows)
+    return _write_table(path, header, names, columns)
 
 
 def _jsonable(x):

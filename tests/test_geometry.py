@@ -142,6 +142,23 @@ def test_curvature_queries_evaluate_the_law_once(monkeypatch):
     assert calls == {"curvature": 1, "dlogpsi": 1, "logpsi": 1}
 
 
+def test_export_table_is_tabulated_on_first_read(monkeypatch):
+    # only the model export reads psi and psi' on the grid, so building defers them
+    calls = {"psi": 0, "dpsi": 0}
+    for name in calls:
+        def counted(self, r, name=name, member=getattr(geo.PowerLaw, name)):
+            calls[name] += 1
+            return member(self, r)
+        monkeypatch.setattr(geo.PowerLaw, name, counted)
+    model = geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 2000.0)
+    assert calls == {"psi": 0, "dpsi": 0}
+    r, psi, dpsi = model.table()
+    assert calls == {"psi": 1, "dpsi": 1}
+    assert model.table()[1] is psi and model.grid_dpsi is dpsi
+    assert calls == {"psi": 1, "dpsi": 1}
+    assert r is model.grid_r and (psi[0], dpsi[0]) == (0.0, 1.0)
+
+
 def test_overflowing_warping_table_is_refused_without_warnings():
     # sinh and cosh overflow past r ~ 7.1 at k = 1e4; the table names the radius
     model = geo.build_model(geo.Hyperbolic(1e4), 3, 20.0)

@@ -171,6 +171,22 @@ def test_fit_with_log_recovers_planted_amplitude():
     assert fit.residual_rms < 1e-6
 
 
+def test_free_log_fit_recovers_a_planted_log_exponent():
+    # planted law K (log(t mass^(m-1) + e))^gamma t^(-1/(m-1)), m = 3 and
+    # gamma = 1.25, away from the analytic (2 + beta) / ((m - 1)(2 - beta)) = 1.5
+    m, mass, gamma, K = 3.0, 2.0, 1.25, 0.37
+    t = np.geomspace(10.0, 1e5, 80)
+    sup = K * np.log(t * mass ** (m - 1.0) + math.e) ** gamma * t ** (-1.0 / (m - 1.0))
+    states = [pme.PMEState(t=float(a), u=np.zeros(1), mass=mass, sup=float(b),
+                           support_edge=1.0) for a, b in zip(t, sup)]
+    fit = pme.fit_smoothing(states, "power_with_log_free", m=m, beta=1.0,
+                            mass=mass, window=(10.0, 1e5))
+    assert fit.power_exponent == -0.5
+    assert fit.log_correction_exponent == pytest.approx(gamma, abs=1e-6)
+    assert fit.K_fit == pytest.approx(K, rel=1e-6)
+    assert fit.residual_rms < 1e-9
+
+
 def test_reference_curves():
     up = pme.reference_curves(1.0, 2.0, 1.0, 1.0, [math.e - math.e + 1.0, 100.0])
     assert np.all(up > 0) and up[0] > up[1] * 1.0

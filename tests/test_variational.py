@@ -211,6 +211,24 @@ def test_rayleigh_stop_does_not_depend_on_rounding(hyperbolic_weight):
     assert max(res.ratio for res in runs) - min(res.ratio for res in runs) < 1e-13
 
 
+def test_rayleigh_halves_the_step_until_no_trial_improves(hyperbolic_weight, monkeypatch):
+    # with tol = 0 the relative-decrease stop never fires, so the descent ends
+    # only when 50 halvings of the step leave the quotient where it is
+    nodes = np.linspace(0.0, 20.0, 50)[:-1]
+    tent = var.DiscreteFunction(nodes, 1.0 - nodes / 20.0)
+    ratios = [var.rayleigh_minimize(hyperbolic_weight, 3.0, 20.0, init=tent, max_iter=k).ratio
+              for k in (0, 1, 5, 20)]
+    trials = []
+    power_sum = var._Mesh.power_sum
+    monkeypatch.setattr(var._Mesh, "power_sum",
+                        lambda self, g, p: trials.append(1) or power_sum(self, g, p))
+    res = var.rayleigh_minimize(hyperbolic_weight, 3.0, 20.0, init=tent, tol=0.0)
+    assert res.converged and res.iterations < 2000
+    assert len(trials) >= 1 + res.iterations + 49  # the last iteration's 50 trials
+    ratios.append(res.ratio)
+    assert all(b <= a for a, b in zip(ratios, ratios[1:]))
+
+
 def test_rayleigh_exponent_validation(euclidean_weight):
     with pytest.raises(InvalidExponent):
         var.rayleigh_minimize(euclidean_weight, 1.5, 20.0)
