@@ -22,7 +22,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +196,8 @@ def _parse_p_list(spec: str):
 def _parallel_map(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # imported only when fanning out
+
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))
 
@@ -333,7 +334,8 @@ def cmd_pme(args, model, out: Path, h: str):
     if args.snapshots <= 0:
         idx = np.arange(len(run.states))
     else:
-        idx = np.unique(np.linspace(0, len(run.states) - 1, args.snapshots).astype(int))
+        idx = geometry._sorted_unique(
+            np.linspace(0, len(run.states) - 1, args.snapshots).astype(int))
     r_text = [report_io.fmt(r) for r in run.r_centers.tolist()]  # the same column in every file
     for j, i in enumerate(idx):
         st = run.states[i]

@@ -76,9 +76,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ive, kve
 
 from . import report_io
+from ._kernels import ive, kve
 from .errors import (
     BelowCriticalExponent,
     CurvatureNotVanishing,
@@ -137,6 +137,15 @@ def _gl5(f, mid, half):
     for w, row in zip(GL5_WEIGHTS, f(nodes)):
         acc = acc + w * row
     return acc * half
+
+
+def _sorted_unique(a):
+    """np.unique of a 1-d array of finite numbers, without the import of
+    ``numpy.ma`` that np.unique makes on its first call."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +788,12 @@ class ModelFunction:
 
     def _check(self, r):
         r = np.asarray(r, float)
-        if np.any(r < 0) or np.any(r > self.Rmax * (1 + 1e-12)):
+        hi = self.Rmax * (1 + 1e-12)
+        if r.ndim == 0:  # as a float: two np.any calls on one radius cost ten times more
+            bad = float(r) < 0 or float(r) > hi
+        else:
+            bad = np.any(r < 0) or np.any(r > hi)
+        if bad:
             raise OutOfDomain(f"radius outside [0, {self.Rmax}]")
         return r
 
@@ -973,7 +987,7 @@ def _curvature_terms(model: ModelFunction, r):
     and 0 on the flat cap psi = r; elsewhere it is z^2 - psi^(-2), where both
     terms grow like 1/r^2 near the pole.
     """
-    r = model._check(r)
+    r = np.asarray(r, float)  # the first call below checks it
     K = np.asarray(model.curvature(r), float)
     z = np.asarray(model.dlogpsi(r), float)
     inv_psi2 = np.exp(-2.0 * np.asarray(model.logpsi(r), float))

@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._kernels import dgtsv
 from .errors import (
     InsufficientWindow,
     ParameterOutOfRange,
     StabilityFailure,
     ValidationError,
 )
-from .geometry import ModelFunction, _gl5
+from .geometry import ModelFunction, _gl5, _sorted_unique
 from .weighted import sobolev_critical, unit_sphere_area
 
 __all__ = [
@@ -190,7 +190,10 @@ def pme_run(config: PMEConfig) -> PMERun:
     out_t = config.output_times
     if out_t is None:
         out_t = np.geomspace(config.t_end * 1e-4, config.t_end, 60)
-    out_t = np.unique(np.append(np.asarray(out_t, float), 0.0))
+    out_t = np.asarray(out_t, float)
+    if not (np.isfinite(out_t).all() and (out_t >= 0.0).all()):
+        raise ValidationError("output times must be finite and nonnegative")
+    out_t = _sorted_unique(np.append(out_t, 0.0))
     if out_t[-1] > config.t_end:
         raise ValidationError("output times exceed t_end")
 

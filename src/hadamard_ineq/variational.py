@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._kernels import dpttrf, dpttrs
 from .errors import (GridTooCoarse, InvalidExponent, OutOfDomain, ParameterOutOfRange,
                      ValidationError)
-from .geometry import GL5_NODES, GL5_WEIGHTS, ModelFunction, ricci_uniformization
+from .geometry import (GL5_NODES, GL5_WEIGHTS, ModelFunction, _sorted_unique,
+                       ricci_uniformization)
 from .weighted import (_PHI_L, _PHI_R, WeightMeasure, near_extremal, plin_norms,
                        sobolev_critical, supremum_B, unit_sphere_area)
 
@@ -97,6 +98,10 @@ class _Mesh:
         # stiffness A and mass M; A = L D L^T preconditions rayleigh, A - s M bisects
         self.A = _assemble(self.k, self.k, -self.k)
         self.M = _assemble(*(np.array([_PHI_L ** 2, _PHI_R ** 2, _PHI_L * _PHI_R]) @ self.qwwq))
+        # power_sum's work arrays: a (5, n) temporary is larger than glibc's
+        # 128 KiB mmap threshold, so a fresh one per call is mapped and
+        # page-faulted afresh
+        self._gq, self._aq, self._wa, self._core = np.empty((4,) + self.qwwq.shape)
         d, e, info = dpttrf(*self.A)
         if info != 0:
             raise GridTooCoarse(f"stiffness matrix is not positive definite (dpttrf info {info})")
@@ -117,13 +122,19 @@ class _Mesh:
         """int w |g|^p and its gradient in the free nodal values g_i, from
         one evaluation of |g|^(p-1) at the Gauss points."""
         g = self.full(gf)
-        gq = np.outer(_PHI_L, g[:-1]) + np.outer(_PHI_R, g[1:])
-        aq = np.abs(gq)
-        wa = self.qwwq * aq ** (p - 1.0)
-        core = np.copysign(p * wa, gq)
-        grad = _PHI_L @ core
+        gq, aq, wa, core = self._gq, self._aq, self._wa, self._core
+        np.multiply(_PHI_L[:, None], g[:-1], out=gq)  # g at the Gauss points
+        np.multiply(_PHI_R[:, None], g[1:], out=core)
+        gq += core
+        np.abs(gq, out=aq)
+        np.power(aq, p - 1.0, out=wa)
+        wa *= self.qwwq
+        np.multiply(wa, p, out=core)
+        np.copysign(core, gq, out=core)
+        grad = _PHI_L @ core  # a new array, never one of the work arrays
         grad[1:] += _PHI_R @ core[:, :-1]
-        return float(np.sum(wa * aq)), grad
+        aq *= wa
+        return float(np.sum(aq)), grad
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +268,7 @@ def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list):
         if R > weight.Rmax:
             raise OutOfDomain(f"R = {R} beyond sampled range {weight.Rmax}")
         inner = weight.rgrid[(weight.rgrid > 0) & (weight.rgrid < R)]
-        nodes = np.unique(np.concatenate([inner, [R / 2.0, R]]))
+        nodes = _sorted_unique(np.concatenate([inner, [R / 2.0, R]]))
         g = np.minimum(1.0, 2.0 * (R - nodes) / R)
         grad, pn = plin_norms(weight, nodes, g, p)
         res = rayleigh_minimize(weight, p, R,

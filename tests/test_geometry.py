@@ -159,6 +159,16 @@ def test_export_table_is_tabulated_on_first_read(monkeypatch):
     assert r is model.grid_r and (psi[0], dpsi[0]) == (0.0, 1.0)
 
 
+def test_sorted_unique_is_np_unique_on_finite_input():
+    rng = np.random.default_rng(7)
+    cases = [rng.integers(0, 9, 40), rng.integers(-3, 3, 1), np.array([2.5, -0.0, 1e-300, 2.5]),
+             np.round(rng.normal(size=200), 1), np.linspace(0, 7, 30).astype(int),
+             np.array([], float)]
+    for a in cases:
+        got, want = geo._sorted_unique(a), np.unique(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_overflowing_warping_table_is_refused_without_warnings():
     # sinh and cosh overflow past r ~ 7.1 at k = 1e4; the table names the radius
     model = geo.build_model(geo.Hyperbolic(1e4), 3, 20.0)

@@ -106,6 +106,18 @@ def test_dt_fixed_must_be_positive_and_finite(flat_model, dt):
         _flat_config(flat_model, dt_fixed=dt)
 
 
+@pytest.mark.parametrize("times", [[1.0, math.nan, 2.0], [-1.0, 1.0, 2.0], [1.0, math.inf]])
+def test_output_times_must_be_finite_and_nonnegative(flat_model, times):
+    # a NaN used to come back as a second t_end state, and -1 as a second t = 0 state
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        pme.pme_run(_flat_config(flat_model, t_end=2.0, output_times=times))
+
+
+def test_output_times_are_sorted_and_merged(flat_model):
+    run = pme.pme_run(_flat_config(flat_model, t_end=2.0, output_times=[2.0, 1.0, 0.0, 1.0]))
+    assert [s.t for s in run.states] == [0.0, 1.0, 2.0]
+
+
 def test_barenblatt_decay_slope(flat_model):
     cfg = _flat_config(flat_model, t_end=200.0, n_cells=600)
     run = pme.pme_run(cfg)

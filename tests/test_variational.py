@@ -229,6 +229,35 @@ def test_rayleigh_halves_the_step_until_no_trial_improves(hyperbolic_weight, mon
     assert all(b <= a for a, b in zip(ratios, ratios[1:]))
 
 
+def _power_sum_by_temporaries(mesh, gf, p):
+    # the allocating formula that _Mesh.power_sum replaced, kept as its oracle
+    g = mesh.full(gf)
+    gq = np.outer(wgt._PHI_L, g[:-1]) + np.outer(wgt._PHI_R, g[1:])
+    aq = np.abs(gq)
+    wa = mesh.qwwq * aq ** (p - 1.0)
+    core = np.copysign(p * wa, gq)
+    grad = wgt._PHI_L @ core
+    grad[1:] += wgt._PHI_R @ core[:, :-1]
+    return float(np.sum(wa * aq)), grad
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 6.0])
+def test_power_sum_is_the_allocating_formula_to_the_bit(hyperbolic_weight, p):
+    mesh = var._Mesh(hyperbolic_weight, 20.0)
+    g = np.cos(mesh.nodes[:-1]) * np.exp(-0.1 * mesh.nodes[:-1])  # changes sign
+    g[::7] = 0.0
+    total, grad = mesh.power_sum(g, p)
+    want_total, want_grad = _power_sum_by_temporaries(mesh, g, p)
+    assert total == want_total
+    assert grad.tobytes() == want_grad.tobytes()
+    # each call returns a new gradient, in none of the mesh's work arrays
+    again = mesh.power_sum(2.0 * g, p)[1]
+    assert grad.tobytes() == want_grad.tobytes()
+    assert not np.shares_memory(grad, again)
+    for work in (mesh._gq, mesh._aq, mesh._wa, mesh._core):
+        assert not np.shares_memory(again, work)
+
+
 def test_rayleigh_exponent_validation(euclidean_weight):
     with pytest.raises(InvalidExponent):
         var.rayleigh_minimize(euclidean_weight, 1.5, 20.0)

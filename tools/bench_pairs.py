@@ -9,8 +9,10 @@ change first on even ones, so that a drift in host speed favours neither
 side.  Each run starts from its own checkout, whose ``bench/`` and ``src/``
 it uses; this tool only reads ``bench/``.  FILE receives every run's result
 line and a summary per workload and side: the median, quartiles, minimum and
-maximum of each end-to-end metric, how many pairs the change read lower,
-and how many operations failed of those attempted.
+maximum of each end-to-end metric and of each run's median pass
+``session_s`` (from the per-pass list that bench/run.py prints to stderr),
+how many pairs the change read lower, and how many operations failed of
+those attempted.
 """
 
 from __future__ import annotations
@@ -37,14 +39,27 @@ def describe(checkout: Path) -> str:
     return head.stdout.strip() + (" with uncommitted changes" if dirty else "")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+    """The run's result line, and the session_s of each of its passes."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True)
+    sys.stderr.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), pass_sessions(proc.stderr, workload)
+
+
+def pass_sessions(stderr: str, workload: str) -> list:
+    """The per-pass session_s of bench/run.py's summary line on stderr,
+    "W: K passes, session_s s1 s2 ...; setup_s ..."."""
+    for line in stderr.splitlines():
+        head, _, rest = line.partition(" passes, session_s ")
+        if rest and head.startswith(f"{workload}: "):
+            return [float(s) for s in rest.partition(";")[0].split()]
+    return []
 
 
 def spread(values: list) -> dict:
@@ -61,9 +76,13 @@ def summarise(runs: list, workloads: list) -> dict:
                           if r["workload"] == workload and r["side"] == side]
                    for side in ("parent", "change")}
         metrics = list(by_side["parent"][0]["metrics"])
+        medians = {side: [statistics.median(r["pass_session_s"]) for r in runs
+                          if r["workload"] == workload and r["side"] == side]
+                   for side in ("parent", "change")}
         for side, results in by_side.items():
             entry = {name: spread([r["metrics"][name]["value"] for r in results])
                      for name in metrics}
+            entry["pass_session_s_median"] = spread(medians[side])
             entry["failed_of_attempted"] = (f"{sum(r['failed'] for r in results)} of "
                                             f"{sum(r['attempted'] for r in results)}")
             entry["all_checks_correct"] = all(r["correct"] for r in results)
@@ -73,6 +92,9 @@ def summarise(runs: list, workloads: list) -> dict:
                               for side in ("parent", "change"))
             lower = sum(c < p for p, c in zip(parent, change))
             out[f"{workload}.{name}.change_lower_in_pairs"] = f"{lower} of {len(parent)}"
+        lower = sum(c < p for p, c in zip(medians["parent"], medians["change"]))
+        out[f"{workload}.pass_session_s_median.change_lower_in_pairs"] = (
+            f"{lower} of {len(medians['parent'])}")
     return out
 
 
@@ -112,9 +134,9 @@ def main(argv=None) -> int:
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for workload in args.workload:
             for side in order:
-                result = run_once(sides[side], workload, pair, args.seconds)
+                result, sessions = run_once(sides[side], workload, pair, args.seconds)
                 runs.append({"side": side, "workload": workload, "seed": pair,
-                             "result": result})
+                             "result": result, "pass_session_s": sessions})
                 values = " ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
                 print(f"pair {pair} {workload} {side}: {values}", file=sys.stderr)
     doc["summary_over_untraced_runs"] = summarise(runs, args.workload)
