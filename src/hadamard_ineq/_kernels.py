@@ -29,7 +29,7 @@ def _load_bare(name: str):
     if name in sys.modules:
         return sys.modules[name]
     _, *packages, leaf = name.split(".")
-    [root] = importlib.util.find_spec("scipy").submodule_search_locations
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(root, *packages, leaf + suffix)
         if os.path.isfile(path):
@@ -48,6 +48,6 @@ try:
     _flapack = _load_bare("scipy.linalg._flapack")
     ive, kve = _special.ive, _special.kve
     dgtsv, dpttrf, dpttrs = _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs
-except Exception:  # an older or differently laid out scipy
+except (ImportError, AttributeError):  # an older or differently laid out scipy
     from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
     from scipy.special import ive, kve

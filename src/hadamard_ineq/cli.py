@@ -196,7 +196,7 @@ def _parse_p_list(spec: str):
 def _parallel_map(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # imported only when fanning out
+    from concurrent.futures import ThreadPoolExecutor  # here, so --jobs 1 never imports it
 
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))

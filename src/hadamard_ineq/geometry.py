@@ -61,9 +61,12 @@ The members evaluate the pure formulas of :mod:`weighted` (``lemma41_bound``,
 ``lemma42_bound``, ``mckean_bounds``, ``critical_exponents``), imported where
 called, since :mod:`weighted` imports this module.
 
-Only the integrator and the spline of an integrated or imported warping use
-``scipy.integrate`` and ``scipy.interpolate``, and they import them when
-called, so work on closed-form profiles never loads either.  Every
+The power law's Bessel functions ``ive`` and ``kve`` come from
+:mod:`hadamard_ineq._kernels`, which loads their extension module without
+importing ``scipy.special``.  Only the integrator and the spline of an
+integrated or imported warping use ``scipy.integrate`` and
+``scipy.interpolate``, and they import them when called, so work on
+closed-form profiles never loads either.  Every
 quadrature here and in the modules built on it is the one 5-point
 Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
 over log-radius panels (:func:`_tail_quadrature`).

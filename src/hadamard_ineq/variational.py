@@ -98,10 +98,10 @@ class _Mesh:
         # stiffness A and mass M; A = L D L^T preconditions rayleigh, A - s M bisects
         self.A = _assemble(self.k, self.k, -self.k)
         self.M = _assemble(*(np.array([_PHI_L ** 2, _PHI_R ** 2, _PHI_L * _PHI_R]) @ self.qwwq))
-        # power_sum's work arrays: a (5, n) temporary is larger than glibc's
-        # 128 KiB mmap threshold, so a fresh one per call is mapped and
-        # page-faulted afresh
-        self._gq, self._aq, self._wa, self._core = np.empty((4,) + self.qwwq.shape)
+        # power_sum's work arrays: on a fine mesh a (5, n) temporary exceeds
+        # glibc's 128 KiB mmap threshold, so fresh ones would be mapped and
+        # page-faulted on every call
+        self._work = np.empty((4,) + self.qwwq.shape)
         d, e, info = dpttrf(*self.A)
         if info != 0:
             raise GridTooCoarse(f"stiffness matrix is not positive definite (dpttrf info {info})")
@@ -122,7 +122,7 @@ class _Mesh:
         """int w |g|^p and its gradient in the free nodal values g_i, from
         one evaluation of |g|^(p-1) at the Gauss points."""
         g = self.full(gf)
-        gq, aq, wa, core = self._gq, self._aq, self._wa, self._core
+        gq, aq, wa, core = self._work
         np.multiply(_PHI_L[:, None], g[:-1], out=gq)  # g at the Gauss points
         np.multiply(_PHI_R[:, None], g[1:], out=core)
         gq += core

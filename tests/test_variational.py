@@ -254,8 +254,7 @@ def test_power_sum_is_the_allocating_formula_to_the_bit(hyperbolic_weight, p):
     again = mesh.power_sum(2.0 * g, p)[1]
     assert grad.tobytes() == want_grad.tobytes()
     assert not np.shares_memory(grad, again)
-    for work in (mesh._gq, mesh._aq, mesh._wa, mesh._core):
-        assert not np.shares_memory(again, work)
+    assert not np.shares_memory(again, mesh._work)
 
 
 def test_rayleigh_exponent_validation(euclidean_weight):
