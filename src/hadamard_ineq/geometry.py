@@ -69,7 +69,8 @@ integrated or imported warping use ``scipy.integrate`` and
 closed-form profiles never loads either.  Every
 quadrature here and in the modules built on it is the one 5-point
 Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
-over log-radius panels (:func:`_tail_quadrature`).
+over log-radius panels (:func:`_tail_quadrature`).  The rule's nodes and weights
+are constants, so ``numpy.polynomial`` is never imported.
 """
 
 from __future__ import annotations
@@ -127,7 +128,14 @@ _TAIL_STOP = math.exp(-40.0)  # panel mean of the tail integrand / running sum t
 _TAIL_SETTLED = 1e-12  # change of the tail's power over its last panel that makes it exact
 _CH_TOL = 1e-10  # K below -_CH_TOL max(1, max |K|) breaks the Cartan-Hadamard check
 
-GL5_NODES, GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# The doubles that np.polynomial.legendre.leggauss(5) returns, written out so
+# that no command imports numpy.polynomial.  The weights are not the correctly
+# rounded ones (the middle weight is 0.5688888888888887, not 128/225), and every
+# output byte depends on these.
+GL5_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+GL5_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                        0.4786286704993663, 0.23692688505618928])
 
 
 def _gl5(f, mid, half):

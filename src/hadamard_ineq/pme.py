@@ -111,14 +111,14 @@ class PMEConfig:
     dt_fixed: Optional[float] = None
 
     def __post_init__(self):
-        if self.m <= 1.0:
-            raise ValidationError(f"need m > 1, got {self.m}")
+        if not 1.0 < self.m < math.inf:
+            raise ValidationError(f"m must be finite and > 1, got {self.m}")
         if not callable(getattr(self.initial, "values", None)):
             raise ValidationError(f"initial datum {self.initial!r} has no values(centers)")
         if not (0 < self.R_domain <= self.model.Rmax * (1 + 1e-12)):
             raise ValidationError("R_domain must lie in (0, Rmax]")
-        if self.t_end <= 0:
-            raise ValidationError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValidationError(f"t_end must be positive and finite, got {self.t_end}")
         if self.n_cells < 50:
             raise ValidationError("need at least 50 cells")
         if self.dt_fixed is not None and not 0.0 < self.dt_fixed < math.inf:

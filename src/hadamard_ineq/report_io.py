@@ -9,11 +9,16 @@ data: space-separated, no column line.  Float columns (a float64 array, or
 cells that are all floats) hold 17 significant digits (value-preserving for
 IEEE doubles), text columns their strings, any other column the ``fmt`` of
 each cell (``None`` is empty).  JSON is UTF-8 with sorted keys.
+
+The configuration hash is the first 16 hex digits of SHA-256, taken from
+CPython's builtin module (``_sha2`` on 3.12+, ``_sha256`` before), so no
+command loads ``hashlib`` and, with it, OpenSSL's libcrypto; ``hashlib``
+serves only an interpreter built without that module.  The digest is the
+same either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -22,10 +27,18 @@ import numpy as np
 
 from . import __version__
 
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 def config_hash(params: dict) -> str:
     blob = json.dumps(params, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _sha256(blob).hexdigest()[:16]
 
 
 def fmt(x) -> str:

@@ -169,6 +169,13 @@ def test_sorted_unique_is_np_unique_on_finite_input():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_gl5_constants_are_the_bits_of_leggauss():
+    # every quadrature, and so every output byte, rests on these doubles
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert geo.GL5_NODES.view("u8").tolist() == nodes.view("u8").tolist()
+    assert geo.GL5_WEIGHTS.view("u8").tolist() == weights.view("u8").tolist()
+
+
 def test_overflowing_warping_table_is_refused_without_warnings():
     # sinh and cosh overflow past r ~ 7.1 at k = 1e4; the table names the radius
     model = geo.build_model(geo.Hyperbolic(1e4), 3, 20.0)

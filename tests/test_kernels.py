@@ -1,9 +1,11 @@
-"""The five compiled scipy kernels: loaded bare, and the public imports as fallback.
+"""What a command loads: the five compiled scipy kernels, loaded bare, and
+CPython's builtin SHA-256, each with the public import as fallback.
 
-Both tests run in a fresh interpreter: pytest itself imports scipy.integrate,
+These tests run in a fresh interpreter: pytest itself imports scipy.integrate,
 and with it scipy.special and scipy.linalg, for its warning filter.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 SMALL_PME = ["pme", "--profile", "euclidean", "--n", "3", "--rmax", "10", "--rdomain", "8",
              "--m", "2", "--t-end", "1", "--cells", "100"]
 UNLOADED = ("scipy", "scipy.special", "scipy.linalg", "scipy._lib._array_api", "numpy.ma",
-            "concurrent.futures")
+            "concurrent.futures", "hashlib", "_hashlib", "numpy.polynomial")
 
 _LOADED_AFTER = """
 import json, sys
@@ -62,6 +64,20 @@ public = sys.modules["scipy.special"].ive is _kernels.ive
 print(json.dumps({"bare_loaded": bare_loaded, "public": public, "same": numbers() == bare}))
 """
 
+_HASH_FALLBACK = """
+import importlib, json, sys
+from hadamard_ineq import report_io
+payloads = json.loads(sys.argv[1])
+builtin = [report_io.config_hash(p) for p in payloads]
+bare = "hashlib" not in sys.modules
+for name in ("_sha2", "_sha256"):
+    sys.modules[name] = None  # refuses the import
+importlib.reload(report_io)
+import hashlib
+print(json.dumps({"bare": bare, "fallback": report_io._sha256 is hashlib.sha256,
+                  "builtin": builtin, "hashlib": [report_io.config_hash(p) for p in payloads]}))
+"""
+
 
 def _run(script, *args):
     env = dict(os.environ)
@@ -84,3 +100,11 @@ def test_the_command_line_loads_only_the_compiled_kernels(tmp_path):
 def test_the_public_imports_give_the_same_bits_when_bare_loading_fails():
     doc = _run(_FALLBACK)
     assert doc == {"bare_loaded": True, "public": True, "same": True}
+
+
+def test_the_hashlib_fallback_gives_the_same_config_hashes():
+    payloads = [{}, {"label": "ψ ∈ (0, ∞)", "n": 3}, {"seeds": list(range(500))}]
+    doc = _run(_HASH_FALLBACK, json.dumps(payloads))
+    want = [hashlib.sha256(json.dumps(p, sort_keys=True).encode()).hexdigest()[:16]
+            for p in payloads]
+    assert doc == {"bare": True, "fallback": True, "builtin": want, "hashlib": want}

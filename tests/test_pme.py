@@ -106,6 +106,16 @@ def test_dt_fixed_must_be_positive_and_finite(flat_model, dt):
         _flat_config(flat_model, dt_fixed=dt)
 
 
+@pytest.mark.parametrize("field, value", [("t_end", math.nan), ("t_end", math.inf),
+                                          ("t_end", 0.0), ("m", math.nan), ("m", math.inf),
+                                          ("m", 1.0)])
+def test_t_end_and_m_must_be_finite(flat_model, field, value):
+    # t_end = nan or inf used to run to the last output time and return its states;
+    # m = nan or inf ended in StabilityFailure
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        _flat_config(flat_model, output_times=[1.0, 2.0], **{field: value})
+
+
 @pytest.mark.parametrize("times", [[1.0, math.nan, 2.0], [-1.0, 1.0, 2.0], [1.0, math.inf]])
 def test_output_times_must_be_finite_and_nonnegative(flat_model, times):
     # a NaN used to come back as a second t_end state, and -1 as a second t = 0 state

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,3 +94,19 @@ def test_a_column_count_other_than_the_names_is_refused(tmp_path):
     with pytest.raises(ValueError, match="must hold 2 columns"):
         report_io.write_csv(path, "0123456789abcdef", "pin", ("a", "b"), [(1.0, 2.0)])
     assert not path.exists()
+
+
+def test_config_hash_is_sha256_of_the_sorted_json():
+    non_ascii = {"profile": "power", "beta": 1.5, "out": Path("a/b"), "label": "ψ ∈ (0, ∞)",
+                 "grid": [1, 2.5, None]}
+    for params in ({}, non_ascii, {"tol": {"refine": 1e-3}, "seeds": list(range(500))}):
+        blob = json.dumps(params, sort_keys=True, default=str).encode("utf-8")
+        assert report_io.config_hash(params) == hashlib.sha256(blob).hexdigest()[:16]
+    # the hash that the hashlib-based writer gave it
+    assert report_io.config_hash(non_ascii) == "8fee8b4f926c66f3"
+
+
+def test_builtin_sha256_is_hashlib_sha256():
+    rng = np.random.default_rng(3)
+    for blob in (b"", "ψ ∈ (0, ∞)".encode("utf-8"), bytes(64), rng.bytes(1 << 20)):
+        assert report_io._sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
