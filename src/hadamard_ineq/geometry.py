@@ -71,6 +71,9 @@ quadrature here and in the modules built on it is the one 5-point
 Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
 over log-radius panels (:func:`_tail_quadrature`).  The rule's nodes and weights
 are constants, so ``numpy.polynomial`` is never imported.
+
+The weight w = psi^(N-1) of every integral in this package is formed in one
+place, :meth:`ModelFunction.log_weight`, which returns its log (N - 1) log psi.
 """
 
 from __future__ import annotations
@@ -210,9 +213,10 @@ class TailModel:
 def _tail_quadrature(profile, model) -> float:
     """Integral of psi^(1-N) over (Rmax, infinity) from a closed-form log psi.
 
-    With n = N - 1 and r = Rmax e^t it is Rmax psi(Rmax)^(-n) times the
-    integral over t > 0 of f(t) = exp(t - n (log psi(r) - log psi(Rmax))),
-    which is 1 at t = 0 and falls at the local rate lam = n r (log psi)' - 1.
+    With n = N - 1 and r = Rmax e^t it is Rmax / w(Rmax), w the model's
+    weight, times the integral over t > 0 of f(t) = exp(t - n (log psi(r) -
+    log psi(Rmax))), which is 1 at t = 0 and falls at the local rate
+    lam = n r (log psi)' - 1.
     f is summed by GL5 on panels of width 0.25 / max(lam(Rmax), 2), each run
     of panels in one call of ``logpsi``, until a panel's mean of f is below
     e^-40 of the running sum; the power law f / lam at the last panel end
@@ -255,7 +259,7 @@ def _tail_quadrature(profile, model) -> float:
     if not (math.isfinite(total + closure) and (stopped or settled)):
         raise NumericalError(f"tail integral past Rmax = {R:.6g} is not finite or not "
                              f"settled at r = {R * math.exp(done * h):.3g}")
-    return R * math.exp(-n * yR) * (total + closure)
+    return R * math.exp(-float(model.log_weight(R))) * (total + closure)
 
 
 def tail_past_rmax(model) -> tuple:
@@ -285,7 +289,7 @@ def tail_past_rmax(model) -> tuple:
         return tm, math.inf
     if getattr(model.profile, "tail_integral", None) is not None:
         return tm, model.profile.tail_integral(model)
-    anchor = math.exp((1.0 - N) * float(model.logpsi(np.float64(R))))
+    anchor = math.exp(-float(model.log_weight(R)))
     if tm.family == "power":
         return tm, R * anchor / (tm.shape * (N - 1) - 1.0)
     if tm.shape != 1.0:
@@ -337,7 +341,7 @@ class Constant:
         j = np.arange(terms - 1)
         series = 1.0 + math.fsum(np.cumprod((j + 1.0 - n / 2.0) / (j + 1.0 + n / 2.0)
                                             * math.exp(-2.0 * s * R)))
-        return math.exp(-n * float(self.logpsi(R))) * -math.expm1(-2.0 * s * R) / (n * s) * series
+        return math.exp(-float(model.log_weight(R))) * -math.expm1(-2.0 * s * R) / (n * s) * series
 
     # (psi'^2 - 1) / psi^2 = (cosh^2 - 1) / (sinh / sqrt(k))^2 = k
     tangential_curvature = curvature
@@ -645,13 +649,6 @@ def QuasiEuclideanOptimal(c1: float, r0: float = 1.0) -> PowerLaw:
     return PowerLaw(c1, 2.0, r0)
 
 
-def _smoothstep(x):
-    s = x * x * (3.0 - 2.0 * x)
-    ds = 6.0 * x * (1.0 - x)
-    d2s = 6.0 - 12.0 * x
-    return s, ds, d2s
-
-
 @dataclass(frozen=True)
 class ExponentialPower:
     """Decaying warping exp(-c2 r^gamma) at large radius, blended to r near 0.
@@ -682,9 +679,9 @@ class ExponentialPower:
         dt = -c * g * rc ** (g - 1.0) * t
         d2t = (c * c * g * g * rc ** (2.0 * g - 2.0) - c * g * (g - 1.0) * rc ** (g - 2.0)) * t
         x = np.clip((r - ra) / (rb - ra), 0.0, 1.0)
-        s, ds, d2s = _smoothstep(x)
-        ds = ds / (rb - ra)
-        d2s = d2s / (rb - ra) ** 2
+        s = x * x * (3.0 - 2.0 * x)  # the smoothstep and its two derivatives in r
+        ds = 6.0 * x * (1.0 - x) / (rb - ra)
+        d2s = (6.0 - 12.0 * x) / (rb - ra) ** 2
         inside = (r <= ra) | (r >= rb)
         ds = np.where(inside, 0.0, ds)
         d2s = np.where(inside, 0.0, d2s)
@@ -769,7 +766,9 @@ class ModelFunction:
     at the first read of ``grid_psi``, ``grid_dpsi`` or :meth:`table`; an
     imported one holds its file's values from the start.  ``warping``
     evaluates psi, psi', log psi, psi'/psi and K: the profile itself when it
-    has a closed form, else a :class:`_LogSpline`.
+    has a closed form, else a :class:`_LogSpline`.  N, an integer >= 2, is
+    stored as an ``int``.  :meth:`log_weight` is the only place where the
+    weight psi^(N-1) is formed.
     """
 
     profile: Optional[CurvatureProfile]
@@ -779,6 +778,11 @@ class ModelFunction:
     built_by: str
     warping: object
     _grid_values: Optional[tuple] = field(default=None, repr=False)  # (psi, psi')
+
+    def __post_init__(self):
+        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
+            raise ValidationError(f"dimension must be an integer >= 2, got {self.N}")
+        self.N = int(self.N)
 
     def _export(self):
         if self._grid_values is None:
@@ -819,6 +823,10 @@ class ModelFunction:
 
     def dlogpsi(self, r):
         return self.warping.dlogpsi(self._check(r))
+
+    def log_weight(self, r):
+        """(N - 1) log psi(r), the log of the weight w = psi^(N-1)."""
+        return (self.N - 1.0) * np.asarray(self.logpsi(r), float)
 
     def curvature(self, r):
         """K(r) = psi''/psi; the radial sectional curvature is -K."""
@@ -958,8 +966,6 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
     (used to cross-validate the integrator), and it is probed for K >= 0
     before every integration.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValidationError(f"dimension must be an integer >= 2, got {N}")
     if not np.isfinite(Rmax) or Rmax <= 0:
         raise ValidationError(f"Rmax must be positive, got {Rmax}")
     if method not in ("auto", "ode"):
@@ -981,7 +987,7 @@ def build_model(profile: CurvatureProfile, N: int, Rmax: float,
     else:
         warping, built_by = profile, "closed"
 
-    return ModelFunction(profile=profile, N=int(N), Rmax=float(Rmax),
+    return ModelFunction(profile=profile, N=N, Rmax=float(Rmax),
                          grid_r=np.concatenate([[0.0], grid.nodes(Rmax)]),
                          built_by=built_by, warping=warping)
 
@@ -1142,6 +1148,6 @@ def model_from_csv(path, N: int) -> ModelFunction:
     if np.any(p[1:] <= 0):
         raise ValidationError("imported psi must be positive for r > 0")
     rn, pn, dpn = r[1:], p[1:], dp[1:]
-    return ModelFunction(profile=None, N=int(N), Rmax=float(rn[-1]),
+    return ModelFunction(profile=None, N=N, Rmax=float(rn[-1]),
                          grid_r=r, built_by="table",
                          warping=_LogSpline(rn, np.log(pn), dpn / pn), _grid_values=(p, dp))

@@ -172,7 +172,7 @@ def pme_run(config: PMEConfig) -> PMERun:
     centers = 0.5 * (faces[:-1] + faces[1:])
 
     # cell volumes int w dr and face conductivities w(face)/dx
-    w = lambda s: np.exp((model.N - 1.0) * np.asarray(model.logpsi(s), float))
+    w = lambda s: np.exp(model.log_weight(s))
     with np.errstate(over="ignore"):  # refused just below, naming the dimension
         vol = _gl5(w, centers, 0.5 * dx)
         cond = w(faces[1:-1]) / dx  # interior faces only; flux vanishes at r = 0 and the wall

@@ -101,14 +101,11 @@ class WeightMeasure:
         return self.model.Rmax
 
     def w_at(self, r):
-        return np.exp((self.N - 1.0) * np.asarray(self.model.logpsi(r), float))
+        return np.exp(self.model.log_weight(r))
 
     def ball_volume(self, r):
         """Volume of the ball of radius r (the angular factor enters only here)."""
         return unit_sphere_area(self.N) * self.W_at(r)
-
-    def winv_at(self, r):
-        return np.exp(-(self.N - 1.0) * np.asarray(self.model.logpsi(r), float))
 
     def W_at(self, r):
         """Cumulative integral of w from 0, exact node values plus a local
@@ -122,26 +119,23 @@ class WeightMeasure:
         r = np.asarray(r, float)
         j = np.clip(np.searchsorted(self.rgrid, r, side="left"),
                     1, len(self.rgrid) - 1)
-        return self.Ttab[j] + _gl5_between(self.winv_at, r, self.rgrid[j])
+        return self.Ttab[j] + _gl5_between(lambda s: np.exp(-self.model.log_weight(s)),
+                                           r, self.rgrid[j])
 
 
 def build_weight(model: ModelFunction) -> WeightMeasure:
     """Tabulate W and T on the model grid, T finished by the analytic tail."""
-    N = model.N
-    y_end = float(model.logpsi(np.float64(model.Rmax)))
-    if (N - 1) * y_end > 700.0:
+    if model.log_weight(model.Rmax) > 700.0:
         raise ValidationError(
             "weight overflows float64 at Rmax; reduce Rmax or the curvature scale")
     tail, t_end = tail_past_rmax(model)
     rg = model.grid_r
-    w_seg = _gl5_between(lambda s: np.exp((N - 1.0) * np.asarray(model.logpsi(s), float)),
-                         rg[:-1], rg[1:])
+    w_seg = _gl5_between(lambda s: np.exp(model.log_weight(s)), rg[:-1], rg[1:])
     Wtab = np.concatenate([[0.0], np.cumsum(w_seg)])
     if tail.family == "divergent":
         Ttab = np.full_like(Wtab, math.inf)
     else:
-        tin_seg = _gl5_between(lambda s: np.exp(-(N - 1.0) * np.asarray(model.logpsi(s), float)),
-                               rg[1:-1], rg[2:])
+        tin_seg = _gl5_between(lambda s: np.exp(-model.log_weight(s)), rg[1:-1], rg[2:])
         Ttab = np.concatenate([[math.inf],
                                t_end + np.concatenate([np.cumsum(tin_seg[::-1])[::-1], [0.0]])])
     return WeightMeasure(model=model, rgrid=rg, Wtab=Wtab, Ttab=Ttab, tail=tail)
@@ -295,8 +289,7 @@ def supremum_B(weight: WeightMeasure, p: float, refine_tol: float = 1e-10) -> Su
         r_bar = best_r
         lnW = float(np.log(weight.W_at(np.float64(r_bar))))
         lnT = float(np.log(weight.T_at(np.float64(r_bar))))
-        lnrhs = math.log(p / 2.0) + lnW - 2.0 * (weight.N - 1.0) * float(
-            weight.model.logpsi(np.float64(r_bar)))
+        lnrhs = math.log(p / 2.0) + lnW - 2.0 * float(weight.model.log_weight(r_bar))
         crit_res = abs(1.0 - math.exp(lnrhs - lnT))
         # at a genuine boundary maximizer the stationarity identity is void
         if (r_bar <= pts[0] * (1 + 1e-9)) or (r_bar >= pts[-1] * (1 - 1e-9)):

@@ -363,6 +363,28 @@ def test_rayleigh_command(tmp_path):
     assert doc["ratio"] >= 1.0 / doc["sandwich_upper"]
 
 
+def test_rayleigh_starts_from_the_tent_on_a_divergent_weight(tmp_path):
+    # flat N = 2 has no supremum to start from, so the descent starts from the tent
+    out = tmp_path / "r"
+    rc = run_cli(["rayleigh", "--profile", "euclidean", "--n", "2", "--rmax", "60",
+                  "--rdomain", "50", "--p", "4", "--out-dir", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "rayleigh.json").read_text())
+    assert doc["ratio"] == pytest.approx(0.23000535711514883, rel=1e-12, abs=0.0)
+    assert (doc["iterations"], doc["converged"]) == (12, True)
+    assert "supremum_B" not in doc and "sandwich_upper" not in doc
+
+
+def test_sweep_of_a_divergent_weight(tmp_path):
+    out = tmp_path / "s"
+    rc = run_cli(["sweep", "--profile", "euclidean", "--n", "2", "--rmax", "60",
+                  "--p", "2.5,3,4", "--out-dir", str(out)])
+    assert rc == 0
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[2:]]
+    assert [(row[0], row[1], row[5]) for row in rows] == [
+        (p, "inf", "True") for p in ("2.5", "3", "4")]
+
+
 def test_certificate_command(tmp_path):
     out = tmp_path / "c"
     rc = run_cli(["certificate", "--profile", "power", "--c0", "1", "--beta", "1",

@@ -462,6 +462,24 @@ def test_csv_round_trip(tmp_path, hyperbolic_model):
     assert rows1 == rows2
 
 
+@pytest.mark.parametrize("N", [2.5, 1, 0, -3, True, 3.0])
+def test_both_constructors_refuse_a_bad_dimension(tmp_path, hyperbolic_model, N):
+    path = tmp_path / "model.csv"
+    geo.model_to_csv(hyperbolic_model, path)
+    with pytest.raises(ValidationError, match="dimension must be an integer >= 2"):
+        geo.build_model(geo.Hyperbolic(1.0), N, 20.0)
+    with pytest.raises(ValidationError, match="dimension must be an integer >= 2"):
+        geo.model_from_csv(path, N)
+
+
+def test_a_numpy_integer_dimension_is_stored_as_int(tmp_path, hyperbolic_model):
+    path = tmp_path / "model.csv"
+    geo.model_to_csv(hyperbolic_model, path)
+    for model in (geo.build_model(geo.Hyperbolic(1.0), np.int64(4), 20.0),
+                  geo.model_from_csv(path, np.int64(4))):
+        assert type(model.N) is int and model.N == 4
+
+
 def test_imported_table_curvature(tmp_path, hyperbolic_model):
     path = tmp_path / "model.csv"
     geo.model_to_csv(hyperbolic_model, path)

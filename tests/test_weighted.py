@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import iv, ivp, kv, kvp
 
 from hadamard_ineq import geometry as geo
+from hadamard_ineq import pme
 from hadamard_ineq import weighted as wgt
 from hadamard_ineq.errors import (
     BelowCriticalExponent,
@@ -169,9 +170,48 @@ def test_power_tail_that_cannot_be_summed_is_refused(profile, N):
 
 def test_divergent_tails():
     m2 = geo.build_model(geo.Euclidean(), 2, 30.0)
-    assert wgt.build_weight(m2).tail.family == "divergent"
     me = geo.build_model(geo.ExponentialPower(1.0, 0.5), 3, 30.0)
-    assert wgt.build_weight(me).tail.family == "divergent"
+    for model in (m2, me):
+        weight = wgt.build_weight(model)
+        assert weight.tail.family == "divergent"
+        rep = wgt.supremum_B(weight, 2.5)
+        assert (rep.B, rep.divergent, rep.at_infinity) == (math.inf, True, False)
+        assert rep.search_trace["evaluations"] == 0
+        assert np.all(np.isinf(wgt.Q_at(weight, 2.5, [0.5, 5.0, 25.0])))
+        with pytest.raises(ValidationError, match="divergent"):
+            wgt.near_extremal(weight, rep)
+
+
+def test_every_weight_is_read_from_log_weight(monkeypatch):
+    # adding log 2 to the one log weight doubles W, the ball volumes and the
+    # cell volumes, and halves T and its tail T(Rmax), on every tail family
+    models = [geo.build_model(geo.Euclidean(), 3, 20.0),
+              geo.build_model(geo.Hyperbolic(1.0), 3, 10.0),
+              geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 200.0)]
+    r = np.array([0.3, 2.0, 7.5])
+
+    def measures(model):
+        weight = wgt.build_weight(model)
+        return (weight.W_at(r), weight.ball_volume(r),
+                weight.T_at(r), geo.tail_past_rmax(model)[1])
+
+    def mass0():
+        config = pme.PMEConfig(m=2.0, model=models[0], R_domain=10.0,
+                               initial=pme.Characteristic(1.0), t_end=1e-3,
+                               n_cells=100, output_times=[1e-3])
+        return pme.pme_run(config).states[0].mass
+
+    before, mass_before = [measures(m) for m in models], mass0()
+    log_weight = geo.ModelFunction.log_weight
+    monkeypatch.setattr(geo.ModelFunction, "log_weight",
+                        lambda self, r: log_weight(self, r) + math.log(2.0))
+    after, mass_after = [measures(m) for m in models], mass0()
+    for (W0, V0, T0, t0), (W1, V1, T1, t1) in zip(before, after):
+        assert W1 == pytest.approx(2.0 * W0, rel=1e-13, abs=0.0)
+        assert V1 == pytest.approx(2.0 * V0, rel=1e-13, abs=0.0)
+        assert T1 == pytest.approx(0.5 * T0, rel=1e-13, abs=0.0)
+        assert t1 == pytest.approx(0.5 * t0, rel=1e-13, abs=0.0)
+    assert mass_after == pytest.approx(2.0 * mass_before, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [1.0, 4.0])
