@@ -280,9 +280,7 @@ def cmd_rayleigh(args, model, out: Path, h: str):
     tols = _tols(args)
     weight = weighted.build_weight(model)
     rep = weighted.supremum_B(weight, args.p, refine_tol=tols["refine"])
-    init = (variational.DiscreteFunction(*weighted.near_extremal(weight, rep))
-            if weight.tail.family != "divergent" else None)
-    res = variational.rayleigh_minimize(weight, args.p, args.rdomain, init=init,
+    res = variational.rayleigh_minimize(weight, args.p, args.rdomain, supremum=rep,
                                         tol=tols["rayleigh"])
     report_io.write_csv(out / "minimizer.csv", h, "rayleigh-minimizer",
                         ("r", "g"), (res.r, res.minimizer))

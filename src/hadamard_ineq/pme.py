@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import dgtsv
+from ._kernels import gtsv_solver
 from .errors import (
     InsufficientWindow,
     ParameterOutOfRange,
@@ -209,6 +209,9 @@ def pme_run(config: PMEConfig) -> PMERun:
     # to seven freed buffers of each size under 1 KiB, so fresh temporaries of
     # every window size under 128 cells would stay allocated (about 0.4 MB)
     work = np.empty((5, config.n_cells))
+    # dgtsv bound once to the rows of the sub-, main and super-diagonal and the
+    # residual; a window's system is their first k entries
+    solve = gtsv_solver(work[0], work[3], work[4], work[2])
     iterations = 0
 
     def backward_euler(t_new):
@@ -249,11 +252,10 @@ def pme_run(config: PMEConfig) -> PMERun:
             np.multiply(off, dphi_lo, out=v_lo)
             np.multiply(off, dphi_hi, out=up_lo)
             # sub-, main and super-diagonal and the residual are all recomputed
-            # in the next iteration, so LAPACK may overwrite them
-            *_, step, info = dgtsv(v_lo, diag, up_lo, res, 1, 1, 1, 1)
-            if info:
+            # in the next iteration, so LAPACK may overwrite them: res becomes the step
+            if solve(k):
                 raise StabilityFailure(f"singular Newton system at t = {t_new:.6g}")
-            xk -= step
+            xk -= res
             iterations += 1
         raise StabilityFailure(
             f"Newton did not converge in {_NEWTON_CAP} iterations at t = {t_new:.6g}")

@@ -22,13 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import dpttrf, dpttrs
+from ._kernels import dpttrf, pttrs_solver
 from .errors import (GridTooCoarse, InvalidExponent, OutOfDomain, ParameterOutOfRange,
                      ValidationError)
 from .geometry import (GL5_NODES, GL5_WEIGHTS, ModelFunction, _sorted_unique,
                        ricci_uniformization)
-from .weighted import (_PHI_L, _PHI_R, WeightMeasure, near_extremal, plin_norms,
-                       sobolev_critical, supremum_B, unit_sphere_area)
+from .weighted import (_PHI_L, _PHI_R, SupremumReport, WeightMeasure, near_extremal,
+                       plin_norms, sobolev_critical, supremum_B, unit_sphere_area)
 
 __all__ = [
     "DiscreteFunction",
@@ -105,11 +105,18 @@ class _Mesh:
         d, e, info = dpttrf(*self.A)
         if info != 0:
             raise GridTooCoarse(f"stiffness matrix is not positive definite (dpttrf info {info})")
-        self.solve = lambda b: dpttrs(d, e, b)[0]  # A^{-1} b
+        self._rhs = np.empty(self.n_free)
+        self._solve = pttrs_solver(d, e, self._rhs)
 
     @property
     def n_free(self):
         return len(self.nodes) - 1  # all but the Dirichlet node
+
+    def solve(self, b):
+        """A^{-1} b, in an array that the next call overwrites."""
+        self._rhs[:] = b
+        self._solve()
+        return self._rhs
 
     def full(self, gf):
         return np.concatenate([gf, [0.0]])
@@ -161,9 +168,12 @@ def _smallest_eig(mesh: _Mesh):
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if shifted(mid)[2] == 0 else (lo, mid)
     d, e, _ = shifted(lo)
+    x = np.empty(mesh.n_free)
+    inverse = pttrs_solver(d, e, x)
     for _ in range(2):
-        v = dpttrs(d, e, mass(v))[0]
-        v = v / v[np.argmax(np.abs(v))]
+        x[:] = mass(v)
+        inverse()
+        v = x / x[np.argmax(np.abs(x))]
     return mesh.energy(v) / float(v @ mass(v)), v
 
 
@@ -198,21 +208,29 @@ class RayleighResult:
 
 def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
                       init: Optional[DiscreteFunction] = None,
-                      max_iter: int = 2000, tol: float = 1e-11) -> RayleighResult:
+                      max_iter: int = 2000, tol: float = 1e-11,
+                      supremum: Optional[SupremumReport] = None) -> RayleighResult:
     """Locally minimize ||g'||_{2,w} / ||g||_{p,w} with g(R_domain) = 0.
 
     Projected gradient descent on the constraint ||g||_{p,w} = 1 with
-    backtracking; deterministic given the initial iterate, which defaults
-    to the near-extremal shape of ``supremum_B(weight, p)``.  The returned
-    ratio is always an upper bound for the infimum; non-convergence is
-    reported through the flag, with the best iterate returned.
+    backtracking; deterministic given the initial iterate.  Without
+    ``init`` it starts from the near-extremal shape of ``supremum``, the
+    report of ``supremum_B(weight, p)`` (searched here when not given), or
+    from the tent 1 - r/R_domain on a divergent weight, which has no
+    supremum to start from.  The returned ratio is always an upper bound
+    for the infimum; non-convergence is reported through the flag, with
+    the best iterate returned.
     """
     if p < 2.0:
         raise InvalidExponent(f"need p >= 2, got {p}")
+    if supremum is not None and supremum.p != p:
+        raise ValidationError(f"the supremum report is for p = {supremum.p}, not {p}")
     mesh = _Mesh(weight, R_domain)
 
     if init is None and weight.tail.family != "divergent":
-        init = DiscreteFunction(*near_extremal(weight, supremum_B(weight, p)))
+        if supremum is None:
+            supremum = supremum_B(weight, p)
+        init = DiscreteFunction(*near_extremal(weight, supremum))
     if init is None:
         g0 = np.maximum(1.0 - mesh.nodes[:-1] / R_domain, 0.0)
     else:

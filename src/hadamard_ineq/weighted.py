@@ -116,11 +116,23 @@ class WeightMeasure:
         return self.Wtab[i] + _gl5_between(self.w_at, self.rgrid[i], r)
 
     def T_at(self, r):
+        """Integral of 1/w from r to infinity: exact node values plus a local
+        Gauss increment.  Below the first node r1, where 1/w is singular at
+        the pole, psi(s) = s psi(r1)/r1 is integrated in closed form instead:
+        exact on a flat cap, off by O(K r1^2) elsewhere, infinite at r = 0."""
         r = np.asarray(r, float)
         j = np.clip(np.searchsorted(self.rgrid, r, side="left"),
                     1, len(self.rgrid) - 1)
-        return self.Ttab[j] + _gl5_between(lambda s: np.exp(-self.model.log_weight(s)),
-                                           r, self.rgrid[j])
+        T = self.Ttab[j] + _gl5_between(lambda s: np.exp(-self.model.log_weight(s)),
+                                        r, self.rgrid[j])
+        r1, N = self.rgrid[1], self.N
+        below = r < r1
+        if np.any(below):
+            cap = np.exp((N - 1) * np.log(r1) - self.model.log_weight(r1))  # (r1/psi(r1))^(N-1)
+            with np.errstate(divide="ignore"):
+                rise = np.log(r1 / r) if N == 2 else (r ** (2.0 - N) - r1 ** (2.0 - N)) / (N - 2)
+            T = np.where(below, self.Ttab[1] + cap * rise, T)
+        return T
 
 
 def build_weight(model: ModelFunction) -> WeightMeasure:

@@ -372,7 +372,7 @@ def test_newton_failure_names_the_time(flat_model, monkeypatch):
 
 
 def test_singular_newton_system_names_the_time(flat_model, monkeypatch):
-    monkeypatch.setattr(pme, "dgtsv", lambda dl, d, du, b, *overwrite: (dl, d, du, b, 1))
+    monkeypatch.setattr(pme, "gtsv_solver", lambda dl, d, du, b: lambda k: 1)
     with pytest.raises(StabilityFailure, match=r"singular Newton system at t = "):
         pme.pme_run(_flat_config(flat_model, t_end=1.0))
 
@@ -410,9 +410,9 @@ def _full_domain_run(cfg):
             if (np.abs(res) / diag).max() <= tol:
                 assert x.min() >= -1e-10 * max(sup0, 1.0)
                 return np.maximum(x, 0.0)
-            *_, step, info = pme.dgtsv(off * dphi[:-1], diag, off * dphi[1:], res, 1, 1, 1, 1)
+            info = pme.gtsv_solver(off * dphi[:-1], diag, off * dphi[1:], res)(len(res))
             assert info == 0
-            x = x - step
+            x = x - res
             iterations += 1
         raise AssertionError("Newton did not converge")
 
@@ -481,13 +481,18 @@ def test_newton_window_matches_the_full_domain_solve(flat_model, criterion9_mode
 
 def test_newton_systems_stop_near_the_front(criterion9_model, monkeypatch):
     # the front of the criterion-9 run reaches r = 40 of 100 only at t = 1e10
-    sizes, dgtsv = [], pme.dgtsv
+    sizes, gtsv_solver = [], pme.gtsv_solver
 
-    def counting(dl, d, du, b, *overwrite):
-        sizes.append(len(d))
-        return dgtsv(dl, d, du, b, *overwrite)
+    def counting(dl, d, du, b):
+        solve = gtsv_solver(dl, d, du, b)
 
-    monkeypatch.setattr(pme, "dgtsv", counting)
+        def counted(k):
+            sizes.append(k)
+            return solve(k)
+
+        return counted
+
+    monkeypatch.setattr(pme, "gtsv_solver", counting)
     run = pme.pme_run(_criterion9_config(criterion9_model))
     assert len(sizes) == run.newton_iterations
     assert np.mean(sizes) < 1000 / 2

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dpttrf
 from hadamard_ineq import geometry as geo
 from hadamard_ineq import variational as var
 from hadamard_ineq import weighted as wgt
-from hadamard_ineq.errors import GridTooCoarse, InvalidExponent, OutOfDomain
+from hadamard_ineq.errors import GridTooCoarse, InvalidExponent, OutOfDomain, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,21 @@ def test_rayleigh_poincare_cross_oracle(hyperbolic_weight):
     res = var.rayleigh_minimize(hyperbolic_weight, 2.0, 20.0)
     eig = var.poincare_eigen(hyperbolic_weight, 20.0)
     assert res.ratio == pytest.approx(math.sqrt(eig.lambda1), rel=1e-5)
+
+
+def test_rayleigh_starts_from_the_given_supremum(euclidean_weight, monkeypatch):
+    searched = var.rayleigh_minimize(euclidean_weight, 6.0, 50.0, max_iter=20)
+    report = wgt.supremum_B(euclidean_weight, 6.0)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the supremum was searched again")
+
+    monkeypatch.setattr(var, "supremum_B", no_search)
+    given = var.rayleigh_minimize(euclidean_weight, 6.0, 50.0, max_iter=20, supremum=report)
+    assert given.ratio == searched.ratio
+    assert np.array_equal(given.minimizer, searched.minimizer)
+    with pytest.raises(ValidationError, match="report is for p = 6.0, not 4.0"):
+        var.rayleigh_minimize(euclidean_weight, 4.0, 50.0, supremum=report)
 
 
 def test_rayleigh_scale_invariance(euclidean_weight):

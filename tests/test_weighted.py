@@ -38,6 +38,23 @@ def test_hyperbolic_integrals(hyperbolic_weight):
         assert float(hyperbolic_weight.T_at(r)) == pytest.approx(T_exact, rel=1e-9)
 
 
+def test_T_below_the_first_node():
+    # on a flat cap psi(s) = s psi(r1)/r1 is exact below the first node r1; near
+    # the pole of sinh it is off by O(r1^2), and 1/w is singular at r = 0
+    for N, exact in ((3, lambda r: 1.0 / math.tanh(r) - 1.0),
+                     (2, lambda r: -math.log(math.tanh(r / 2.0)))):
+        weight = wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), N, 20.0))
+        r1 = weight.rgrid[1]
+        assert r1 == pytest.approx(2e-5)
+        for r in (1e-7, 1e-6, 1e-5):
+            assert float(weight.T_at(r)) == pytest.approx(exact(r), rel=1e-6)
+        assert weight.T_at(0.0) == math.inf
+        radii = np.array([0.0, 1e-7, r1, 2.0 * r1, 1.0])
+        T = weight.T_at(radii)
+        assert T[2] == weight.Ttab[1]
+        assert [float(weight.T_at(r)) for r in radii] == T.tolist()
+
+
 def test_quasi_tail_against_quadrature(quasi_weight):
     # oracle: direct quadrature of the closed-form warping
     a1, a2 = 2.0 / 3.0, 1.0 / 3.0
