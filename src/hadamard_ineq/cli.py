@@ -233,6 +233,9 @@ def cmd_sweep(args, model, out: Path, h: str):
     reports = _parallel_map(
         lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
         [float(p) for p in p_values], args.jobs)
+    # fitted before anything is written, so a refused regression leaves no file
+    fit = (weighted.scaling_regression(reports, args.regress)
+           if args.regress != "none" else None)
     report_io.write_csv(out / "sweep.csv", h, "weighted-supremum-sweep",
                         ("p", "B", "r_bar", "sandwich_upper", "lemma_bound",
                          "divergent"),
@@ -247,8 +250,7 @@ def cmd_sweep(args, model, out: Path, h: str):
                "B": [rep.B for rep in reports],
                "divergent": [rep.divergent for rep in reports],
                "reports": [dataclasses.asdict(rep) for rep in reports]}
-    if args.regress != "none":
-        fit = weighted.scaling_regression(reports, args.regress)
+    if fit is not None:
         payload["regression"] = {"mode": args.regress, "fitted_slope": fit.slope,
                                  "intercept": fit.intercept,
                                  "residual_rms": fit.residual_rms,

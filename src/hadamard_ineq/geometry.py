@@ -70,7 +70,10 @@ closed-form profiles never loads either.  Every
 quadrature here and in the modules built on it is the one 5-point
 Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
 over log-radius panels (:func:`_tail_quadrature`).  The rule's nodes and weights
-are constants, so ``numpy.polynomial`` is never imported.
+are constants, so ``numpy.polynomial`` is never imported.  Likewise every
+straight-line fit in the package (a tail here, the p -> 2 scaling law of
+:mod:`weighted`, the decay law of :mod:`pme`) is ``_line_fit``, in closed
+form, so no command calls LAPACK's least-squares solver.
 
 The weight w = psi^(N-1) of every integral in this package is formed in one
 place, :meth:`ModelFunction.log_weight`, which returns its log (N - 1) log psi.
@@ -162,6 +165,18 @@ def _sorted_unique(a):
     return a[keep]
 
 
+def _line_fit(x, y):
+    """(slope, intercept, residual rms) of the least-squares line of the array
+    y on the array x, in closed form about the means; ValidationError unless x
+    takes two distinct values."""
+    dx = x - np.mean(x)
+    if not dx @ dx > 0:
+        raise ValidationError("a line fit needs at least two distinct abscissae")
+    slope = float(dx @ (y - np.mean(y)) / (dx @ dx))
+    intercept = float(np.mean(y) - slope * np.mean(x))
+    return slope, intercept, math.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+
+
 # ---------------------------------------------------------------------------
 # large-radius tails
 # ---------------------------------------------------------------------------
@@ -188,25 +203,24 @@ class TailModel:
     residual: float = 0.0
 
     @staticmethod
-    def _line_fit(model, basis):
+    def _log_psi_line(model, basis):
         """(slope, exp(intercept), residual) of the least-squares line of
-        log psi against basis(r) on [Rmax/10, Rmax]."""
+        log psi against basis(r) on [Rmax/10, Rmax], the residual relative
+        to max(1, rms of log psi)."""
         rr = np.geomspace(model.Rmax / 10.0, model.Rmax, 160)
         y = np.asarray(model.logpsi(rr), float)
-        A = np.stack([basis(rr), np.ones_like(rr)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        residual = np.sqrt(np.mean((y - A @ coef) ** 2)) / max(1.0, np.sqrt(np.mean(y * y)))
-        return float(coef[0]), float(math.exp(coef[1])), float(residual)
+        slope, intercept, residual = _line_fit(basis(rr), y)
+        return slope, math.exp(intercept), residual / max(1.0, math.sqrt(np.mean(y * y)))
 
     @classmethod
     def fit_exponential(cls, model) -> "TailModel":
         """log psi = rate r + log amplitude, fitted on [Rmax/10, Rmax]."""
-        return cls("exponential", 1.0, *cls._line_fit(model, lambda r: r))
+        return cls("exponential", 1.0, *cls._log_psi_line(model, lambda r: r))
 
     @classmethod
     def fit_power(cls, model) -> "TailModel":
         """log psi = shape log r + log amplitude, fitted on [Rmax/10, Rmax]."""
-        shape, amplitude, residual = cls._line_fit(model, np.log)
+        shape, amplitude, residual = cls._log_psi_line(model, np.log)
         return cls("power", shape=shape, amplitude=amplitude, residual=residual)
 
 

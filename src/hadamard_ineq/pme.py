@@ -32,7 +32,7 @@ from .errors import (
     StabilityFailure,
     ValidationError,
 )
-from .geometry import ModelFunction, _gl5, _sorted_unique
+from .geometry import ModelFunction, _gl5, _line_fit, _sorted_unique
 from .weighted import sobolev_critical, unit_sphere_area
 
 __all__ = [
@@ -340,11 +340,9 @@ def fit_smoothing(states, model_class: str = "power_only", m: Optional[float] = 
     t, sup, window = _fit_series(states, window)
     lt, ls = np.log(t), np.log(sup)
     if model_class == "power_only":
-        slope, icpt = np.polyfit(lt, ls, 1)
-        resid = ls - (slope * lt + icpt)
-        return SmoothingFit(power_exponent=float(slope), log_correction_exponent=0.0,
-                            K_fit=float(math.exp(icpt)), window=window,
-                            residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+        slope, icpt, residual = _line_fit(lt, ls)
+        return SmoothingFit(power_exponent=slope, log_correction_exponent=0.0,
+                            K_fit=math.exp(icpt), window=window, residual_rms=residual,
                             n_points=len(t))
     if model_class in ("power_with_log", "power_with_log_free"):
         if m is None or beta is None:
@@ -354,14 +352,13 @@ def fit_smoothing(states, model_class: str = "power_only", m: Optional[float] = 
         lll = np.log(np.log(t * mass ** (m - 1.0) + math.e))
         base = -lt / (m - 1.0)
         if model_class == "power_with_log_free":
-            gamma, icpt = np.polyfit(lll, ls - base, 1)
+            gamma, icpt, residual = _line_fit(lll, ls - base)
         else:
             icpt = float(np.mean(ls - base - gamma * lll))
-        resid = ls - (base + gamma * lll + icpt)
+            residual = math.sqrt(np.mean((ls - (base + gamma * lll + icpt)) ** 2))
         return SmoothingFit(power_exponent=-1.0 / (m - 1.0),
                             log_correction_exponent=float(gamma),
-                            K_fit=float(math.exp(icpt)), window=window,
-                            residual_rms=float(np.sqrt(np.mean(resid ** 2))),
+                            K_fit=math.exp(icpt), window=window, residual_rms=residual,
                             n_points=len(t))
     raise ValidationError(f"unknown model class {model_class!r}")
 

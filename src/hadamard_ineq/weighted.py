@@ -30,7 +30,7 @@ from .errors import (
     ParameterOutOfRange,
     ValidationError,
 )
-from .geometry import GL5_NODES, ModelFunction, TailModel, _gl5, tail_past_rmax
+from .geometry import GL5_NODES, ModelFunction, TailModel, _gl5, _line_fit, tail_past_rmax
 
 __all__ = [
     "WeightMeasure",
@@ -439,11 +439,9 @@ def scaling_regression(reports, mode: str) -> RegressionFit:
         x = np.log(p_values - 2.0)
     else:
         x = np.log(p_values)
-    slope, intercept = np.polyfit(x, np.log(B), 1)
-    resid = np.log(B) - (slope * x + intercept)
-    return RegressionFit(slope=float(slope), intercept=float(intercept),
-                         p_values=p_values, B_values=B,
-                         residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+    slope, intercept, residual = _line_fit(x, np.log(B))
+    return RegressionFit(slope=slope, intercept=intercept, p_values=p_values,
+                         B_values=B, residual_rms=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,22 @@ def test_sweep_regression_fits_the_written_column(tmp_path):
     assert run_cli(POWER_SWEEP + ["--tol", "refine=1e-3", "--out-dir", str(out)]) == 0
     doc = json.loads((out / "sweep.json").read_text())
     p, B = np.array(doc["p"]), np.array(doc["B"])
-    slope, intercept = np.polyfit(np.log(p - 2.0), np.log(B), 1)
+    x, y = np.log(p - 2.0), np.log(B)
+    slope, intercept, residual = geo._line_fit(x, y)
     assert doc["regression"]["fitted_slope"] == slope
     assert doc["regression"]["intercept"] == intercept
+    assert doc["regression"]["residual_rms"] == residual
+    assert np.allclose((slope, intercept), np.polyfit(x, y, 1), rtol=1e-12, atol=0.0)
+
+
+def test_a_regression_over_one_exponent_is_refused(tmp_path):
+    # five copies of one p leave the line's slope undetermined
+    out = tmp_path / "r"
+    rc = run_cli(["sweep", "--profile", "hyperbolic", "--k", "1", "--n", "3", "--rmax", "20",
+                  "--p", "2.5,2.5,2.5,2.5,2.5", "--regress", "p_large",
+                  "--out-dir", str(out)])
+    assert rc == 2
+    assert not (out / "sweep.json").exists() and not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("argv, searches", [(POWER_SWEEP, 10), (FLAT_RAYLEIGH, 1)],
