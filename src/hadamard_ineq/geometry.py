@@ -759,6 +759,9 @@ class GridSpec:
             raise ValidationError("grid start must lie in (0, rmax)")
         if self.kind == "log" or rmax <= 1.0:
             return np.geomspace(a, rmax, self.n)
+        if a >= 1.0:
+            raise ValidationError("a graded grid is geometric below r = 1, so its start "
+                                  "must lie below 1; use --grid-kind log")
         n_geo = int(math.ceil(math.log(1.0 / a) / math.log(_GRID_RATIO))) + 1
         n_geo = min(max(n_geo, 16), self.n - 16)
         geo = np.geomspace(a, 1.0, n_geo)

@@ -542,6 +542,20 @@ def test_config_file_precedence(tmp_path):
     assert float(last[1]) == pytest.approx(math.sinh(25.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("start", ["1", "5"])
+def test_a_graded_grid_starting_at_or_past_one_is_refused(tmp_path, capsys, start):
+    # its geometric part runs from the start up to r = 1: from 5 it ran downward
+    # and wrote B = 0.2263 at r_bar = 5 for p = 2.5, against 0.4056 at r_bar =
+    # 1.436 from the default start; from 1 its 16 nodes were all equal
+    out = tmp_path / "s"
+    rc = run_cli(["sweep", "--profile", "hyperbolic", "--k", "1", "--n", "3",
+                  "--rmax", "20", "--grid", "128", "--grid-start", start, "--p", "2.5,3",
+                  "--out-dir", str(out)])
+    assert rc == 2
+    assert "--grid-kind log" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_config_file(tmp_path):
     rc = run_cli(["model", "--profile", "euclidean", "--n", "3", "--rmax", "10",
                   "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])

@@ -1,6 +1,7 @@
-"""What a command loads: LAPACK from the library numpy already maps, the
-Bessel kernels loaded bare, and CPython's builtin SHA-256, each with its
-fallbacks.
+"""What a command loads: one ctypes binding of LAPACK, whose addresses come
+from the library numpy already maps or else from the capsules of scipy's f2py
+wrappers, the Bessel kernels loaded bare, and CPython's builtin SHA-256, each
+with its fallbacks.
 
 These tests run in a fresh interpreter: pytest itself imports scipy.integrate,
 and with it scipy.special and scipy.linalg, for its warning filter.
@@ -46,15 +47,29 @@ print(json.dumps({"codes": codes, "after_import": after_import,
                   "bare": "scipy.special._special_ufuncs" in sys.modules}))
 """
 
-_SAME_BITS = """
+_WITHOUT_LAPACK = """
+import ctypes
+
+class WithoutLapack(ctypes.CDLL):  # numpy linked against a LAPACK with other names
+    def __getattr__(self, name):
+        if name.startswith("scipy_"):
+            raise AttributeError(name)
+        return super().__getattr__(name)
+"""
+
+# with the argument "scipy", numpy's symbols are hidden before _kernels binds
+_SAME_BITS = _WITHOUT_LAPACK + """
 import json, sys
 import numpy as np
+if sys.argv[1:] == ["scipy"]:
+    ctypes.CDLL = WithoutLapack
 from hadamard_ineq import _kernels
 numpy_lapack = "scipy.linalg._flapack" not in sys.modules
 flapack = _kernels._load_bare("scipy.linalg._flapack")
 rng = np.random.default_rng(25)
 hexes = lambda *arrays: [np.asarray(a).tobytes().hex() for a in arrays]
-out = {"numpy_lapack": numpy_lapack, "cases": []}
+out = {"numpy_lapack": numpy_lapack, "source": _kernels._lapack,
+       "width": ctypes.sizeof(_kernels._int), "cases": []}
 for n in (1, 2, 3, 200, 1000):
     m = max(n - 1, 1)  # f2py wants an off-diagonal entry even at n = 1
     dl, du, e = (rng.uniform(-1.0, 1.0, m) for _ in range(3))
@@ -80,8 +95,8 @@ for n in (1, 2, 3, 200, 1000):
 print(json.dumps(out))
 """
 
-_FALLBACK = """
-import ctypes, importlib, importlib.util, json, sys
+_FALLBACK = _WITHOUT_LAPACK + """
+import importlib, importlib.util, json, sys
 import numpy as np
 from hadamard_ineq import _kernels, geometry, pme, variational, weighted
 
@@ -113,13 +128,6 @@ def loaded():
                                        "scipy.special._special_ufuncs", "scipy.special")]
 
 sources = {"numpy": (loaded(), numbers())}
-
-class WithoutLapack(ctypes.CDLL):  # numpy linked against a LAPACK with other names
-    def __getattr__(self, name):
-        if name.startswith("scipy_"):
-            raise AttributeError(name)
-        return super().__getattr__(name)
-
 ctypes.CDLL = WithoutLapack
 reload()
 sources["bare"] = (loaded(), numbers())
@@ -132,7 +140,7 @@ for name in ("scipy.special._special_ufuncs", "scipy.linalg._flapack"):
     del sys.modules[name]
 reload()
 public = (sys.modules["scipy.special"].ive is _kernels.ive
-          and _kernels.dpttrf is sys.modules["scipy.linalg.lapack"].dpttrf)
+          and _kernels._lapack == "scipy.linalg.lapack")
 sources["public"] = (loaded(), numbers())
 first = sources["numpy"][1]
 print(json.dumps({"loaded": {k: v[0] for k, v in sources.items()}, "public": public,
@@ -175,11 +183,9 @@ def test_the_command_line_loads_only_the_compiled_kernels(tmp_path):
     assert doc["bare"]
 
 
-def test_the_lapack_kernels_give_the_bits_of_scipys_wrappers():
-    doc = _run(_SAME_BITS)
-    assert doc["numpy_lapack"] == NUMPY_LAPACK
+def _assert_the_bits_of_scipys_wrappers(cases):
     infos = {}
-    for case, info, tinfo, ours, theirs in doc["cases"]:
+    for case, info, tinfo, ours, theirs in cases:
         assert (info, ours) == (tinfo, theirs), case
         infos[case] = info
     assert len(infos) == 25
@@ -188,6 +194,23 @@ def test_the_lapack_kernels_give_the_bits_of_scipys_wrappers():
         assert infos[f"dpttrf spd n={n}"] == 0
         assert infos[f"dgtsv singular n={n}"] == n
         assert infos[f"dpttrf indefinite n={n}"] == n // 2 + 1
+
+
+def test_the_lapack_kernels_give_the_bits_of_scipys_wrappers():
+    doc = _run(_SAME_BITS)
+    assert doc["numpy_lapack"] == NUMPY_LAPACK
+    _assert_the_bits_of_scipys_wrappers(doc["cases"])
+
+
+def test_the_capsule_addresses_give_the_bits_of_scipys_wrappers():
+    # numpy's symbols hidden: the same binding calls the routines whose addresses
+    # scipy's wrappers hold.  Their integers are 32-bit, which no value below can
+    # show: ctypes keeps a scalar in a zero-filled buffer wider than 64 bits, so
+    # on a little-endian machine either width reads the same nonnegative values
+    doc = _run(_SAME_BITS, "scipy")
+    assert doc["source"] == "scipy.linalg._flapack"
+    assert doc["width"] == 4
+    _assert_the_bits_of_scipys_wrappers(doc["cases"])
 
 
 def test_the_public_imports_give_the_same_bits_when_bare_loading_fails():

@@ -42,10 +42,7 @@ EXTRA = {
 def environment(kernels) -> dict:
     """What the output bytes depend on besides the package source."""
     env = {name: importlib.metadata.version(name) for name in ("numpy", "scipy")}
-    if kernels._dgtsv is not None:
-        env["lapack"] = "numpy's scipy-openblas64"
-    else:
-        env["lapack"] = kernels._flapack.__name__
+    env["lapack"] = kernels._lapack
     from numpy.linalg import _umath_linalg
 
     try:
