@@ -46,14 +46,10 @@ def main():
     fit_p = pme.fit_smoothing(run.states, "power_only", window=window)
     fit_l = pme.fit_smoothing(run.states, "power_with_log", m=2.0, beta=1.0,
                               mass=mass, window=window)
-    fit_f = pme.fit_smoothing(run.states, "power_with_log_free", m=2.0, beta=1.0,
-                              mass=mass, window=window)
     print(f"   free power fit:   slope {fit_p.power_exponent:.4f}, "
           f"residual {fit_p.residual_rms:.2e}")
     print(f"   pinned log model: residual {fit_l.residual_rms:.2e} "
           f"(smaller means the log factor is really there)")
-    print(f"   free log exponent (diagnostic): {fit_f.log_correction_exponent:.3f} "
-          f"(analytic value 3)")
     K_up, K_lo, _ = pme.fit_envelopes(run.states, 1.0, 2.0, mass, window=window)
     print(f"   envelope amplitudes: upper {K_up:.4g}, lower {K_lo:.4g}")
 

@@ -56,7 +56,6 @@ from .pme import (
     GaussianLike,
     PMEConfig,
     fit_smoothing,
-    moser_chain_constant,
     pme_run,
     reference_curves,
 )

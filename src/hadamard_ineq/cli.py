@@ -155,7 +155,9 @@ def _tols(args) -> dict:
         try:
             out[key] = _finite(val)
         except argparse.ArgumentTypeError:
-            raise ValidationError(f"bad --tol value in {item!r}") from None
+            out[key] = math.nan
+        if not out[key] >= 0.0:  # 0 runs to the iteration cap
+            raise ValidationError(f"bad --tol value in {item!r}")
     return out
 
 
@@ -318,6 +320,8 @@ def cmd_pme(args, model, out: Path, h: str):
     window = tuple(_floats("--fit-window", args.fit_window, ":", 2)) if args.fit_window else None
     if not (args.t_end > 0.0 and args.outputs >= 2):  # the output times span (0, t_end]
         raise ValidationError("--t-end must be positive and --outputs at least 2")
+    if args.snapshots < 0:
+        raise ValidationError(f"--snapshots must be 0 or more, got {args.snapshots}")
     datum = (pme.Characteristic(args.r_support, args.height) if args.initial == "characteristic"
              else pme.GaussianLike(args.scale, args.height))
     outs = np.geomspace(args.t_end * 1e-6, args.t_end, args.outputs)
@@ -331,7 +335,7 @@ def cmd_pme(args, model, out: Path, h: str):
     later = [s for s in run.states if s.t > 0]
     report_io.write_csv(out / "sup_vs_t.gnuplot.dat", h, "pme-decay-series", None,
                         ([s.t for s in later], [s.sup for s in later]))
-    if args.snapshots <= 0:
+    if args.snapshots == 0:
         idx = np.arange(len(run.states))
     else:
         idx = geometry._sorted_unique(

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import ModelFunction, _gl5, _line_fit, _sorted_unique
-from .weighted import sobolev_critical, unit_sphere_area
+from .weighted import unit_sphere_area
 
 __all__ = [
     "Characteristic",
@@ -43,13 +43,11 @@ __all__ = [
     "PMEState",
     "PMERun",
     "SmoothingFit",
-    "MoserChain",
     "pme_run",
     "fit_smoothing",
     "reference_curves",
     "lower_curve",
     "fit_envelopes",
-    "moser_chain_constant",
     "smoothing_exponent",
 ]
 
@@ -334,9 +332,12 @@ def fit_smoothing(states, model_class: str = "power_only", m: Optional[float] = 
 
     ``power_only`` fits a free slope; ``power_with_log`` pins the slope to
     -1/(m-1) and the log-factor exponent to its analytic value, fitting the
-    amplitude alone; ``power_with_log_free`` also frees the log exponent
-    (diagnostic only: the two-parameter fit is ill conditioned).
+    amplitude alone.
     """
+    if model_class not in ("power_only", "power_with_log"):
+        raise ValidationError(f"unknown model class {model_class!r}")
+    if model_class == "power_with_log" and (m is None or beta is None):
+        raise ValidationError("power_with_log needs m and beta")
     t, sup, window = _fit_series(states, window)
     lt, ls = np.log(t), np.log(sup)
     if model_class == "power_only":
@@ -344,23 +345,16 @@ def fit_smoothing(states, model_class: str = "power_only", m: Optional[float] = 
         return SmoothingFit(power_exponent=slope, log_correction_exponent=0.0,
                             K_fit=math.exp(icpt), window=window, residual_rms=residual,
                             n_points=len(t))
-    if model_class in ("power_with_log", "power_with_log_free"):
-        if m is None or beta is None:
-            raise ValidationError("power_with_log needs m and beta")
-        mass = 1.0 if mass is None else float(mass)
-        gamma = log_correction_exponent(beta, m)
-        lll = np.log(np.log(t * mass ** (m - 1.0) + math.e))
-        base = -lt / (m - 1.0)
-        if model_class == "power_with_log_free":
-            gamma, icpt, residual = _line_fit(lll, ls - base)
-        else:
-            icpt = float(np.mean(ls - base - gamma * lll))
-            residual = math.sqrt(np.mean((ls - (base + gamma * lll + icpt)) ** 2))
-        return SmoothingFit(power_exponent=-1.0 / (m - 1.0),
-                            log_correction_exponent=float(gamma),
-                            K_fit=math.exp(icpt), window=window, residual_rms=residual,
-                            n_points=len(t))
-    raise ValidationError(f"unknown model class {model_class!r}")
+    mass = 1.0 if mass is None else float(mass)
+    gamma = log_correction_exponent(beta, m)
+    lll = np.log(np.log(t * mass ** (m - 1.0) + math.e))
+    base = -lt / (m - 1.0)
+    icpt = float(np.mean(ls - base - gamma * lll))
+    residual = math.sqrt(np.mean((ls - (base + gamma * lll + icpt)) ** 2))
+    return SmoothingFit(power_exponent=-1.0 / (m - 1.0),
+                        log_correction_exponent=float(gamma),
+                        K_fit=math.exp(icpt), window=window, residual_rms=residual,
+                        n_points=len(t))
 
 
 # ---------------------------------------------------------------------------
@@ -397,56 +391,3 @@ def fit_envelopes(states, beta: float, m: float, mass: float, window=None):
         raise InsufficientWindow("no data past t = 1 for the lower envelope")
     K_lo = float(np.min(ss ** (m - 1.0) * tt / np.log(tt) ** ((2.0 + beta) / (2.0 - beta))))
     return K_up, K_lo, window
-
-
-# ---------------------------------------------------------------------------
-# iteration-constant audit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MoserChain:
-    c_sigma: float
-    bracket: float
-    bracket_exponent: float
-    bounded_factor: float
-    t_exponent: float
-
-
-def moser_chain_constant(sigma: float, sigma0: float, q: float, m: float,
-                         beta: float, C: float, N: Optional[int] = None) -> MoserChain:
-    """Explicit constants of one smoothing-iteration step.
-
-    Evaluates the embedding constant at exponent p = 2 sigma, the bracketed
-    prefactor of the integrated differential inequality, the composed time
-    exponent after combining with the base smoothing estimate at sigma0,
-    and the product of all factors that must stay bounded once the
-    substitutions q = log(t+e), sigma = 1 + (sigma0-1)/log(t+e) are made;
-    the remaining unbounded piece is exactly the logarithmic correction.
-    The time exponent tends to -1/(m-1) under the same substitutions.
-    """
-    if m <= 1.0 or not (0.0 <= beta < 2.0) or C <= 0:
-        raise ParameterOutOfRange("need m > 1, beta in [0,2), C > 0")
-    if q <= 0:
-        raise ParameterOutOfRange("need q > 0")
-    if not (1.0 < sigma < sigma0):
-        raise ParameterOutOfRange(f"need 1 < sigma < sigma0, got sigma={sigma}, sigma0={sigma0}")
-    if N is not None and sigma0 >= sobolev_critical(N) / 2.0:
-        raise ParameterOutOfRange("sigma0 must stay below half the critical exponent")
-    p = 2.0 * sigma
-    c_sigma = C * p ** ((2.0 + beta) / (2.0 * (2.0 - beta))) / (p - 2.0) ** (beta / (2.0 - beta))
-    core = sigma * (q + m) ** 2 / (4.0 * m * (q + 1.0) * (sigma * m - 1.0))
-    bracket = core * c_sigma ** 2
-    bracket_exponent = sigma * q / ((q + 1.0) * (sigma * m - 1.0))
-    denom = (sigma0 - 1.0) * (q + 1.0) + sigma0 * (m - 1.0)
-    smear = sigma * m - 1.0
-    e_shared = sigma * (sigma0 * m - 1.0) / (smear * denom)
-    t_exp = -(sigma0 * smear + sigma * q * (sigma0 - 1.0)) / (smear * denom)
-    # bounded pieces: bracket^(-e_shared) * (core/q)^(sigma/smear) * t^(drift)
-    t_eff = max(math.exp(q) - math.e, 0.0)
-    drift = (sigma0 - sigma) / (smear * denom)
-    bounded = bracket ** (-e_shared) * (core / q) ** (sigma / smear)
-    if t_eff > 0.0:
-        bounded *= t_eff ** drift
-    return MoserChain(c_sigma=c_sigma, bracket=bracket,
-                      bracket_exponent=bracket_exponent,
-                      bounded_factor=bounded, t_exponent=t_exp)

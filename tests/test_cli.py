@@ -343,6 +343,29 @@ def test_degenerate_inputs_are_refused(tmp_path, capsys, argv, message):
     assert not (tmp_path / "m").exists()
 
 
+HYPERBOLIC_SWEEP = ["sweep", "--profile", "hyperbolic", "--k", "1", "--n", "3", "--rmax", "20",
+                    "--p", "2.5,3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (PME_FLAGS + ["--profile", "euclidean", "--rmax", "10", "--snapshots", "-4"],
+     "--snapshots must be 0 or more, got -4"),
+    (HYPERBOLIC_SWEEP + ["--tol", "refine=-1"], "bad --tol value in 'refine=-1'"),
+    (HYPERBOLIC_SWEEP + ["--tol", "rayleigh=-5"], "bad --tol value in 'rayleigh=-5'"),
+], ids=["snapshots", "tol_refine", "tol_rayleigh"])
+def test_negative_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv, message):
+    rc = run_cli(argv + ["--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_zero_tolerance_runs_to_the_cap(tmp_path):
+    out = tmp_path / "m"
+    assert run_cli(HYPERBOLIC_SWEEP + ["--tol", "refine=0", "--out-dir", str(out)]) == 0
+    assert (out / "sweep.json").exists()
+
+
 def test_poincare_on_a_large_hyperbolic_domain(tmp_path):
     # the eigenvalue on this mesh must pass the 1 % coarsening guard
     rc = run_cli(["poincare", "--profile", "hyperbolic", "--k", "1", "--n", "3",

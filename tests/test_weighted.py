@@ -15,6 +15,7 @@ from hadamard_ineq.errors import (
     DivergentPoint,
     InvalidExponent,
     NumericalError,
+    TailUnclassifiable,
     ValidationError,
 )
 
@@ -286,6 +287,25 @@ def test_imported_table_tail(tmp_path):
     assert imported.tail.family == "power"
     assert imported.tail.shape == pytest.approx(1.0, rel=1e-10)
     assert float(imported.T_at(50.0)) == pytest.approx(1.0 / 50.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("law, rmax, residual", [
+    ((1.0, 1.0, 1.0), 2000.0, "4.46e-02"),
+    ((1.0, 0.5, 1.0), 500.0, "3.05e-02"),
+    ((1.0, 1.5, 1.0), 2000.0, "1.30e-02"),
+    ((2.0, 2.0, 1.0), 1000.0, None),
+], ids=["beta-1", "beta-0.5", "beta-1.5", "quadratic"])
+def test_imported_power_law_below_beta_2_has_no_tail_family(tmp_path, law, rmax, residual):
+    # for beta < 2, log psi grows like r^(1 - beta/2): neither power nor exponential
+    model = geo.build_model(geo.PowerLaw(*law), 3, rmax, grid=geo.GridSpec(n=4096, kind="log"))
+    geo.model_to_csv(model, tmp_path / "law.csv")
+    imported = geo.model_from_csv(tmp_path / "law.csv", 3)
+    if residual is None:  # quadratic decay: psi ~ r^2
+        tail = wgt.build_weight(imported).tail
+        assert tail.family == "power" and tail.shape == pytest.approx(2.0, rel=1e-6)
+    else:
+        with pytest.raises(TailUnclassifiable, match=f"residual {residual} exceeds 1e-3"):
+            wgt.build_weight(imported)
 
 
 class _StretchedTail(geo.PowerLaw):

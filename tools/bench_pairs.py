@@ -12,7 +12,8 @@ line and a summary per workload and side: the median, quartiles, minimum and
 maximum of each end-to-end metric and of each run's median pass
 ``session_s`` (from the per-pass list that bench/run.py prints to stderr),
 how many pairs the change read lower, and how many operations failed of
-those attempted.
+those attempted.  If a run fails, FILE keeps the runs completed before it
+and the failed command, without a summary, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -130,19 +131,25 @@ def main(argv=None) -> int:
         "sides": {side: describe(checkout) for side, checkout in sides.items()},
     }
     runs = []
-    for pair in range(1, args.pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
-        for workload in args.workload:
-            for side in order:
-                result, sessions = run_once(sides[side], workload, pair, args.seconds)
-                runs.append({"side": side, "workload": workload, "seed": pair,
-                             "result": result, "pass_session_s": sessions})
-                values = " ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
-                print(f"pair {pair} {workload} {side}: {values}", file=sys.stderr)
-    doc["summary_over_untraced_runs"] = summarise(runs, args.workload)
+    try:
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for workload in args.workload:
+                for side in order:
+                    result, sessions = run_once(sides[side], workload, pair, args.seconds)
+                    runs.append({"side": side, "workload": workload, "seed": pair,
+                                 "result": result, "pass_session_s": sessions})
+                    values = " ".join(f"{k} {v['value']:.4g}"
+                                      for k, v in result["metrics"].items())
+                    print(f"pair {pair} {workload} {side}: {values}", file=sys.stderr)
+    except RuntimeError as exc:  # keep the runs made so far, unsummarised
+        print(f"error: {exc}", file=sys.stderr)
+        doc["failed_run"] = str(exc)
+    else:
+        doc["summary_over_untraced_runs"] = summarise(runs, args.workload)
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return 1 if "failed_run" in doc else 0
 
 
 if __name__ == "__main__":
