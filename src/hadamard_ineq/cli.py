@@ -2,14 +2,12 @@
 
 Subcommands: ``model``, ``sweep``, ``poincare``, ``rayleigh``,
 ``certificate``, ``pme``.  Outputs are deterministic: identical resolved
-configurations produce byte-identical files at any parallelism degree;
-worker fan-out is over independent parameter points and results are
-assembled in parameter order.
+configurations produce byte-identical files.
 
 ``--config FILE`` reads each ``key = value`` line of FILE as the flag
 ``--key=value`` of the subcommand, placed before the command line's own
-flags, which therefore win.  An unknown key or a bad value is a usage
-error, and ``tol`` may repeat.
+flags, which therefore win.  The file may hold a required flag; an unknown
+key or a bad value is a usage error, and ``tol`` may repeat.
 
 Exit codes: 0 success (divergence flags are results, not failures),
 1 numerical failure, 2 validation or usage error.
@@ -68,7 +66,8 @@ def _shared_flags():
                        help="output directory (default: $HADAMARD_INEQ_OUT or ./out)")
     flags.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="format of the summary printed to stdout")
-    flags.add_argument("--jobs", type=int, default=1, help="parallel parameter points")
+    # accepted only as 1, the single thread every command runs on
+    flags.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     flags.add_argument("--config", default=None,
                        help="file of key = value lines, each read as the flag --key=value")
     return flags
@@ -128,6 +127,11 @@ def build_parser():
 # config file and tolerance plumbing
 # ---------------------------------------------------------------------------
 
+# finds --config before the full parse, which needs the file's flags
+_CONFIG = argparse.ArgumentParser(prog="hadamard-ineq", add_help=False)
+_CONFIG.add_argument("--config", default=None)
+
+
 def _config_flags(path) -> list:
     """The ``key = value`` lines of a config file as ``--key=value`` tokens."""
     path = Path(path)
@@ -167,7 +171,7 @@ def _model_from(args):
 
 
 def _resolved(args) -> dict:
-    # jobs is excluded: parallelism degree must not change output identity
+    # jobs is excluded, so that the accepted --jobs 1 moves no config hash
     skip = {"command", "config", "out_dir", "format", "jobs"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
@@ -193,15 +197,6 @@ def _parse_p_list(spec: str):
     else:
         vals = np.asarray(_floats("--p", spec, ","))
     return np.sort(vals)
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # here, so --jobs 1 never imports it
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +227,8 @@ def cmd_sweep(args, model, out: Path, h: str):
     tols = _tols(args)
     p_values = _parse_p_list(args.p)
     weight = weighted.build_weight(model)
-    reports = _parallel_map(
-        lambda p: weighted.supremum_B(weight, p, refine_tol=tols["refine"]),
-        [float(p) for p in p_values], args.jobs)
+    reports = [weighted.supremum_B(weight, float(p), refine_tol=tols["refine"])
+               for p in p_values]
     # fitted before anything is written, so a refused regression leaves no file
     fit = (weighted.scaling_regression(reports, args.regress)
            if args.regress != "none" else None)
@@ -300,9 +294,7 @@ def cmd_rayleigh(args, model, out: Path, h: str):
 
 def cmd_certificate(args, model, out: Path, h: str):
     radii = sorted(_floats("--r", args.r, ","))
-    reports = _parallel_map(
-        lambda R: variational.nonradial_certificate(model, args.p, R),
-        radii, args.jobs)
+    reports = variational.certificate_scan(model, args.p, radii)
     names = ("R", "G", "p", "lower_bound_on_C", "conclusion")
     report_io.write_csv(out / "certificate.csv", h, "nonradial-failure-certificate",
                         names, [[getattr(c, f) for c in reports] for f in names])
@@ -322,6 +314,9 @@ def cmd_pme(args, model, out: Path, h: str):
         raise ValidationError("--t-end must be positive and --outputs at least 2")
     if args.snapshots < 0:
         raise ValidationError(f"--snapshots must be 0 or more, got {args.snapshots}")
+    if args.snapshots > args.outputs + 1:  # the states: t = 0 and one per output time
+        raise ValidationError(f"--snapshots must be at most --outputs + 1 = "
+                              f"{args.outputs + 1}, got {args.snapshots}")
     datum = (pme.Characteristic(args.r_support, args.height) if args.initial == "characteristic"
              else pme.GaussianLike(args.scale, args.height))
     outs = np.geomspace(args.t_end * 1e-6, args.t_end, args.outputs)
@@ -335,11 +330,10 @@ def cmd_pme(args, model, out: Path, h: str):
     later = [s for s in run.states if s.t > 0]
     report_io.write_csv(out / "sup_vs_t.gnuplot.dat", h, "pme-decay-series", None,
                         ([s.t for s in later], [s.sup for s in later]))
-    if args.snapshots == 0:
-        idx = np.arange(len(run.states))
-    else:
-        idx = geometry._sorted_unique(
-            np.linspace(0, len(run.states) - 1, args.snapshots).astype(int))
+    # every state held, if none are asked for or a run that stopped early holds fewer
+    held = len(run.states)
+    idx = (np.linspace(0, held - 1, args.snapshots).astype(int)
+           if 0 < args.snapshots < held else range(held))
     r_text = [report_io.fmt(r) for r in run.r_centers.tolist()]  # the same column in every file
     for j, i in enumerate(idx):
         st = run.states[i]
@@ -377,10 +371,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
+        config = _CONFIG.parse_known_args(argv)[0].config
+        if config:  # the file's flags go right after the command, so the command line's win
+            i = next((j for j, a in enumerate(argv) if not a.startswith("-")), len(argv)) + 1
+            argv = argv[:i] + _config_flags(config) + argv[i:]
         args = parser.parse_args(argv)
-        if args.config:  # the file's flags go first, so the command line's win
-            i = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:i] + _config_flags(args.config) + argv[i:])
         out = Path(args.out_dir or os.environ.get("HADAMARD_INEQ_OUT", "out"))
         h = report_io.config_hash(_resolved(args))
         model = _model_from(args)

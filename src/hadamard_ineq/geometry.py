@@ -192,8 +192,9 @@ class TailModel:
 
     A profile states its tail with residual 0; for ``Constant(k > 0)`` and
     the power law at beta = 2 the stated form is the leading term of psi,
-    not psi itself.  The ``fit_*`` constructors classify an imported table,
-    whose residual is that of the least-squares fit.
+    not psi itself.  An imported table's tail carries the residual of its
+    least-squares fit (see :func:`tail_past_rmax`), and an exponential one
+    no amplitude.
     """
 
     family: str
@@ -201,27 +202,6 @@ class TailModel:
     rate: float = 0.0
     amplitude: float = 1.0
     residual: float = 0.0
-
-    @staticmethod
-    def _log_psi_line(model, basis):
-        """(slope, exp(intercept), residual) of the least-squares line of
-        log psi against basis(r) on [Rmax/10, Rmax], the residual relative
-        to max(1, rms of log psi)."""
-        rr = np.geomspace(model.Rmax / 10.0, model.Rmax, 160)
-        y = np.asarray(model.logpsi(rr), float)
-        slope, intercept, residual = _line_fit(basis(rr), y)
-        return slope, math.exp(intercept), residual / max(1.0, math.sqrt(np.mean(y * y)))
-
-    @classmethod
-    def fit_exponential(cls, model) -> "TailModel":
-        """log psi = rate r + log amplitude, fitted on [Rmax/10, Rmax]."""
-        return cls("exponential", 1.0, *cls._log_psi_line(model, lambda r: r))
-
-    @classmethod
-    def fit_power(cls, model) -> "TailModel":
-        """log psi = shape log r + log amplitude, fitted on [Rmax/10, Rmax]."""
-        shape, amplitude, residual = cls._log_psi_line(model, np.log)
-        return cls("power", shape=shape, amplitude=amplitude, residual=residual)
 
 
 def _tail_quadrature(profile, model) -> float:
@@ -279,8 +259,10 @@ def _tail_quadrature(profile, model) -> float:
 def tail_past_rmax(model) -> tuple:
     """(TailModel of psi past Rmax, T(Rmax) = integral of psi^(1-N) there).
 
-    An imported table takes the better of the two fits, refused above
-    residual 1e-3; an exponential one takes its rate from psi'/psi at Rmax,
+    An imported table takes the better of the least-squares lines of log psi
+    against log r (power) and r (exponential) on [Rmax/10, Rmax], a tie to
+    the power, each residual relative to max(1, rms of log psi) and refused
+    above 1e-3; an exponential one takes its rate from psi'/psi at Rmax,
     where the fitted slope is bent by the curvature of log psi.  A rate <= 0
     or a power tail with shape (N-1) <= 1 diverges, and T(Rmax) is infinite;
     else it is the profile's ``tail_integral`` or the family's closed form
@@ -290,13 +272,20 @@ def tail_past_rmax(model) -> tuple:
     if model.profile is not None:
         tm = model.profile.tail(model)
     else:
-        tm = min((TailModel.fit_power(model), TailModel.fit_exponential(model)),
-                 key=lambda t: t.residual)
-        if tm.residual > 1e-3:
-            raise TailUnclassifiable(f"tail fit residual {tm.residual:.2e} exceeds 1e-3")
-        if tm.family == "exponential":
+        rr = np.geomspace(R / 10.0, R, 160)
+        y = np.asarray(model.logpsi(rr), float)
+        scale = max(1.0, math.sqrt(np.mean(y * y)))
+        shape, intercept, power = _line_fit(np.log(rr), y)
+        power, exponential = power / scale, _line_fit(rr, y)[2] / scale
+        residual = min(power, exponential)
+        if not residual <= 1e-3:
+            raise TailUnclassifiable(f"tail fit residual {residual:.2e} exceeds 1e-3")
+        if power <= exponential:
+            tm = TailModel("power", shape, amplitude=math.exp(intercept), residual=power)
+        else:
             rate = float(model.dlogpsi(np.float64(R)))
-            tm = replace(tm, rate=rate) if rate > 0 else TailModel("divergent")
+            tm = (TailModel("exponential", 1.0, rate, residual=exponential) if rate > 0
+                  else TailModel("divergent"))
     if tm.family == "power" and tm.shape * (N - 1) <= 1.0 + 1e-12:
         tm = replace(tm, family="divergent")
     if tm.family == "divergent":

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py against stub checkouts whose bench/run.py prints a
 result line, or fails on a chosen seed."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -59,3 +60,35 @@ def test_complete_pairs_are_summarised(tmp_path):
     assert summary["w.change"]["session_s"]["median"] == pytest.approx(3.0)
     assert summary["w.parent"]["pass_session_s_median"]["median"] == pytest.approx(2.0)
     assert summary["w.change"]["failed_of_attempted"] == "0 of 6"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(parent, change):
+    """Synthetic pairs: one session_s per run, which is also its one pass."""
+    return [{"side": side, "workload": "w", "seed": i + 1, "pass_session_s": [value],
+             "result": {"metrics": {"session_s": {"value": value}},
+                        "failed": 0, "attempted": 1, "correct": True}}
+            for i, pair in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), pair)]
+
+
+PARENT = [1.0 + 0.01 * i for i in range(10)]  # interquartile distance 0.055
+
+
+@pytest.mark.parametrize("change, lower, shown", [
+    ([p - 0.2 for p in PARENT], 10, True),
+    ([p - 0.2 for p in PARENT[:8]] + [p + 0.01 for p in PARENT[8:]], 8, False),
+    ([p - 0.01 for p in PARENT], 10, False),
+    ([p - 0.2 for p in PARENT[:9]] + PARENT[9:], 9, True),  # a tie counts for neither
+], ids=["all-beyond-iqr", "8-of-10", "all-within-iqr", "9-and-a-tie"])
+def test_gain_shown_follows_the_pairs_and_the_parents_spread(change, lower, shown):
+    summary = _tool().summarise(_runs(PARENT, change), ["w"])
+    for name in ("session_s", "pass_session_s_median"):
+        assert summary[f"w.{name}.change_lower_in_pairs"] == f"{lower} of 10"
+        assert summary[f"w.{name}.gain_shown"] is shown

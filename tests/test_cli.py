@@ -132,14 +132,20 @@ def test_sweep_divergent_rows_are_results(tmp_path):
     assert rows[1].split(",")[5] == "False"
 
 
-def test_sweep_determinism_across_jobs(tmp_path):
+def _files(out) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
+
+
+def test_jobs_is_accepted_only_as_one(tmp_path, capsys):
     args = ["sweep", "--profile", "quasi", "--c1", "2", "--n", "3",
             "--rmax", "1200", "--p", "3.5,4.0,5.0"]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(args + ["--jobs", "1", "--out-dir", str(out1)]) == 0
-    assert run_cli(args + ["--jobs", "4", "--out-dir", str(out2)]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    assert (out1 / "sweep.json").read_bytes() == (out2 / "sweep.json").read_bytes()
+    assert run_cli(args + ["--jobs", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    assert run_cli(args + ["--out-dir", str(tmp_path / "none")]) == 0
+    assert _files(tmp_path / "one") == _files(tmp_path / "none")  # config hashes included
+    capsys.readouterr()
+    assert run_cli(args + ["--jobs", "2", "--out-dir", str(tmp_path / "two")]) == 2
+    assert "argument --jobs: invalid choice: 2" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
 
 
 def test_sweep_regression_summary(tmp_path):
@@ -360,6 +366,18 @@ def test_negative_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv,
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (HYPERBOLIC_SWEEP + ["--tol", "foo=1"],
+     "bad --tol entry 'foo=1', expected KEY=VALUE with KEY one of refine, rayleigh"),
+    (HYPERBOLIC_SWEEP[:-1] + ["2:3:2.5"], "--p '2:3:2.5' needs a positive whole count"),
+], ids=["tol_key", "p_count"])
+def test_an_unknown_tolerance_or_a_fractional_count_is_a_usage_error(tmp_path, capsys,
+                                                                     argv, message):
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_a_zero_tolerance_runs_to_the_cap(tmp_path):
     out = tmp_path / "m"
     assert run_cli(HYPERBOLIC_SWEEP + ["--tol", "refine=0", "--out-dir", str(out)]) == 0
@@ -538,6 +556,37 @@ def test_pme_snapshots_span_the_run(tmp_path):
     assert last.endswith("quantity=pme-profile-t=20")
 
 
+SNAPSHOT_RUN = ["pme", "--profile", "euclidean", "--rmax", "10", "--m", "2", "--rdomain", "8",
+                "--t-end", "1", "--outputs", "3"]
+
+
+def test_more_snapshots_than_states_are_refused(tmp_path, capsys):
+    # the run holds t = 0 and the 3 output times: 4 states
+    assert run_cli(SNAPSHOT_RUN + ["--snapshots", "10", "--out-dir", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == "error: --snapshots must be at most --outputs + 1 = 4, got 10\n"
+    assert not (tmp_path / "m").exists()
+    out = tmp_path / "all"
+    assert run_cli(SNAPSHOT_RUN + ["--snapshots", "4", "--out-dir", str(out)]) == 0
+    series = (out / "timeseries.csv").read_text().splitlines()[2:]
+    times = [(out / f"snapshot_{j:03d}.csv").read_text().splitlines()[0].rpartition("t=")[2]
+             for j in range(4)]
+    assert times == [f"{float(row.split(',')[0]):.6g}" for row in series]
+    assert sorted(p.name for p in out.glob("snapshot_*.csv"))[-1] == "snapshot_003.csv"
+
+
+def test_a_run_that_stops_early_exports_every_state_it_holds(tmp_path):
+    out = tmp_path / "d"
+    rc = run_cli(["pme", "--profile", "euclidean", "--rmax", "10", "--m", "2", "--rdomain", "4",
+                  "--t-end", "1000", "--outputs", "8", "--cells", "100", "--snapshots", "9",
+                  "--out-dir", str(out)])
+    assert rc == 0
+    assert json.loads((out / "pme_fit.json").read_text())["stopped_early"]
+    states = len((out / "timeseries.csv").read_text().splitlines()) - 2
+    assert states < 9
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+        f"snapshot_{j:03d}.csv" for j in range(states)]
+
+
 def test_pme_gaussian_datum(tmp_path):
     out = tmp_path / "d"
     rc = run_cli(["pme", "--profile", "euclidean", "--n", "3", "--rmax", "30",
@@ -639,6 +688,45 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, line, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+REQUIRED_IN_FILE = {
+    "sweep": (["sweep", "--k", "1", "--n", "3", "--rmax", "20"],
+              ["profile = hyperbolic", "p = 2.5,3"], ["--profile", "hyperbolic", "--p", "2.5,3"]),
+    "pme": (["pme", "--profile", "euclidean", "--rmax", "10", "--outputs", "3"],
+            ["m = 2", "rdomain = 8", "t_end = 1"], ["--m", "2", "--rdomain", "8", "--t-end", "1"]),
+    "certificate": (["certificate", "--profile", "power", "--rmax", "2000"],
+                    ["p = 2", "r = 50,100"], ["--p", "2", "--r", "50,100"]),
+}
+
+
+@pytest.mark.parametrize("base, lines, flags", REQUIRED_IN_FILE.values(),
+                         ids=REQUIRED_IN_FILE.keys())
+def test_a_config_file_may_hold_required_flags(tmp_path, base, lines, flags):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("\n".join(lines) + "\n")
+    assert run_cli(base + ["--config", str(cfgfile), "--out-dir", str(tmp_path / "file")]) == 0
+    assert run_cli(base + flags + ["--out-dir", str(tmp_path / "flags")]) == 0
+    assert _files(tmp_path / "file") == _files(tmp_path / "flags")  # config hashes included
+
+
+def test_a_config_line_without_equals_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("rmax = 10\nprofile euclidean\n")
+    rc = run_cli(["model", "--config", str(cfgfile), "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: bad config line: 'profile euclidean'\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_an_ambiguous_prefix_of_config_is_a_usage_error(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("rmax = 10\n")
+    for value in (str(cfgfile), str(tmp_path / "nope.cfg")):
+        rc = run_cli(["model", "--profile", "euclidean", "--c", value,
+                      "--out-dir", str(tmp_path / "m")])
+        assert rc == 2
+        assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -202,6 +202,19 @@ def test_curvature_out_of_domain(hyperbolic_model):
         geo.curvature_at(hyperbolic_model, 0.0)
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+def test_radii_outside_the_model_are_refused(hyperbolic_model, as_array):
+    R = hyperbolic_model.Rmax
+
+    def psi(r):
+        return hyperbolic_model.psi(np.array([0.5, r]) if as_array else r)
+
+    for r in (-1.0, 1.01 * R):
+        with pytest.raises(OutOfDomain, match=r"radius outside \[0, 20.0\]"):
+            psi(r)
+    assert np.all(np.isfinite(psi(R * (1 + 1e-13))))  # within the rounding slack
+
+
 def test_hadamard_predicate(hyperbolic_model, quasi_model):
     assert geo.is_cartan_hadamard(hyperbolic_model) == (True, None)
     assert geo.is_cartan_hadamard(quasi_model) == (True, None)

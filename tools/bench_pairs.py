@@ -11,9 +11,10 @@ it uses; this tool only reads ``bench/``.  FILE receives every run's result
 line and a summary per workload and side: the median, quartiles, minimum and
 maximum of each end-to-end metric and of each run's median pass
 ``session_s`` (from the per-pass list that bench/run.py prints to stderr),
-how many pairs the change read lower, and how many operations failed of
-those attempted.  If a run fails, FILE keeps the runs completed before it
-and the failed command, without a summary, and the exit status is 1.
+how many pairs the change read lower and whether that shows a gain (see
+``gain_shown``), and how many operations failed of those attempted.  If a
+run fails, FILE keeps the runs completed before it and the failed command,
+without a summary, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -63,11 +64,26 @@ def pass_sessions(stderr: str, workload: str) -> list:
     return []
 
 
+def quartiles(values: list) -> tuple:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+
+
 def spread(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+    q1, _, q3 = quartiles(values)
     return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "min": round(min(values), 4), "max": round(max(values), 4),
             "runs": len(values)}
+
+
+def gain_shown(parent: list, change: list) -> bool:
+    """Whether the change reads lower in at least 9 of 10 pairs, a tie
+    counting for neither side, and its median lies below the parent's by more
+    than the parent's interquartile distance: the rule a claimed gain is
+    judged by."""
+    lower = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = quartiles(parent)
+    return (lower >= 0.9 * len(parent)
+            and statistics.median(parent) - statistics.median(change) > q3 - q1)
 
 
 def summarise(runs: list, workloads: list) -> dict:
@@ -88,14 +104,13 @@ def summarise(runs: list, workloads: list) -> dict:
                                             f"{sum(r['attempted'] for r in results)}")
             entry["all_checks_correct"] = all(r["correct"] for r in results)
             out[f"{workload}.{side}"] = entry
-        for name in metrics:
-            parent, change = ([r["metrics"][name]["value"] for r in by_side[side]]
-                              for side in ("parent", "change"))
+        pairs = {name: [[r["metrics"][name]["value"] for r in by_side[side]]
+                        for side in ("parent", "change")] for name in metrics}
+        pairs["pass_session_s_median"] = [medians["parent"], medians["change"]]
+        for name, (parent, change) in pairs.items():
             lower = sum(c < p for p, c in zip(parent, change))
             out[f"{workload}.{name}.change_lower_in_pairs"] = f"{lower} of {len(parent)}"
-        lower = sum(c < p for p, c in zip(medians["parent"], medians["change"]))
-        out[f"{workload}.pass_session_s_median.change_lower_in_pairs"] = (
-            f"{lower} of {len(medians['parent'])}")
+            out[f"{workload}.{name}.gain_shown"] = gain_shown(parent, change)
     return out
 
 
