@@ -28,7 +28,6 @@ from .geometry import (
     check_comparison,
     curvature_at,
     is_cartan_hadamard,
-    model_from_csv,
     model_to_csv,
     ricci_uniformization,
 )

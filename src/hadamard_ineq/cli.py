@@ -7,7 +7,9 @@ configurations produce byte-identical files.
 ``--config FILE`` reads each ``key = value`` line of FILE as the flag
 ``--key=value`` of the subcommand, placed before the command line's own
 flags, which therefore win.  The file may hold a required flag; an unknown
-key or a bad value is a usage error, and ``tol`` may repeat.
+key or a bad value is a usage error, and ``tol`` may repeat.  The file is
+read only once the command line itself parses, so ``--help`` and the command
+line's own usage errors come first.
 
 Exit codes: 0 success (divergence flags are results, not failures),
 1 numerical failure, 2 validation or usage error.
@@ -16,7 +18,10 @@ Exit codes: 0 success (divergence flags are results, not failures),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
+import io
 import math
 import os
 import sys
@@ -47,10 +52,10 @@ def _finite(text: str) -> float:
     return val
 
 
-def _shared_flags():
+def _shared_flags(required: bool):
     """The flags of every subcommand: the geometry and the outputs."""
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--profile", choices=_PROFILES, required=True)
+    flags.add_argument("--profile", choices=_PROFILES, required=required)
     flags.add_argument("--k", type=_finite, default=1.0, help="constant curvature level")
     flags.add_argument("--c0", type=_finite, default=1.0, help="power-law curvature amplitude")
     flags.add_argument("--beta", type=_finite, default=1.0, help="power-law decay exponent")
@@ -73,46 +78,49 @@ def _shared_flags():
     return flags
 
 
-def build_parser():
+@functools.cache  # main parses twice, and a session may call it many times
+def build_parser(required: bool = True):
+    """The command-line parser; with ``required=False`` it requires no flag,
+    as a config file may hold any of them."""
     ap = argparse.ArgumentParser(prog="hadamard-ineq",
                                  description="weighted inequality and diffusion "
                                              "computations on radial model geometries")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sp = ap.add_subparsers(dest="command", required=True)
-    shared = [_shared_flags()]
+    shared = [_shared_flags(required)]
 
     sp.add_parser("model", parents=shared, help="build and export a model geometry")
 
     s = sp.add_parser("sweep", parents=shared, help="supremum B over a grid of exponents")
-    s.add_argument("--p", required=True,
+    s.add_argument("--p", required=required,
                    help="comma list '2.02,2.1' or range 'lo:hi:count'")
     s.add_argument("--regress", choices=("none", "p_to_2", "p_large"), default="none")
 
     q = sp.add_parser("poincare", parents=shared, help="spectral gap on a truncated domain")
-    q.add_argument("--rdomain", type=_finite, required=True)
+    q.add_argument("--rdomain", type=_finite, required=required)
 
     r = sp.add_parser("rayleigh", parents=shared,
                       help="minimize the weighted Rayleigh quotient")
-    r.add_argument("--p", type=_finite, required=True)
-    r.add_argument("--rdomain", type=_finite, required=True)
+    r.add_argument("--p", type=_finite, required=required)
+    r.add_argument("--rdomain", type=_finite, required=required)
     for searching in (s, r):
         searching.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
                                help="tolerance overrides (refine, rayleigh)")
 
     c = sp.add_parser("certificate", parents=shared,
                       help="nonradial failure growth certificate")
-    c.add_argument("--p", type=_finite, required=True)
-    c.add_argument("--r", required=True, help="comma list of radii")
+    c.add_argument("--p", type=_finite, required=required)
+    c.add_argument("--r", required=required, help="comma list of radii")
 
     d = sp.add_parser("pme", parents=shared, help="radial porous-medium run and decay fit")
-    d.add_argument("--m", type=_finite, required=True)
-    d.add_argument("--rdomain", type=_finite, required=True)
+    d.add_argument("--m", type=_finite, required=required)
+    d.add_argument("--rdomain", type=_finite, required=required)
     d.add_argument("--initial", choices=("characteristic", "gaussian"),
                    default="characteristic")
     d.add_argument("--height", type=_finite, default=1.0)
     d.add_argument("--r-support", type=_finite, default=1.0)
     d.add_argument("--scale", type=_finite, default=1.0)
-    d.add_argument("--t-end", type=_finite, required=True)
+    d.add_argument("--t-end", type=_finite, required=required)
     d.add_argument("--cells", type=int, default=800)
     d.add_argument("--outputs", type=int, default=60)
     d.add_argument("--fit", choices=("power_only", "power_with_log", "both"),
@@ -127,9 +135,15 @@ def build_parser():
 # config file and tolerance plumbing
 # ---------------------------------------------------------------------------
 
-# finds --config before the full parse, which needs the file's flags
-_CONFIG = argparse.ArgumentParser(prog="hadamard-ineq", add_help=False)
-_CONFIG.add_argument("--config", default=None)
+def _config_path(argv):
+    """The ``--config`` value of the command line, None when there is none or
+    when the command line alone asks for help or the version or is a usage
+    error: the full parse then prints that, and no file is read."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser(required=False).parse_args(argv).config
+        except SystemExit:
+            return None
 
 
 def _config_flags(path) -> list:
@@ -369,13 +383,12 @@ _DISPATCH = {"model": cmd_model, "sweep": cmd_sweep, "poincare": cmd_poincare,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        config = _CONFIG.parse_known_args(argv)[0].config
+        config = _config_path(argv)
         if config:  # the file's flags go right after the command, so the command line's win
             i = next((j for j, a in enumerate(argv) if not a.startswith("-")), len(argv)) + 1
             argv = argv[:i] + _config_flags(config) + argv[i:]
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         out = Path(args.out_dir or os.environ.get("HADAMARD_INEQ_OUT", "out"))
         h = report_io.config_hash(_resolved(args))
         model = _model_from(args)

@@ -59,10 +59,6 @@ class GridTooCoarse(NumericalError):
     """Discretization error estimate exceeds tolerance."""
 
 
-class TailUnclassifiable(NumericalError):
-    """Large-radius behavior fits neither analytic tail family."""
-
-
 class StabilityFailure(NumericalError):
     """Time stepping produced a negative state, or Newton did not converge or
     met a singular linear system."""

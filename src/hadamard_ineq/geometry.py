@@ -36,7 +36,8 @@ and optionally
   one, the law is checked to be nonnegative and integrated as above;
 * ``tail_integral(model)`` -- the integral of psi^(1-N) over (Rmax,
   infinity).  Without it (or when it is None) :func:`tail_past_rmax` takes
-  the closed form of the tail family anchored at psi(Rmax);
+  the closed form of a power tail anchored at psi(Rmax), and refuses an
+  exponential one;
 * ``tangential_curvature(r)`` -- (psi'^2 - 1) / psi^2 in closed form, which
   the tangential Ricci curvature otherwise takes as z^2 - psi^(-2), z = psi'/psi.
 
@@ -64,14 +65,13 @@ called, since :mod:`weighted` imports this module.
 The power law's Bessel functions ``ive`` and ``kve`` come from
 :mod:`hadamard_ineq._kernels`, which loads their extension module without
 importing ``scipy.special``.  Only the integrator and the spline of an
-integrated or imported warping use ``scipy.integrate`` and
-``scipy.interpolate``, and they import them when called, so work on
-closed-form profiles never loads either.  Every
-quadrature here and in the modules built on it is the one 5-point
-Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
+integrated warping use ``scipy.integrate`` and ``scipy.interpolate``, and
+they import them when called, so work on closed-form profiles never loads
+either.  Every quadrature here and in the modules built on it is the one
+5-point Gauss-Legendre rule ``_gl5``; the power law's tail past Rmax is a sum of it
 over log-radius panels (:func:`_tail_quadrature`).  The rule's nodes and weights
 are constants, so ``numpy.polynomial`` is never imported.  Likewise every
-straight-line fit in the package (a tail here, the p -> 2 scaling law of
+straight-line fit in the package (the p -> 2 scaling law of
 :mod:`weighted`, the decay law of :mod:`pme`) is ``_line_fit``, in closed
 form, so no command calls LAPACK's least-squares solver.
 
@@ -98,7 +98,6 @@ from .errors import (
     NonHadamardProfile,
     NumericalError,
     OutOfDomain,
-    TailUnclassifiable,
     ValidationError,
 )
 
@@ -122,7 +121,6 @@ __all__ = [
     "check_comparison",
     "ricci_uniformization",
     "model_to_csv",
-    "model_from_csv",
 ]
 
 _ODE_RTOL = 1e-11
@@ -190,18 +188,15 @@ class TailModel:
     family 'power':       psi ~ amplitude * r^shape
     family 'divergent':   1/psi^(N-1) is not integrable at infinity
 
-    A profile states its tail with residual 0; for ``Constant(k > 0)`` and
-    the power law at beta = 2 the stated form is the leading term of psi,
-    not psi itself.  An imported table's tail carries the residual of its
-    least-squares fit (see :func:`tail_past_rmax`), and an exponential one
-    no amplitude.
+    Every tail is stated by a profile; for ``Constant(k > 0)`` and the power
+    law at beta = 2 the stated form is the leading term of psi, not psi
+    itself.
     """
 
     family: str
     shape: float = 0.0
     rate: float = 0.0
     amplitude: float = 1.0
-    residual: float = 0.0
 
 
 def _tail_quadrature(profile, model) -> float:
@@ -259,45 +254,22 @@ def _tail_quadrature(profile, model) -> float:
 def tail_past_rmax(model) -> tuple:
     """(TailModel of psi past Rmax, T(Rmax) = integral of psi^(1-N) there).
 
-    An imported table takes the better of the least-squares lines of log psi
-    against log r (power) and r (exponential) on [Rmax/10, Rmax], a tie to
-    the power, each residual relative to max(1, rms of log psi) and refused
-    above 1e-3; an exponential one takes its rate from psi'/psi at Rmax,
-    where the fitted slope is bent by the curvature of log psi.  A rate <= 0
-    or a power tail with shape (N-1) <= 1 diverges, and T(Rmax) is infinite;
-    else it is the profile's ``tail_integral`` or the family's closed form
-    anchored at psi(Rmax), for power tails and exponential tails of shape 1.
+    The tail is the one the profile states.  A power tail with shape (N-1)
+    <= 1 diverges, and T(Rmax) is infinite; else it is the profile's
+    ``tail_integral`` or, for a power tail, its closed form anchored at
+    psi(Rmax).  An exponential tail without a ``tail_integral`` is refused.
     """
     N, R = model.N, model.Rmax
-    if model.profile is not None:
-        tm = model.profile.tail(model)
-    else:
-        rr = np.geomspace(R / 10.0, R, 160)
-        y = np.asarray(model.logpsi(rr), float)
-        scale = max(1.0, math.sqrt(np.mean(y * y)))
-        shape, intercept, power = _line_fit(np.log(rr), y)
-        power, exponential = power / scale, _line_fit(rr, y)[2] / scale
-        residual = min(power, exponential)
-        if not residual <= 1e-3:
-            raise TailUnclassifiable(f"tail fit residual {residual:.2e} exceeds 1e-3")
-        if power <= exponential:
-            tm = TailModel("power", shape, amplitude=math.exp(intercept), residual=power)
-        else:
-            rate = float(model.dlogpsi(np.float64(R)))
-            tm = (TailModel("exponential", 1.0, rate, residual=exponential) if rate > 0
-                  else TailModel("divergent"))
+    tm = model.profile.tail(model)
     if tm.family == "power" and tm.shape * (N - 1) <= 1.0 + 1e-12:
         tm = replace(tm, family="divergent")
     if tm.family == "divergent":
         return tm, math.inf
     if getattr(model.profile, "tail_integral", None) is not None:
         return tm, model.profile.tail_integral(model)
-    anchor = math.exp(-float(model.log_weight(R)))
-    if tm.family == "power":
-        return tm, R * anchor / (tm.shape * (N - 1) - 1.0)
-    if tm.shape != 1.0:
+    if tm.family != "power":
         raise ValidationError(f"exponential tail of shape {tm.shape} needs a tail_integral")
-    return tm, anchor / ((N - 1.0) * tm.rate)
+    return tm, R * math.exp(-float(model.log_weight(R))) / (tm.shape * (N - 1) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -768,22 +740,21 @@ class ModelFunction:
 
     Evaluation methods accept scalars or arrays in [0, Rmax].  ``grid_r``,
     ``grid_psi`` and ``grid_dpsi`` are the export table (first row is the
-    exact origin values).  A built model tabulates psi and psi' on ``grid_r``
-    at the first read of ``grid_psi``, ``grid_dpsi`` or :meth:`table`; an
-    imported one holds its file's values from the start.  ``warping``
+    exact origin values).  psi and psi' are tabulated on ``grid_r`` at the
+    first read of ``grid_psi``, ``grid_dpsi`` or :meth:`table`.  ``warping``
     evaluates psi, psi', log psi, psi'/psi and K: the profile itself when it
     has a closed form, else a :class:`_LogSpline`.  N, an integer >= 2, is
     stored as an ``int``.  :meth:`log_weight` is the only place where the
-    weight psi^(N-1) is formed.
+    weight psi^(N-1) is formed.  ``built_by`` is ``"closed"`` or ``"ode"``.
     """
 
-    profile: Optional[CurvatureProfile]
+    profile: CurvatureProfile
     N: int
     Rmax: float
     grid_r: np.ndarray
     built_by: str
     warping: object
-    _grid_values: Optional[tuple] = field(default=None, repr=False)  # (psi, psi')
+    _grid_values: Optional[tuple] = field(default=None, init=False, repr=False)  # (psi, psi')
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 2:
@@ -865,28 +836,20 @@ class CurvatureReport:
 class _LogSpline:
     """Warping interpolated from node values of y = log psi and z = psi'/psi.
 
-    y is the cubic Hermite spline through (y, z).  Given the curvature law
-    K, z is the Hermite spline through (z, K - z^2) and K stays the law.
-    Without one, as for an imported table, u = r z is splined in log r and
-    K = (du/dlog r + u (u - 1)) / r^2: near the pole z' ~ -1/r^2 and
-    z^2 ~ 1/r^2 would cancel in K = z' + z^2.  Below the first node psi
-    continues linearly through its value there, y = log r + const and
-    z = 1/r, so the K taken from u is 0 there.
+    y is the cubic Hermite spline through (y, z), z the one through
+    (z, K - z^2) for the curvature law K, and K stays the law.  Below the
+    first node psi continues linearly through its value there, y = log r +
+    const and z = 1/r.
     """
 
-    def __init__(self, r, y, z, K=None):
-        from scipy.interpolate import CubicHermiteSpline, CubicSpline
+    def __init__(self, r, y, z, K):
+        from scipy.interpolate import CubicHermiteSpline
 
         self.r1 = float(r[0])
         self.y_shift = float(y[0]) - math.log(self.r1)
         self.y_spl = CubicHermiteSpline(r, y, z)
-        if K is None:
-            self.u_spl = CubicSpline(np.log(r), r * z)
-            self.z_spl = lambda q: self.u_spl(np.log(q)) / q
-            self.curvature = self._u_curvature
-        else:
-            self.z_spl = CubicHermiteSpline(r, z, np.asarray(K(r), float) - z * z)
-            self.curvature = K
+        self.z_spl = CubicHermiteSpline(r, z, np.asarray(K(r), float) - z * z)
+        self.curvature = K
 
     def _past_first_node(self, spline, q, below):
         hi = q >= self.r1
@@ -914,13 +877,6 @@ class _LogSpline:
         q = np.asarray(q, float)
         qq = np.maximum(q, 1e-300)
         return np.where(q == 0.0, 1.0, np.exp(self.logpsi(qq)) * self.dlogpsi(qq))
-
-    def _u_curvature(self, q):
-        q = np.asarray(q, float)
-        qq = np.maximum(q, self.r1)
-        s = np.log(qq)
-        u = self.u_spl(s)
-        return np.where(q < self.r1, 0.0, (self.u_spl(s, 1) + u * (u - 1.0)) / (qq * qq))
 
 
 def _series_start(K0: float, r: float):
@@ -952,7 +908,7 @@ def _integrate_profile(profile, rmax, r_a, n_nodes) -> _LogSpline:
     if not sol.success:
         raise NumericalError(f"warping integration failed: {sol.message}")
     yv, zv = sol.y
-    spline = _LogSpline(nodes, yv, zv, K=Kf)
+    spline = _LogSpline(nodes, yv, zv, Kf)
     # a-posteriori consistency estimate: the two splines must agree on y' = z
     mid = np.sqrt(nodes[:-1] * nodes[1:])
     h = np.diff(nodes)
@@ -1015,8 +971,8 @@ def _curvature_terms(model: ModelFunction, r):
     z = np.asarray(model.dlogpsi(r), float)
     inv_psi2 = np.exp(-2.0 * np.asarray(model.logpsi(r), float))
     exact = getattr(model.warping, "tangential_curvature", None)
-    cap = model.profile.flat_cap if model.profile is not None else 0.0
-    excess = exact(r) if exact is not None else np.where(r <= cap, 0.0, z * z - inv_psi2)
+    excess = (exact(r) if exact is not None
+              else np.where(r <= model.profile.flat_cap, 0.0, z * z - inv_psi2))
     return K, z, inv_psi2, -K - (model.N - 2) * excess
 
 
@@ -1111,7 +1067,7 @@ def ricci_uniformization(model: ModelFunction, R: float,
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# CSV export
 # ---------------------------------------------------------------------------
 
 def model_to_csv(model: ModelFunction, path, header_comment: Optional[str] = None):
@@ -1119,41 +1075,3 @@ def model_to_csv(model: ModelFunction, path, header_comment: Optional[str] = Non
     at 17 significant digits, under a ``# header_comment`` line when one is given."""
     return report_io._write_table(path, header_comment, ("r", "psi", "dpsi"),
                                   model.table())
-
-
-def model_from_csv(path, N: int) -> ModelFunction:
-    """Rebuild a model from an exported table.
-
-    The warping is the log spline of the sampled (log psi, psi'/psi), whose
-    curvature comes from differentiating r psi'/psi once in log r (never
-    psi twice); closed-form provenance is lost.
-    """
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("r,"):
-                continue
-            try:
-                a, b, c = (float(x) for x in line.split(","))
-            except ValueError:
-                raise ValidationError(f"line {lineno} of {path} is not three numbers "
-                                      f"r,psi,dpsi: {line!r}") from None
-            if not all(map(math.isfinite, (a, b, c))):
-                raise ValidationError(f"imported table is not finite at r = {a:.6g}")
-            rows.append((a, b, c))
-    if not rows:
-        raise ValidationError(f"{path} holds no table rows")
-    if rows[0][0] != 0.0:
-        rows.insert(0, (0.0, 0.0, 1.0))
-    if len(rows) < 3:
-        raise ValidationError(f"{path} holds fewer than two table rows with r > 0")
-    r, p, dp = map(np.asarray, zip(*rows))
-    if np.any(np.diff(r) <= 0):
-        raise ValidationError("imported radii must be strictly increasing")
-    if np.any(p[1:] <= 0):
-        raise ValidationError("imported psi must be positive for r > 0")
-    rn, pn, dpn = r[1:], p[1:], dp[1:]
-    return ModelFunction(profile=None, N=N, Rmax=float(rn[-1]),
-                         grid_r=r, built_by="table",
-                         warping=_LogSpline(rn, np.log(pn), dpn / pn), _grid_values=(p, dp))

@@ -83,8 +83,7 @@ def _gl5_between(f, lo, hi):
 @dataclass
 class WeightMeasure:
     """Tabulated W(r) and T(r) for the weight psi^(N-1) of a model, on its
-    ``grid_r``, which starts at the pole: ``build_model`` prepends r = 0 and
-    ``model_from_csv`` inserts the row (0, 0, 1)."""
+    ``grid_r``, which starts at the pole: ``build_model`` prepends r = 0."""
 
     model: ModelFunction
     rgrid: np.ndarray

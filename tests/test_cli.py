@@ -278,10 +278,8 @@ codes = [cli.main(argv + ["--out-dir", os.path.join(out, str(i))])
 loaded = [m for m in lazy if m in sys.modules]
 sparse = "scipy.sparse.linalg" in sys.modules
 model = geo.build_model(geo.Hyperbolic(1.0), 3, 5.0, method="ode")
-geo.model_to_csv(model, os.path.join(out, "ode.csv"))
-table = geo.model_from_csv(os.path.join(out, "ode.csv"), 3)
 print(json.dumps({"codes": codes, "loaded": loaded, "sparse": sparse, "built_by": model.built_by,
-                  "psi": float(table.psi(2.0)), "after": [m for m in lazy if m in sys.modules]}))
+                  "psi": float(model.psi(2.0)), "after": [m for m in lazy if m in sys.modules]}))
 """
 
 
@@ -299,7 +297,7 @@ def test_readme_commands_load_no_ode_or_spline_code(tmp_path):
     assert doc["codes"] == [0, 0, 0, 0]
     assert doc["loaded"] == []
     assert doc["sparse"] is False  # the spectral gap needs only LAPACK
-    # the integrator and the imported table load them on demand
+    # the integrator alone loads them, on demand
     assert doc["built_by"] == "ode"
     assert doc["psi"] == pytest.approx(math.sinh(2.0), rel=1e-8)
     assert doc["after"] == ["scipy.integrate", "scipy.interpolate", "scipy.optimize"]
@@ -727,6 +725,34 @@ def test_an_ambiguous_prefix_of_config_is_a_usage_error(tmp_path):
                       "--out-dir", str(tmp_path / "m")])
         assert rc == 2
         assert not (tmp_path / "m").exists()
+
+
+def test_help_comes_before_a_missing_config_file(tmp_path, capsys):
+    rc = run_cli(["model", "--help", "--config", str(tmp_path / "nope.cfg")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: hadamard-ineq model") and "--profile" in out
+    assert err == ""
+
+
+def test_an_ambiguous_prefix_is_reported_before_a_missing_file(tmp_path, capsys):
+    rc = run_cli(["model", "--profile", "euclidean", "--c", str(tmp_path / "nope.cfg"),
+                  "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ambiguous option: --c could match --c0, --c1, --config" in err
+    assert "not found" not in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_an_unambiguous_prefix_of_config_reads_the_file(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("profile = euclidean\nrmax = 12\n")
+    out = tmp_path / "m"
+    assert run_cli(["model", "--conf", str(cfgfile), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "model.json").read_text())["Rmax"] == 12.0
+    assert run_cli(["model", "--conf", str(tmp_path / "nope.cfg"), "--out-dir", str(out)]) == 2
+    assert "nope.cfg not found" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -43,6 +43,12 @@ def test_ode_matches_sinh():
     r = np.linspace(0.05, 10.0, 400)
     rel = np.abs(m.psi(r) / np.sinh(r) - 1.0)
     assert np.max(rel) < 1e-6
+    assert np.max(np.abs(m.dpsi(r) / np.cosh(r) - 1.0)) < 1e-6
+    # the export table of an integrated warping, from the pole row on
+    rr, psi, dpsi = m.table()
+    assert (psi[0], dpsi[0]) == (0.0, 1.0)
+    assert np.max(np.abs(psi[1:] / np.sinh(rr[1:]) - 1.0)) < 1e-6
+    assert np.max(np.abs(dpsi[1:] / np.cosh(rr[1:]) - 1.0)) < 1e-6
 
 
 def test_ode_matches_sinh_scaled():
@@ -459,87 +465,26 @@ def test_quadratic_law_logpsi_stays_finite():
                       <= 1e-14 * np.maximum(1.0, np.abs(logpsi[ok])))
         assert np.max(np.abs(exact.dlogpsi(r[ok]) / dlogpsi[ok] - 1.0)) < 1e-14
 
-def test_csv_round_trip(tmp_path, hyperbolic_model):
+
+def test_csv_export_keeps_every_bit(tmp_path, hyperbolic_model):
+    # 17 significant digits read back to the very doubles of the table
     path = tmp_path / "model.csv"
-    geo.model_to_csv(hyperbolic_model, path, header_comment="round trip")
-    m2 = geo.model_from_csv(path, 3)
-    assert m2.N == 3 and m2.built_by == "table"
-    r = np.linspace(0.5, 19.5, 77)
-    assert np.max(np.abs(m2.psi(r) / hyperbolic_model.psi(r) - 1.0)) < 1e-6
-    assert np.max(np.abs(m2.dpsi(r) / hyperbolic_model.dpsi(r) - 1.0)) < 1e-6
-    # second export is value-identical (17 significant digits round trip)
-    path2 = tmp_path / "model2.csv"
-    geo.model_to_csv(m2, path2)
-    rows1 = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    rows2 = [l for l in path2.read_text().splitlines() if not l.startswith("#")]
-    assert rows1 == rows2
+    geo.model_to_csv(hyperbolic_model, path, header_comment="export")
+    assert path.read_text().splitlines()[:2] == ["# export", "r,psi,dpsi"]
+    back = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
+    for column, exact in zip(back.T, hyperbolic_model.table()):
+        assert np.array_equal(column, exact)
 
 
 @pytest.mark.parametrize("N", [2.5, 1, 0, -3, True, 3.0])
-def test_both_constructors_refuse_a_bad_dimension(tmp_path, hyperbolic_model, N):
-    path = tmp_path / "model.csv"
-    geo.model_to_csv(hyperbolic_model, path)
+def test_both_constructors_refuse_a_bad_dimension(N):
     with pytest.raises(ValidationError, match="dimension must be an integer >= 2"):
         geo.build_model(geo.Hyperbolic(1.0), N, 20.0)
-    with pytest.raises(ValidationError, match="dimension must be an integer >= 2"):
-        geo.model_from_csv(path, N)
 
 
-def test_a_numpy_integer_dimension_is_stored_as_int(tmp_path, hyperbolic_model):
-    path = tmp_path / "model.csv"
-    geo.model_to_csv(hyperbolic_model, path)
-    for model in (geo.build_model(geo.Hyperbolic(1.0), np.int64(4), 20.0),
-                  geo.model_from_csv(path, np.int64(4))):
-        assert type(model.N) is int and model.N == 4
-
-
-def test_imported_table_curvature(tmp_path, hyperbolic_model):
-    path = tmp_path / "model.csv"
-    geo.model_to_csv(hyperbolic_model, path)
-    m = geo.model_from_csv(path, 3)
-    assert geo.is_cartan_hadamard(m) == (True, None)
-    r = m.grid_r[1:]
-    mid = np.sqrt(r[:-1] * r[1:])
-    assert np.max(np.abs(m.curvature(r) - 1.0)) <= 1e-3
-    assert np.max(np.abs(m.curvature(mid) - 1.0)) <= 1e-3
-    # below the first node psi continues linearly, so K is that of c r
-    below = np.geomspace(1e-3 * r[0], 0.9 * r[0], 5)
-    assert np.allclose(m.psi(below) / below, m.psi(r[0]) / r[0], rtol=1e-12)
-    assert np.all(m.curvature(below) == 0.0)
-
-
-def _spoil_rows(lines, spoil):
-    head = [l for l in lines if l.startswith("#") or l.startswith("r,")]
-    rows = [l for l in lines if l not in head]
-    return head + spoil(rows)
-
-
-def _from_r(r0, field, value):
-    def spoil(rows):
-        out = []
-        for row in rows:
-            cells = row.split(",")
-            if float(cells[0]) >= r0:
-                cells[field] = value
-            out.append(",".join(cells))
-        return out
-    return spoil
-
-
-@pytest.mark.parametrize("spoil, message", [
-    (_from_r(15.0, 1, "inf"), r"not finite at r = 15\.0"),
-    (_from_r(7.0, 2, "nan"), r"not finite at r = 7\.0"),
-    (lambda rows: [], "holds no table rows"),
-    (lambda rows: rows[1:2], "fewer than two table rows"),
-    (lambda rows: rows[:10] + [rows[10].rsplit(",", 1)[0]] + rows[11:],
-     "line 12 .* not three numbers"),
-], ids=["inf_psi", "nan_dpsi", "empty", "one_row", "two_fields"])
-def test_imported_table_validation(tmp_path, hyperbolic_model, spoil, message):
-    path = tmp_path / "model.csv"
-    geo.model_to_csv(hyperbolic_model, path)
-    path.write_text("\n".join(_spoil_rows(path.read_text().splitlines(), spoil)) + "\n")
-    with pytest.raises(ValidationError, match=message):
-        geo.model_from_csv(path, 3)
+def test_a_numpy_integer_dimension_is_stored_as_int():
+    model = geo.build_model(geo.Hyperbolic(1.0), np.int64(4), 20.0)
+    assert type(model.N) is int and model.N == 4
 
 
 def test_grid_spec():
