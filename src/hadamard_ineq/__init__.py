@@ -18,7 +18,6 @@ from . import errors
 from .geometry import (
     Constant,
     Euclidean,
-    ExponentialPower,
     GridSpec,
     Hyperbolic,
     ModelFunction,
@@ -28,7 +27,6 @@ from .geometry import (
     check_comparison,
     curvature_at,
     is_cartan_hadamard,
-    model_to_csv,
     ricci_uniformization,
 )
 from .weighted import (

@@ -12,7 +12,8 @@ read only once the command line itself parses, so ``--help`` and the command
 line's own usage errors come first.
 
 Exit codes: 0 success (divergence flags are results, not failures),
-1 numerical failure, 2 validation or usage error.
+1 numerical failure, 2 validation or usage error, or a config file or output
+directory that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -151,8 +152,13 @@ def _config_flags(path) -> list:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file {path} not found")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8 text "
+                              f"({exc.reason} at byte {exc.start})") from None
     flags = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -396,7 +402,7 @@ def main(argv=None) -> int:
         json_path = report_io.write_json(out / name, h, quantity, payload)
     except SystemExit as exc:  # from argparse: usage error (2), --help or --version (0)
         return exc.code
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -28,16 +28,15 @@ A curvature profile is any object that supplies
 * ``curvature(r)``  -- its law K(r), vectorised over r;
 * ``flat_cap``      -- the radius of its flat cap psi(r) = r (0 for none);
 * ``tail(model)``   -- the :class:`TailModel` its warping follows past
-  ``model.Rmax``.
+  ``model.Rmax``;
+* ``tail_integral(model)`` -- the integral of psi^(1-N) over (Rmax,
+  infinity), which :func:`tail_past_rmax` takes for every tail it does not
+  find divergent.
 
 and optionally
 
 * ``psi``, ``dpsi``, ``logpsi``, ``dlogpsi`` -- a closed form.  Without
   one, the law is checked to be nonnegative and integrated as above;
-* ``tail_integral(model)`` -- the integral of psi^(1-N) over (Rmax,
-  infinity).  Without it (or when it is None) :func:`tail_past_rmax` takes
-  the closed form of a power tail anchored at psi(Rmax), and refuses an
-  exponential one;
 * ``tangential_curvature(r)`` -- (psi'^2 - 1) / psi^2 in closed form, which
   the tangential Ricci curvature otherwise takes as z^2 - psi^(-2), z = psi'/psi.
 
@@ -82,12 +81,11 @@ place, :meth:`ModelFunction.log_weight`, which returns its log (N - 1) log psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from . import report_io
 from ._kernels import ive, kve
 from .errors import (
     BelowCriticalExponent,
@@ -107,7 +105,6 @@ __all__ = [
     "QuasiEuclideanOptimal",
     "Euclidean",
     "Hyperbolic",
-    "ExponentialPower",
     "CurvatureProfile",
     "TailModel",
     "tail_past_rmax",
@@ -120,13 +117,11 @@ __all__ = [
     "is_cartan_hadamard",
     "check_comparison",
     "ricci_uniformization",
-    "model_to_csv",
 ]
 
 _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-13
 _GRID_RATIO = 1.05  # node spacing ratio of the geometric part of a graded grid
-_EXP_POWER_BLEND = (0.5, 1.5)  # radii between which ExponentialPower blends r into its tail
 _TAIL_PANELS = 1 << 16  # cap on the log-radius panels of a tail integral
 _TAIL_STOP = math.exp(-40.0)  # panel mean of the tail integrand / running sum that ends it
 _TAIL_SETTLED = 1e-12  # change of the tail's power over its last panel that makes it exact
@@ -183,14 +178,14 @@ def _line_fit(x, y):
 class TailModel:
     """Large-radius form of psi.
 
-    family 'exponential': log psi ~ rate * r^shape, and
-                          psi ~ amplitude * exp(rate * r) when shape = 1
+    family 'exponential': log psi ~ rate * r^shape
     family 'power':       psi ~ amplitude * r^shape
     family 'divergent':   1/psi^(N-1) is not integrable at infinity
 
-    Every tail is stated by a profile; for ``Constant(k > 0)`` and the power
-    law at beta = 2 the stated form is the leading term of psi, not psi
-    itself.
+    A profile states an exponential or a power tail, and
+    :func:`tail_past_rmax` marks a power tail divergent.  For ``Constant(k >
+    0)`` and the power law at beta = 2 the stated form is the leading term
+    of psi, not psi itself.
     """
 
     family: str
@@ -255,21 +250,13 @@ def tail_past_rmax(model) -> tuple:
     """(TailModel of psi past Rmax, T(Rmax) = integral of psi^(1-N) there).
 
     The tail is the one the profile states.  A power tail with shape (N-1)
-    <= 1 diverges, and T(Rmax) is infinite; else it is the profile's
-    ``tail_integral`` or, for a power tail, its closed form anchored at
-    psi(Rmax).  An exponential tail without a ``tail_integral`` is refused.
+    <= 1 diverges, and T(Rmax) is infinite; else T(Rmax) is the profile's
+    ``tail_integral``.
     """
-    N, R = model.N, model.Rmax
     tm = model.profile.tail(model)
-    if tm.family == "power" and tm.shape * (N - 1) <= 1.0 + 1e-12:
-        tm = replace(tm, family="divergent")
-    if tm.family == "divergent":
-        return tm, math.inf
-    if getattr(model.profile, "tail_integral", None) is not None:
-        return tm, model.profile.tail_integral(model)
-    if tm.family != "power":
-        raise ValidationError(f"exponential tail of shape {tm.shape} needs a tail_integral")
-    return tm, R * math.exp(-float(model.log_weight(R))) / (tm.shape * (N - 1) - 1.0)
+    if tm.family == "power" and tm.shape * (model.N - 1) <= 1.0 + 1e-12:
+        return replace(tm, family="divergent"), math.inf
+    return tm, model.profile.tail_integral(model)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +270,8 @@ class Constant:
     k: float
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError(f"constant curvature needs k >= 0, got {self.k}")
+        if not 0.0 <= self.k < math.inf:
+            raise ValidationError(f"constant curvature needs finite k >= 0, got {self.k}")
 
     flat_cap = 0.0
 
@@ -294,22 +281,20 @@ class Constant:
     def tail(self, model) -> TailModel:
         if self.k == 0.0:
             return TailModel("power", shape=1.0, amplitude=1.0)
+        return TailModel("exponential", shape=1.0, rate=math.sqrt(self.k))
+
+    def tail_integral(self, model) -> float:
+        """Exact T(Rmax).  Flat, T = Rmax^(2-N) / (N-2) = Rmax / (w(Rmax)
+        (N-2)).  For k > 0, with s = sqrt(k), n = N - 1 and q = exp(-2 s
+        Rmax), expanding psi^(-n) in powers of exp(-2 s r) integrates to T =
+        psi(Rmax)^(-n) (1-q)^n sum_j C(n-1+j, j) q^j / ((n+2j) s).  By Euler's
+        transformation of this hypergeometric series, T = psi(Rmax)^(-n)
+        (1-q) / (n s) * sum_j (1-n/2)_j / (1+n/2)_j q^j: a polynomial for
+        even n, else summed while q^j > e^(-37)."""
+        n, R = model.N - 1, model.Rmax
+        if self.k == 0.0:
+            return R * math.exp(-float(model.log_weight(R))) / (n - 1.0)
         s = math.sqrt(self.k)
-        return TailModel("exponential", shape=1.0, rate=s, amplitude=0.5 / s)
-
-    @property
-    def tail_integral(self):
-        """Exact T(Rmax) for k > 0; the flat tail has no need of one."""
-        return self._sinh_tail_integral if self.k > 0.0 else None
-
-    def _sinh_tail_integral(self, model) -> float:
-        """With s = sqrt(k), n = N - 1 and q = exp(-2 s Rmax), expanding
-        psi^(-n) in powers of exp(-2 s r) integrates to T = psi(Rmax)^(-n)
-        (1-q)^n sum_j C(n-1+j, j) q^j / ((n+2j) s).  By Euler's transformation
-        of this hypergeometric series, T = psi(Rmax)^(-n) (1-q) / (n s) *
-        sum_j (1-n/2)_j / (1+n/2)_j q^j: a polynomial for even n, else summed
-        while q^j > e^(-37)."""
-        s, n, R = math.sqrt(self.k), model.N - 1, model.Rmax
         terms = n // 2 if n % 2 == 0 else int(math.ceil(18.5 / (s * R))) + 1
         if terms > 10 ** 6:
             raise ValidationError(f"sqrt(k) Rmax = {s * R:.3g} is too small for the tail series")
@@ -394,8 +379,8 @@ def Euclidean() -> Constant:
 
 def Hyperbolic(k: float) -> Constant:
     """Constant curvature -k, psi(r) = sinh(sqrt(k) r) / sqrt(k)."""
-    if k <= 0:
-        raise ValidationError(f"hyperbolic profile needs k > 0, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValidationError(f"hyperbolic profile needs finite k > 0, got {k}")
     return Constant(k)
 
 
@@ -416,12 +401,12 @@ class PowerLaw:
     r0: float = 1.0
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise ValidationError(f"power law needs c0 > 0, got {self.c0}")
+        if not 0.0 < self.c0 < math.inf:
+            raise ValidationError(f"power law needs finite c0 > 0, got {self.c0}")
         if not (0.0 < self.beta <= 2.0):
             raise ValidationError(f"power law needs beta in (0, 2], got {self.beta}")
-        if self.r0 <= 0:
-            raise ValidationError(f"power law needs r0 > 0, got {self.r0}")
+        if not 0.0 < self.r0 < math.inf:
+            raise ValidationError(f"power law needs finite r0 > 0, got {self.r0}")
         exact = (_BesselWarping(self.c0, self.beta, self.r0) if self.beta < 2.0
                  else _EulerWarping(self.c0, self.r0))
         object.__setattr__(self, "exact", exact)
@@ -624,71 +609,7 @@ def QuasiEuclideanOptimal(c1: float, r0: float = 1.0) -> PowerLaw:
     return PowerLaw(c1, 2.0, r0)
 
 
-@dataclass(frozen=True)
-class ExponentialPower:
-    """Decaying warping exp(-c2 r^gamma) at large radius, blended to r near 0.
-
-    Positive but eventually decreasing: a geometry with a pole that is *not*
-    nonpositively curved through the blend, useful as a counterexample input
-    for :func:`is_cartan_hadamard`.
-    """
-
-    c2: float = 1.0
-    gamma: float = 0.5
-
-    def __post_init__(self):
-        if self.c2 <= 0 or not (0.0 < self.gamma < 1.0):
-            raise ValidationError("exponential-power warping needs c2 > 0, gamma in (0,1)")
-
-    flat_cap = 0.0
-
-    def tail(self, model) -> TailModel:
-        return TailModel("divergent")
-
-    def _triplet(self, r):
-        r = np.asarray(r, float)
-        ra, rb = _EXP_POWER_BLEND
-        c, g = self.c2, self.gamma
-        rc = np.maximum(r, 0.5 * ra)  # tail values are unused below ra
-        t = np.exp(-c * rc ** g)
-        dt = -c * g * rc ** (g - 1.0) * t
-        d2t = (c * c * g * g * rc ** (2.0 * g - 2.0) - c * g * (g - 1.0) * rc ** (g - 2.0)) * t
-        x = np.clip((r - ra) / (rb - ra), 0.0, 1.0)
-        s = x * x * (3.0 - 2.0 * x)  # the smoothstep and its two derivatives in r
-        ds = 6.0 * x * (1.0 - x) / (rb - ra)
-        d2s = (6.0 - 12.0 * x) / (rb - ra) ** 2
-        inside = (r <= ra) | (r >= rb)
-        ds = np.where(inside, 0.0, ds)
-        d2s = np.where(inside, 0.0, d2s)
-        psi = (1.0 - s) * r + s * t
-        dpsi = (1.0 - s) + ds * (t - r) + s * dt
-        d2psi = d2s * (t - r) + 2.0 * ds * (dt - 1.0) + s * d2t
-        return psi, dpsi, d2psi
-
-    def psi(self, r):
-        return self._triplet(r)[0]
-
-    def dpsi(self, r):
-        return self._triplet(r)[1]
-
-    def logpsi(self, r):
-        with np.errstate(divide="ignore"):
-            return np.log(self.psi(r))
-
-    def dlogpsi(self, r):
-        p, dp, _ = self._triplet(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = dp / p
-        return np.where(np.asarray(r, float) == 0.0, np.inf, out)
-
-    def curvature(self, r):
-        p, _, d2 = self._triplet(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = d2 / p
-        return np.where(np.asarray(r, float) == 0.0, 0.0, out)
-
-
-CurvatureProfile = Union[Constant, PowerLaw, ExponentialPower]
+CurvatureProfile = Union[Constant, PowerLaw]
 
 
 # ---------------------------------------------------------------------------
@@ -738,10 +659,9 @@ class GridSpec:
 class ModelFunction:
     """Warping function of a radial model geometry plus its curvature law.
 
-    Evaluation methods accept scalars or arrays in [0, Rmax].  ``grid_r``,
-    ``grid_psi`` and ``grid_dpsi`` are the export table (first row is the
-    exact origin values).  psi and psi' are tabulated on ``grid_r`` at the
-    first read of ``grid_psi``, ``grid_dpsi`` or :meth:`table`.  ``warping``
+    Evaluation methods accept scalars or arrays in [0, Rmax].  ``grid_r`` is
+    the radius column of the export table; :meth:`table` evaluates psi and
+    psi' on it when called, not when the model is built.  ``warping``
     evaluates psi, psi', log psi, psi'/psi and K: the profile itself when it
     has a closed form, else a :class:`_LogSpline`.  N, an integer >= 2, is
     stored as an ``int``.  :meth:`log_weight` is the only place where the
@@ -754,29 +674,11 @@ class ModelFunction:
     grid_r: np.ndarray
     built_by: str
     warping: object
-    _grid_values: Optional[tuple] = field(default=None, init=False, repr=False)  # (psi, psi')
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 2:
             raise ValidationError(f"dimension must be an integer >= 2, got {self.N}")
         self.N = int(self.N)
-
-    def _export(self):
-        if self._grid_values is None:
-            with np.errstate(over="ignore"):  # table() refuses the overflow
-                gp = np.asarray(self.warping.psi(self.grid_r), float)
-                gdp = np.asarray(self.warping.dpsi(self.grid_r), float)
-            gp[0], gdp[0] = 0.0, 1.0
-            self._grid_values = gp, gdp
-        return self._grid_values
-
-    @property
-    def grid_psi(self) -> np.ndarray:
-        return self._export()[0]
-
-    @property
-    def grid_dpsi(self) -> np.ndarray:
-        return self._export()[1]
 
     def _check(self, r):
         r = np.asarray(r, float)
@@ -810,12 +712,16 @@ class ModelFunction:
         return self.warping.curvature(self._check(r))
 
     def table(self):
-        """Columns (r, psi, psi') of the export table.
+        """Columns (r, psi, psi') of the export table, whose first row holds
+        the exact origin values.
 
         Refuses a table that overflows float64, naming the first radius
         where psi or psi' is not finite.
         """
-        gp, gdp = self._export()
+        with np.errstate(over="ignore"):  # refused below
+            gp = np.asarray(self.warping.psi(self.grid_r), float)
+            gdp = np.asarray(self.warping.dpsi(self.grid_r), float)
+        gp[0], gdp[0] = 0.0, 1.0
         bad = ~(np.isfinite(gp) & np.isfinite(gdp))
         if np.any(bad):
             raise ValidationError(
@@ -1064,14 +970,3 @@ def ricci_uniformization(model: ModelFunction, R: float,
                 "Ricci curvature does not decay beyond R; "
                 "pass allow_constant=True to accept a constant bound")
     return math.sqrt((model.N - 1) / lam)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def model_to_csv(model: ModelFunction, path, header_comment: Optional[str] = None):
-    """Write the sampled table as a ``report_io`` CSV with columns ``r,psi,dpsi``
-    at 17 significant digits, under a ``# header_comment`` line when one is given."""
-    return report_io._write_table(path, header_comment, ("r", "psi", "dpsi"),
-                                  model.table())

@@ -96,7 +96,7 @@ def test_model_export_refuses_overflow(tmp_path, capsys):
     model = geo.build_model(geo.PowerLaw(1.0, 0.5, 1.0), 3, 20000.0,
                             grid=geo.GridSpec(n=6144, kind="log"))
     with pytest.raises(ValidationError, match="overflows float64 at r = 432"):
-        geo.model_to_csv(model, tmp_path / "table.csv")
+        model.table()
 
 
 @pytest.mark.parametrize("command", [["model"], ["sweep", "--p", "2.5"]])
@@ -630,6 +630,21 @@ def test_missing_config_file(tmp_path):
     rc = run_cli(["model", "--profile", "euclidean", "--n", "3", "--rmax", "10",
                   "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--config", "."], "Is a directory: '.'"),
+    (["--config", "latin1.cfg"], "latin1.cfg is not UTF-8 text (invalid start byte at byte 12)"),
+    (["--out-dir", "plain.txt/m"], "Not a directory: 'plain.txt/m'"),
+], ids=["config_is_a_directory", "config_not_utf8", "out_dir_below_a_file"])
+def test_an_unusable_file_is_a_usage_error(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    Path("latin1.cfg").write_bytes("rmax = 10 # \xb5m\n".encode("latin-1"))
+    Path("plain.txt").write_text("")
+    assert run_cli(["model", "--profile", "euclidean", "--out-dir", "m"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
+    assert not Path("m").exists()
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):

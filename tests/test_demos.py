@@ -14,7 +14,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    # in a scratch directory: demo 01 writes demo_model.csv where it runs
+    # in a scratch directory, so that no demo can leave a file in the checkout
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import iv, ivp, kv, kvp
 
+from hadamard_ineq import cli
 from hadamard_ineq import geometry as geo
 from hadamard_ineq.errors import (
     CurvatureNotVanishing,
@@ -160,8 +161,6 @@ def test_export_table_is_tabulated_on_first_read(monkeypatch):
     assert calls == {"psi": 0, "dpsi": 0}
     r, psi, dpsi = model.table()
     assert calls == {"psi": 1, "dpsi": 1}
-    assert model.table()[1] is psi and model.grid_dpsi is dpsi
-    assert calls == {"psi": 1, "dpsi": 1}
     assert r is model.grid_r and (psi[0], dpsi[0]) == (0.0, 1.0)
 
 
@@ -226,18 +225,12 @@ def test_hadamard_predicate(hyperbolic_model, quasi_model):
     assert geo.is_cartan_hadamard(quasi_model) == (True, None)
 
 
-def test_decaying_warping_is_not_hadamard():
-    m = geo.build_model(geo.ExponentialPower(1.0, 0.5), 3, 20.0)
-    flag, r_bad = geo.is_cartan_hadamard(m)
-    assert flag is False
-    assert 0.1 < r_bad < 3.0
-    assert float(m.curvature(np.float64(r_bad))) < 0.0
-
-
-def test_exponential_power_dlogpsi():
-    law = geo.ExponentialPower(1.0, 0.5)
-    r = np.linspace(0.0, 20.0, 2001)[1:]
-    np.testing.assert_allclose(law.dlogpsi(r), law.dpsi(r) / law.psi(r), rtol=1e-15, atol=0.0)
+def test_negative_curvature_is_not_hadamard():
+    # the negated power law, built in closed form: K = -r^(-1) from the cap edge r = 1 on
+    m = geo.build_model(_BadLaw(1.0, 1.0, 1.0), 3, 20.0)
+    assert m.built_by == "closed"
+    assert geo.is_cartan_hadamard(m) == (False, 1.0)
+    assert float(m.curvature(np.float64(1.0))) == -1.0
 
 
 @pytest.mark.parametrize("profile, N", [
@@ -249,12 +242,12 @@ def test_exponential_power_dlogpsi():
 ])
 def test_class_membership_invariants(profile, N):
     m = geo.build_model(profile, N, 50.0)
-    r = m.grid_r
-    assert m.grid_psi[0] == 0.0 and m.grid_dpsi[0] == 1.0
+    r, psi, dpsi = m.table()
+    assert psi[0] == 0.0 and dpsi[0] == 1.0
     assert np.all(m.psi(r[1:]) >= r[1:] * (1 - 1e-8))
     assert np.all(m.dpsi(r) >= 1 - 1e-8)
     assert np.all(m.curvature(r[1:]) >= 0.0)
-    assert np.all(np.diff(m.grid_psi) > 0)
+    assert np.all(np.diff(psi) > 0)
 
 
 def test_comparison_mckean(hyperbolic_model, euclidean_model):
@@ -467,13 +460,23 @@ def test_quadratic_law_logpsi_stays_finite():
 
 
 def test_csv_export_keeps_every_bit(tmp_path, hyperbolic_model):
-    # 17 significant digits read back to the very doubles of the table
-    path = tmp_path / "model.csv"
-    geo.model_to_csv(hyperbolic_model, path, header_comment="export")
-    assert path.read_text().splitlines()[:2] == ["# export", "r,psi,dpsi"]
-    back = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
+    # 17 significant digits of the model command's table read back to the very doubles
+    assert cli.main(["model", "--profile", "hyperbolic", "--k", "1", "--n", "3",
+                     "--rmax", "20", "--out-dir", str(tmp_path)]) == 0
+    back = np.loadtxt(tmp_path / "model.csv", delimiter=",", comments="#", skiprows=2)
     for column, exact in zip(back.T, hyperbolic_model.table()):
         assert np.array_equal(column, exact)
+
+
+@pytest.mark.parametrize("law", [geo.Constant, geo.Hyperbolic,
+                                 lambda v: geo.PowerLaw(v, 1.0, 1.0),
+                                 lambda v: geo.PowerLaw(1.0, 1.0, v)],
+                         ids=["constant_k", "hyperbolic_k", "power_c0", "power_r0"])
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_laws_refuse_non_finite_parameters(law, value):
+    # an infinite k once gave B = 0 with no flag, as a NaN log psi passes every bound check
+    with pytest.raises(ValidationError, match="finite"):
+        law(value)
 
 
 @pytest.mark.parametrize("N", [2.5, 1, 0, -3, True, 3.0])

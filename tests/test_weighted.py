@@ -185,17 +185,24 @@ def test_power_tail_that_cannot_be_summed_is_refused(profile, N):
 
 
 def test_divergent_tails():
-    m2 = geo.build_model(geo.Euclidean(), 2, 30.0)
-    me = geo.build_model(geo.ExponentialPower(1.0, 0.5), 3, 30.0)
-    for model in (m2, me):
-        weight = wgt.build_weight(model)
-        assert weight.tail.family == "divergent"
-        rep = wgt.supremum_B(weight, 2.5)
-        assert (rep.B, rep.divergent, rep.at_infinity) == (math.inf, True, False)
-        assert rep.search_trace["evaluations"] == 0
-        assert np.all(np.isinf(wgt.Q_at(weight, 2.5, [0.5, 5.0, 25.0])))
-        with pytest.raises(ValidationError, match="divergent"):
-            wgt.near_extremal(weight, rep)
+    weight = wgt.build_weight(geo.build_model(geo.Euclidean(), 2, 30.0))
+    assert weight.tail.family == "divergent"
+    rep = wgt.supremum_B(weight, 2.5)
+    assert (rep.B, rep.divergent, rep.at_infinity) == (math.inf, True, False)
+    assert rep.search_trace["evaluations"] == 0
+    assert np.all(np.isinf(wgt.Q_at(weight, 2.5, [0.5, 5.0, 25.0])))
+    with pytest.raises(ValidationError, match="divergent"):
+        wgt.near_extremal(weight, rep)
+
+
+def test_flat_tail_is_its_closed_form():
+    # psi = r: T(R) = R^(2-N) / (N-2) for N >= 3, and N = 2 diverges
+    for N in (3, 4, 5):
+        for R in (0.5, 20.0, 1e4):
+            _, t_end = geo.tail_past_rmax(geo.build_model(geo.Euclidean(), N, R))
+            assert t_end == pytest.approx(R ** (2 - N) / (N - 2), rel=1e-14, abs=0.0)
+    tail, t_end = geo.tail_past_rmax(geo.build_model(geo.Euclidean(), 2, 20.0))
+    assert (tail.family, t_end) == ("divergent", math.inf)
 
 
 def test_every_weight_is_read_from_log_weight(monkeypatch):
@@ -262,20 +269,6 @@ def test_hyperbolic_supremum_does_not_depend_on_rmax():
     # p = 2 keeps its supremum at infinity
     rep = wgt.supremum_B(wgt.build_weight(geo.build_model(geo.Hyperbolic(1.0), 3, 20.0)), 2.0)
     assert rep.at_infinity and rep.r_bar is None
-
-
-class _StretchedTail(geo.PowerLaw):
-    """The power law with its tail integral taken away."""
-
-    tail_integral = None
-
-
-def test_stretched_tail_needs_its_own_integral():
-    # no closed form anchors exp(-a r^m) with m < 1; it is refused, not integrated
-    model = geo.build_model(_StretchedTail(1.0, 1.0, 1.0), 3, 100.0)
-    assert model.profile.tail(model).shape == 0.5
-    with pytest.raises(ValidationError):
-        wgt.build_weight(model)
 
 
 def test_overflow_guard():
