@@ -27,11 +27,10 @@ A curvature profile is any object that supplies
 
 * ``curvature(r)``  -- its law K(r), vectorised over r;
 * ``flat_cap``      -- the radius of its flat cap psi(r) = r (0 for none);
-* ``tail(model)``   -- the :class:`TailModel` its warping follows past
-  ``model.Rmax``;
-* ``tail_integral(model)`` -- the integral of psi^(1-N) over (Rmax,
-  infinity), which :func:`tail_past_rmax` takes for every tail it does not
-  find divergent.
+* ``tail_integral(model)`` -- T(Rmax), the integral of psi^(1-N) over
+  (Rmax, infinity), or inf where 1/psi^(N-1) is not integrable there;
+* ``q_at_infinity(N, p)`` -- the limit of Q = W^(1/p) T^(1/2) as r ->
+  infinity, which :func:`weighted.supremum_B` compares with the search.
 
 and optionally
 
@@ -81,7 +80,7 @@ place, :meth:`ModelFunction.log_weight`, which returns its log (N - 1) log psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -106,8 +105,6 @@ __all__ = [
     "Euclidean",
     "Hyperbolic",
     "CurvatureProfile",
-    "TailModel",
-    "tail_past_rmax",
     "GridSpec",
     "ModelFunction",
     "CurvatureReport",
@@ -174,24 +171,26 @@ def _line_fit(x, y):
 # large-radius tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailModel:
-    """Large-radius form of psi.
+def _power_tail_diverges(shape: float, N: int) -> bool:
+    """Whether psi ~ amp r^shape leaves 1/psi^(N-1) not integrable at
+    infinity, shape (N-1) <= 1, decided to 1e-12."""
+    return shape * (N - 1) <= 1.0 + 1e-12
 
-    family 'exponential': log psi ~ rate * r^shape
-    family 'power':       psi ~ amplitude * r^shape
-    family 'divergent':   1/psi^(N-1) is not integrable at infinity
 
-    A profile states an exponential or a power tail, and
-    :func:`tail_past_rmax` marks a power tail divergent.  For ``Constant(k >
-    0)`` and the power law at beta = 2 the stated form is the leading term
-    of psi, not psi itself.
-    """
-
-    family: str
-    shape: float = 0.0
-    rate: float = 0.0
-    amplitude: float = 1.0
+def _power_q_at_infinity(N: int, p: float, shape: float, amp: float) -> float:
+    """Limit of Q = W^(1/p) T^(1/2) at infinity under psi ~ amp r^shape: with
+    g = shape (N-1), Q ~ r^e_q, e_q = (g+1)/p - (g-1)/2, so the limit is inf
+    for e_q > 0 (and on a divergent tail), 0 for e_q < 0, and at e_q = 0
+    (to 1e-12) amp^((N-1)(1/p - 1/2)) (g+1)^(-1/p) (g-1)^(-1/2)."""
+    if _power_tail_diverges(shape, N):
+        return math.inf
+    g = shape * (N - 1.0)
+    e_q = (g + 1.0) / p - (g - 1.0) / 2.0
+    if e_q > 1e-12:
+        return math.inf
+    if e_q < -1e-12:
+        return 0.0
+    return amp ** ((N - 1.0) * (1.0 / p - 0.5)) * (g + 1.0) ** (-1.0 / p) * (g - 1.0) ** -0.5
 
 
 def _tail_quadrature(profile, model) -> float:
@@ -210,7 +209,7 @@ def _tail_quadrature(profile, model) -> float:
     most 1e-12 (lam + 1) over the last panel, as that of psi ~ r^q1 (1 +
     O(r^(q2 - q1))) has long before r = 1e308.  Otherwise, or when the sum
     is not finite (a NaN log psi), NumericalError.  The ``tail_integral``
-    of :class:`PowerLaw`.
+    of :class:`PowerLaw` wherever it converges.
     """
     n, R = model.N - 1.0, model.Rmax
     yR = float(profile.logpsi(np.float64(R)))
@@ -246,19 +245,6 @@ def _tail_quadrature(profile, model) -> float:
     return R * math.exp(-float(model.log_weight(R))) * (total + closure)
 
 
-def tail_past_rmax(model) -> tuple:
-    """(TailModel of psi past Rmax, T(Rmax) = integral of psi^(1-N) there).
-
-    The tail is the one the profile states.  A power tail with shape (N-1)
-    <= 1 diverges, and T(Rmax) is infinite; else T(Rmax) is the profile's
-    ``tail_integral``.
-    """
-    tm = model.profile.tail(model)
-    if tm.family == "power" and tm.shape * (model.N - 1) <= 1.0 + 1e-12:
-        return replace(tm, family="divergent"), math.inf
-    return tm, model.profile.tail_integral(model)
-
-
 # ---------------------------------------------------------------------------
 # curvature profiles
 # ---------------------------------------------------------------------------
@@ -278,21 +264,18 @@ class Constant:
     def curvature(self, r):
         return np.full_like(np.asarray(r, float), float(self.k))
 
-    def tail(self, model) -> TailModel:
-        if self.k == 0.0:
-            return TailModel("power", shape=1.0, amplitude=1.0)
-        return TailModel("exponential", shape=1.0, rate=math.sqrt(self.k))
-
     def tail_integral(self, model) -> float:
         """Exact T(Rmax).  Flat, T = Rmax^(2-N) / (N-2) = Rmax / (w(Rmax)
-        (N-2)).  For k > 0, with s = sqrt(k), n = N - 1 and q = exp(-2 s
-        Rmax), expanding psi^(-n) in powers of exp(-2 s r) integrates to T =
-        psi(Rmax)^(-n) (1-q)^n sum_j C(n-1+j, j) q^j / ((n+2j) s).  By Euler's
-        transformation of this hypergeometric series, T = psi(Rmax)^(-n)
-        (1-q) / (n s) * sum_j (1-n/2)_j / (1+n/2)_j q^j: a polynomial for
-        even n, else summed while q^j > e^(-37)."""
+        (N-2)), and inf at N = 2.  For k > 0, with s = sqrt(k), n = N - 1
+        and q = exp(-2 s Rmax), expanding psi^(-n) in powers of exp(-2 s r)
+        integrates to T = psi(Rmax)^(-n) (1-q)^n sum_j C(n-1+j, j) q^j /
+        ((n+2j) s).  By Euler's transformation of this hypergeometric series,
+        T = psi(Rmax)^(-n) (1-q) / (n s) * sum_j (1-n/2)_j / (1+n/2)_j q^j: a
+        polynomial for even n, else summed while q^j > e^(-37)."""
         n, R = model.N - 1, model.Rmax
         if self.k == 0.0:
+            if _power_tail_diverges(1.0, model.N):
+                return math.inf
             return R * math.exp(-float(model.log_weight(R))) / (n - 1.0)
         s = math.sqrt(self.k)
         terms = n // 2 if n % 2 == 0 else int(math.ceil(18.5 / (s * R))) + 1
@@ -302,6 +285,16 @@ class Constant:
         series = 1.0 + math.fsum(np.cumprod((j + 1.0 - n / 2.0) / (j + 1.0 + n / 2.0)
                                             * math.exp(-2.0 * s * R)))
         return math.exp(-float(model.log_weight(R))) * -math.expm1(-2.0 * s * R) / (n * s) * series
+
+    def q_at_infinity(self, N: int, p: float) -> float:
+        """Flat, the power tail psi = r.  For k > 0, psi ~ e^(sqrt(k) r) / (2
+        sqrt(k)) makes Q tend to 0 for p > 2 and to inf for p < 2, and to
+        McKean's bound 1/(sqrt(k) (N-1)) at p = 2 (to 1e-12)."""
+        if self.k == 0.0:
+            return _power_q_at_infinity(N, p, 1.0, 1.0)
+        if p > 2.0:
+            return 0.0
+        return self.mckean(N)[0] if abs(p - 2.0) <= 1e-12 else math.inf
 
     # (psi'^2 - 1) / psi^2 = (cosh^2 - 1) / (sinh / sqrt(k))^2 = k
     tangential_curvature = curvature
@@ -439,12 +432,20 @@ class PowerLaw:
         return self._glued(r, lambda q: np.exp(self.exact.logpsi(q)) * self.exact.dlogpsi(q),
                            np.ones_like)
 
-    def tail(self, model) -> TailModel:
-        """log psi ~ (2 sqrt(c0) / (2 - beta)) r^(1 - beta/2) for beta < 2;
-        psi ~ a1 r^q1 with q1 (q1 - 1) = c0 at beta = 2."""
-        return self.exact.tail(model)
+    def tail_integral(self, model) -> float:
+        """:func:`_tail_quadrature`, and inf at beta = 2 where the power tail
+        psi ~ a1 r^q1 has q1 (N-1) <= 1."""
+        if self.beta == 2.0 and _power_tail_diverges(self.exact.q1, model.N):
+            return math.inf
+        return _tail_quadrature(self, model)
 
-    tail_integral = _tail_quadrature
+    def q_at_infinity(self, N: int, p: float) -> float:
+        """For beta < 2, log psi ~ (2 sqrt(c0) / (2 - beta)) r^(1 - beta/2)
+        makes Q tend to 0 for p > 2 and to inf for p <= 2; at beta = 2 the
+        power tail psi ~ a1 r^q1, q1 (q1 - 1) = c0, decides."""
+        if self.beta < 2.0:
+            return 0.0 if p > 2.0 else math.inf
+        return _power_q_at_infinity(N, p, self.exact.q1, self.exact.a1)
 
     # what the law implies (module docstring): lemma 3.1 and 4.1 for
     # beta < 2, lemma 4.2 and the effective dimension at beta = 2
@@ -569,9 +570,6 @@ class _BesselWarping:
         _, dbracket = self._bracket(r, self.nu - 1.0, -1.0)
         return self.sqrt_c0 * r ** (-self.beta / 2.0) * dbracket / bracket
 
-    def tail(self, model) -> TailModel:
-        return TailModel("exponential", shape=self.m, rate=self.rate)
-
 
 class _EulerWarping:
     """Exact warping of K = c0 r^(-2) for r >= r0: Euler's equation.
@@ -598,10 +596,6 @@ class _EulerWarping:
     def dlogpsi(self, r):
         rho = self._rho(r)
         return (self.q1 + self.q2 * rho) / (r * (1.0 + rho))
-
-    def tail(self, model) -> TailModel:
-        """The growing term a1 r^q1: q1 > 1 and a1 > 0."""
-        return TailModel("power", shape=self.q1, amplitude=self.a1)
 
 
 def QuasiEuclideanOptimal(c1: float, r0: float = 1.0) -> PowerLaw:
@@ -880,10 +874,6 @@ def _curvature_terms(model: ModelFunction, r):
     excess = (exact(r) if exact is not None
               else np.where(r <= model.profile.flat_cap, 0.0, z * z - inv_psi2))
     return K, z, inv_psi2, -K - (model.N - 2) * excess
-
-
-def _ric_tangential(model: ModelFunction, r):
-    return _curvature_terms(model, r)[3]
 
 
 def curvature_at(model: ModelFunction, r: float) -> CurvatureReport:

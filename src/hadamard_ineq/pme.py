@@ -28,6 +28,7 @@ import numpy as np
 from ._kernels import gtsv_solver
 from .errors import (
     InsufficientWindow,
+    OutOfDomain,
     ParameterOutOfRange,
     StabilityFailure,
     ValidationError,
@@ -114,7 +115,7 @@ class PMEConfig:
         if not callable(getattr(self.initial, "values", None)):
             raise ValidationError(f"initial datum {self.initial!r} has no values(centers)")
         if not (0 < self.R_domain <= self.model.Rmax * (1 + 1e-12)):
-            raise ValidationError("R_domain must lie in (0, Rmax]")
+            raise OutOfDomain("R_domain must lie in (0, Rmax]")
         if not 0.0 < self.t_end < math.inf:
             raise ValidationError(f"t_end must be positive and finite, got {self.t_end}")
         if self.n_cells < 50:

@@ -40,7 +40,6 @@ __all__ = [
     "quasi_euclidean_failure_scan",
     "nonradial_certificate",
     "certificate_scan",
-    "unit_sphere_area",
     "sinh_moment",
 ]
 
@@ -227,7 +226,7 @@ def rayleigh_minimize(weight: WeightMeasure, p: float, R_domain: float,
         raise ValidationError(f"the supremum report is for p = {supremum.p}, not {p}")
     mesh = _Mesh(weight, R_domain)
 
-    if init is None and weight.tail.family != "divergent":
+    if init is None and not weight.divergent:
         if supremum is None:
             supremum = supremum_B(weight, p)
         init = DiscreteFunction(*near_extremal(weight, supremum))

@@ -1,8 +1,8 @@
 """One-dimensional weighted-inequality machinery for the weight w = psi^(N-1).
 
 Central objects: the cumulative integral W(r) of w, the tail integral T(r)
-of 1/w (finished off past the sampled range by the T(Rmax) of
-:func:`geometry.tail_past_rmax`), the product
+of 1/w (finished off past the sampled range by the law's
+``tail_integral``), the product
 
     Q(r) = W(r)^(1/p) * T(r)^(1/2),
 
@@ -12,7 +12,8 @@ compactly supported g, and the best constant C is enclosed in
 
     B <= C <= (1 + p/2)^(1/p) * (1 + 2/p)^(1/2) * B .
 
-Divergence of B is a reported value, never an exception.
+Its limit at infinity is the law's ``q_at_infinity``.  Divergence of B is
+a reported value, never an exception.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .errors import (
     ParameterOutOfRange,
     ValidationError,
 )
-from .geometry import GL5_NODES, ModelFunction, TailModel, _gl5, _line_fit, tail_past_rmax
+from .geometry import GL5_NODES, ModelFunction, _gl5, _line_fit
 
 __all__ = [
     "WeightMeasure",
-    "TailModel",
     "SupremumReport",
     "RegressionFit",
     "build_weight",
@@ -89,7 +89,11 @@ class WeightMeasure:
     rgrid: np.ndarray
     Wtab: np.ndarray
     Ttab: np.ndarray
-    tail: TailModel
+
+    @property
+    def divergent(self):
+        """Whether 1/w is not integrable at infinity, so T is infinite."""
+        return math.isinf(self.Ttab[-1])
 
     @property
     def N(self):
@@ -135,21 +139,21 @@ class WeightMeasure:
 
 
 def build_weight(model: ModelFunction) -> WeightMeasure:
-    """Tabulate W and T on the model grid, T finished by the analytic tail."""
+    """Tabulate W and T on the model grid, T finished by the law's T(Rmax)."""
     if model.log_weight(model.Rmax) > 700.0:
         raise ValidationError(
             "weight overflows float64 at Rmax; reduce Rmax or the curvature scale")
-    tail, t_end = tail_past_rmax(model)
+    t_end = model.profile.tail_integral(model)
     rg = model.grid_r
     w_seg = _gl5_between(lambda s: np.exp(model.log_weight(s)), rg[:-1], rg[1:])
     Wtab = np.concatenate([[0.0], np.cumsum(w_seg)])
-    if tail.family == "divergent":
+    if math.isinf(t_end):
         Ttab = np.full_like(Wtab, math.inf)
     else:
         tin_seg = _gl5_between(lambda s: np.exp(-model.log_weight(s)), rg[1:-1], rg[2:])
         Ttab = np.concatenate([[math.inf],
                                t_end + np.concatenate([np.cumsum(tin_seg[::-1])[::-1], [0.0]])])
-    return WeightMeasure(model=model, rgrid=rg, Wtab=Wtab, Ttab=Ttab, tail=tail)
+    return WeightMeasure(model=model, rgrid=rg, Wtab=Wtab, Ttab=Ttab)
 
 
 # ---------------------------------------------------------------------------
@@ -166,30 +170,9 @@ def Q_at(weight: WeightMeasure, p: float, r):
     if p <= 0:
         raise InvalidExponent(f"exponent must be positive, got {p}")
     r = np.asarray(r, float)
-    if weight.tail.family == "divergent":
+    if weight.divergent:
         return np.full_like(r, math.inf)
     return np.exp(_log_Q(weight, p, r))
-
-
-def _limit_infinity(weight: WeightMeasure, p: float) -> float:
-    N, tail = weight.N, weight.tail
-    if tail.family == "divergent":
-        return math.inf
-    if tail.family == "exponential":
-        if p > 2.0:
-            return 0.0
-        if tail.shape >= 1.0 - 1e-12:
-            lam = (N - 1.0) * tail.rate
-            return 1.0 / lam if abs(p - 2.0) <= 1e-12 else math.inf
-        return math.inf  # stretched exponential, p <= 2
-    g = tail.shape * (N - 1.0)
-    e_q = (g + 1.0) / p - (g - 1.0) / 2.0
-    if e_q > 1e-12:
-        return math.inf
-    if e_q < -1e-12:
-        return 0.0
-    amp = tail.amplitude
-    return amp ** ((N - 1.0) * (1.0 / p - 0.5)) * (g + 1.0) ** (-1.0 / p) * (g - 1.0) ** -0.5
 
 
 def _limit_zero(N: int, p: float) -> float:
@@ -254,14 +237,15 @@ def supremum_B(weight: WeightMeasure, p: float, refine_tol: float = 1e-10) -> Su
     """Global supremum of Q over (0, infinity).
 
     Coarse log-spaced scan, golden-section refinement of every interior
-    bracket, plus the analytic limits at 0 and infinity from the tail
-    classification.  Divergence is reported, not raised.
+    bracket, plus the analytic limits at 0 (from the dimension) and at
+    infinity (the law's ``q_at_infinity``).  Divergence is reported, not
+    raised.
     """
     upper_factor = sandwich_factor(p)
-    lim_inf = _limit_infinity(weight, p)
+    lim_inf = weight.model.profile.q_at_infinity(weight.N, p)
     lim_zero = _limit_zero(weight.N, p)
     if math.isinf(lim_inf) or math.isinf(lim_zero):
-        at_inf = math.isinf(lim_inf) and weight.tail.family != "divergent"
+        at_inf = math.isinf(lim_inf) and not weight.divergent
         return SupremumReport(p=p, B=math.inf, r_bar=None, at_infinity=at_inf,
                               divergent=True, sandwich_upper=math.inf, crit_residual=None,
                               search_trace={"evaluations": 0, "refinement_depth": 0})
@@ -458,7 +442,7 @@ def near_extremal(weight: WeightMeasure, report: SupremumReport):
     The plateau is pulled in if the sampled range keeps less than 95% of
     the tail mass past r_bar.
     """
-    if weight.tail.family == "divergent":
+    if weight.divergent:
         raise ValidationError("no extremal shape for a divergent weight")
     r_bar = report.r_bar if report.r_bar else 0.8 * weight.Rmax
     nodes = weight.rgrid[1:]

@@ -124,13 +124,13 @@ def test_tangential_ricci_is_exact_where_a_closed_form_exists():
     for k, N in ((1.0, 3), (4.0, 5)):
         model = geo.build_model(geo.Hyperbolic(k), N, 20.0)
         r = model.grid_r[1:]
-        assert np.all(geo._ric_tangential(model, r) == -(N - 1) * k)
+        assert np.all(geo._curvature_terms(model, r)[3] == -(N - 1) * k)
         assert geo.curvature_at(model, float(r[0])).ric_tangential == -(N - 1) * k
         assert geo.ricci_uniformization(model, 1.0, allow_constant=True) == 1.0 / math.sqrt(k)
     for method in ("auto", "ode"):
         model = geo.build_model(geo.PowerLaw(1.0, 1.0, 2.0), 4, 50.0, method=method)
         r = model.grid_r[1:]
-        assert np.all(geo._ric_tangential(model, r[r <= 2.0]) == 0.0)
+        assert np.all(geo._curvature_terms(model, r[r <= 2.0])[3] == 0.0)
 
 
 def test_curvature_queries_evaluate_the_law_once(monkeypatch):
@@ -370,9 +370,6 @@ class _NegatedLaw:
 
     def curvature(self, r):
         return -geo.PowerLaw(1.0, 1.0, 1.0).curvature(r)
-
-    def tail(self, model):
-        return geo.TailModel("divergent")
 
 
 class _BadLaw(geo.PowerLaw):

@@ -1,6 +1,6 @@
 """Static import hygiene of the package, read with ``ast``: every name in a
-module's ``__all__`` exists, and no module but ``__init__`` (which re-exports)
-imports a name it never uses."""
+module's ``__all__`` is defined there (only ``__init__`` re-exports imported
+names), and no module but ``__init__`` imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -29,7 +29,7 @@ def test_every_exported_name_exists(path):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem == "__init__":
             defined.update(_bound_names(node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]

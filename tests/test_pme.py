@@ -7,6 +7,7 @@ from hadamard_ineq import geometry as geo
 from hadamard_ineq import pme
 from hadamard_ineq.errors import (
     InsufficientWindow,
+    OutOfDomain,
     ParameterOutOfRange,
     StabilityFailure,
     ValidationError,
@@ -93,6 +94,13 @@ def test_support_validation(flat_model):
         pme.pme_run(_flat_config(flat_model, initial=pme.Characteristic(20.0, 1.0)))
     with pytest.raises(ValidationError):
         _flat_config(flat_model, m=1.0)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, 31.0])
+def test_r_domain_outside_the_model_is_out_of_domain(flat_model, R):
+    # the same error type as the variational mesh; the CLI still exits 2
+    with pytest.raises(OutOfDomain, match=r"R_domain must lie in \(0, Rmax\]"):
+        _flat_config(flat_model, R_domain=R)
 
 
 def test_initial_datum_needs_values(flat_model):

@@ -330,8 +330,8 @@ def test_sinh_moment_closed_form():
 
 
 def test_unit_sphere_area():
-    assert var.unit_sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
-    assert var.unit_sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert wgt.unit_sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert wgt.unit_sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
 
 def test_certificate_growth_subcritical():

@@ -86,15 +86,51 @@ def test_weight_derivative_consistency(hyperbolic_weight):
 
 def test_tail_classification(hyperbolic_weight, power_weight, quasi_weight,
                              euclidean_weight):
-    assert hyperbolic_weight.tail.family == "exponential"
-    assert hyperbolic_weight.tail.rate == 1.0
-    t = power_weight.tail
-    assert t.family == "exponential" and t.shape == 0.5
-    assert t.rate == pytest.approx(2.0, rel=1e-3)  # sqrt(c0)/(1 - beta/2)
-    assert quasi_weight.tail.family == "power"
-    assert quasi_weight.tail.shape == 2.0
-    assert quasi_weight.tail.amplitude == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert euclidean_weight.tail.family == "power"
+    # each law states the limit of Q at infinity, all in N = 3
+    weights = (hyperbolic_weight, power_weight, quasi_weight, euclidean_weight)
+    hyp, power, quasi, flat = (w.model.profile for w in weights)
+    assert not any(w.divergent for w in weights)
+    # psi ~ e^r / 2: McKean's 1/((N-1) sqrt(k)) at p = 2
+    assert [hyp.q_at_infinity(3, p) for p in (1.5, 2.0, 2.5)] == [math.inf, 0.5, 0.0]
+    # log psi ~ 2 sqrt(r) (beta = 1): B is infinite for every p <= 2
+    assert [power.q_at_infinity(3, p) for p in (1.5, 2.0, 2.5)] == [math.inf, math.inf, 0.0]
+    # psi ~ (2/3) r^2 (c0 = 2): Q ~ r^(5/p - 3/2), balanced at p = 10/3
+    assert (quasi.exact.q1, quasi.exact.a1) == (2.0, pytest.approx(2.0 / 3.0, rel=1e-12))
+    assert quasi.q_at_infinity(3, 10.0 / 3.0) == pytest.approx(
+        (2.0 / 3.0) ** -0.4 * 5.0 ** -0.3 * 3.0 ** -0.5, rel=1e-12)
+    assert [quasi.q_at_infinity(3, p) for p in (3.0, 4.0)] == [math.inf, 0.0]
+    # psi = r: Q ~ r^(3/p - 1/2), balanced at p = 6
+    assert flat.q_at_infinity(3, 6.0) == pytest.approx(3.0 ** (-1.0 / 6.0), rel=1e-12)
+    assert [flat.q_at_infinity(3, p) for p in (5.0, 7.0)] == [math.inf, 0.0]
+
+
+@pytest.mark.parametrize("c0, divergent", [(1e-13, True), (1e-11, False)])
+def test_euler_tail_divergence_is_decided_to_1e_12(c0, divergent):
+    # psi ~ a1 r^q1 with q1 - 1 ~ c0 at N = 2: 1/psi is integrable only when
+    # q1 exceeds 1 by more than 1e-12.  Either way B is infinite at p = 4, at
+    # infinity only when T is finite
+    weight = wgt.build_weight(geo.build_model(geo.PowerLaw(c0, 2.0, 1.0), 2, 50.0))
+    assert math.isinf(weight.Ttab[-1]) is divergent
+    rep = wgt.supremum_B(weight, 4.0)
+    assert (rep.B, rep.divergent, rep.at_infinity) == (math.inf, True, not divergent)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_power_law_below_beta_2_diverges_at_infinity_for_p_at_most_2(p):
+    weight = wgt.build_weight(geo.build_model(geo.PowerLaw(1.0, 1.0, 1.0), 3, 200.0))
+    rep = wgt.supremum_B(weight, p)
+    assert (rep.B, rep.divergent, rep.at_infinity, rep.r_bar) == (math.inf, True, True, None)
+
+
+def test_flat_supremum_diverges_at_the_pole_past_the_sobolev_exponent(euclidean_weight):
+    # N = 3, p = 7 > 2* = 6: Q ~ r^(3/7 - 1/2) blows up at 0 and vanishes at infinity
+    rep = wgt.supremum_B(euclidean_weight, 7.0)
+    assert (rep.B, rep.divergent, rep.at_infinity, rep.r_bar) == (math.inf, True, False, None)
+
+
+def _t_end(profile, N, R):
+    """T(Rmax), the integral of psi^(1-N) past Rmax = R, as the law states it."""
+    return profile.tail_integral(geo.build_model(profile, N, R))
 
 
 def test_power_tail_integral_is_the_closed_form_past_rmax():
@@ -130,8 +166,7 @@ def test_near_divergent_euler_tail_is_its_series():
                            for j in range(40))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tail, t_end = geo.tail_past_rmax(geo.build_model(geo.PowerLaw(c0, 2.0, 1.0), 2, R))
-        assert tail.family == "power"
+            t_end = _t_end(geo.PowerLaw(c0, 2.0, 1.0), 2, R)
         assert t_end == pytest.approx(series, rel=rel, abs=0.0)
         if c0 == 0.05:
             assert series == pytest.approx(21.17737897652848, rel=1e-14, abs=0.0)
@@ -141,7 +176,7 @@ def test_near_divergent_euler_tail_is_its_series():
 def test_power_tail_agrees_across_rmax(beta):
     # T(130) closed past Rmax = 130 equals T(130) tabulated on [130, 2000] and closed there
     law = geo.PowerLaw(1.0, beta, 1.0)
-    _, t130 = geo.tail_past_rmax(geo.build_model(law, 2, 130.0))
+    t130 = _t_end(law, 2, 130.0)
     far = wgt.build_weight(geo.build_model(law, 2, 2000.0))
     assert float(far.T_at(130.0)) == pytest.approx(t130, rel=1e-12, abs=0.0)
 
@@ -151,7 +186,7 @@ def test_power_tail_agrees_across_rmax(beta):
                                      (geo.PowerLaw(1.0, 1.5, 0.1), 2)])
 def test_power_tail_past_an_rmax_below_one(law, N):
     # log(float max / Rmax) overflowed in the division for Rmax < 1
-    _, t09 = geo.tail_past_rmax(geo.build_model(law, N, 0.9))
+    t09 = _t_end(law, N, 0.9)
     far = wgt.build_weight(geo.build_model(law, N, 130.0))
     assert t09 == pytest.approx(float(far.T_at(0.9)), rel=1e-12, abs=0.0)
 
@@ -181,12 +216,12 @@ class _LogSquaredTail(geo.PowerLaw):
 ], ids=["unsettled_past_float64", "nan_logpsi"])
 def test_power_tail_that_cannot_be_summed_is_refused(profile, N):
     with pytest.raises(NumericalError):
-        geo.tail_past_rmax(geo.build_model(profile, N, 5.0))
+        _t_end(profile, N, 5.0)
 
 
 def test_divergent_tails():
     weight = wgt.build_weight(geo.build_model(geo.Euclidean(), 2, 30.0))
-    assert weight.tail.family == "divergent"
+    assert weight.divergent
     rep = wgt.supremum_B(weight, 2.5)
     assert (rep.B, rep.divergent, rep.at_infinity) == (math.inf, True, False)
     assert rep.search_trace["evaluations"] == 0
@@ -199,10 +234,9 @@ def test_flat_tail_is_its_closed_form():
     # psi = r: T(R) = R^(2-N) / (N-2) for N >= 3, and N = 2 diverges
     for N in (3, 4, 5):
         for R in (0.5, 20.0, 1e4):
-            _, t_end = geo.tail_past_rmax(geo.build_model(geo.Euclidean(), N, R))
+            t_end = _t_end(geo.Euclidean(), N, R)
             assert t_end == pytest.approx(R ** (2 - N) / (N - 2), rel=1e-14, abs=0.0)
-    tail, t_end = geo.tail_past_rmax(geo.build_model(geo.Euclidean(), 2, 20.0))
-    assert (tail.family, t_end) == ("divergent", math.inf)
+    assert _t_end(geo.Euclidean(), 2, 20.0) == math.inf
 
 
 def test_every_weight_is_read_from_log_weight(monkeypatch):
@@ -216,7 +250,7 @@ def test_every_weight_is_read_from_log_weight(monkeypatch):
     def measures(model):
         weight = wgt.build_weight(model)
         return (weight.W_at(r), weight.ball_volume(r),
-                weight.T_at(r), geo.tail_past_rmax(model)[1])
+                weight.T_at(r), model.profile.tail_integral(model))
 
     def mass0():
         config = pme.PMEConfig(m=2.0, model=models[0], R_domain=10.0,
@@ -242,7 +276,7 @@ def test_hyperbolic_tail_integral_is_exact(k):
     # N = 3: T(R) = sqrt(k) (coth(sqrt(k) R) - 1) = 2 sqrt(k) / expm1(2 sqrt(k) R)
     s = math.sqrt(k)
     for R in (0.5, 3.0, 5.0, 20.0):
-        _, t_end = geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(k), 3, R))
+        t_end = _t_end(geo.Hyperbolic(k), 3, R)
         assert t_end == pytest.approx(2.0 * s / math.expm1(2.0 * s * R), rel=1e-14, abs=0.0)
 
 
@@ -250,14 +284,14 @@ def test_hyperbolic_tail_integral_in_even_dimension():
     # odd n = N - 1, where the series does not terminate: N = 2 has
     # T(R) = -log tanh(R / 2), N = 4 is checked against quadrature
     for R in (0.05, 1.0, 6.0):
-        _, t2 = geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(1.0), 2, R))
+        t2 = _t_end(geo.Hyperbolic(1.0), 2, R)
         assert t2 == pytest.approx(-math.log(math.tanh(R / 2.0)), rel=1e-13, abs=0.0)
-        _, t4 = geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(1.0), 4, R))
+        t4 = _t_end(geo.Hyperbolic(1.0), 4, R)
         oracle = quad(lambda r: (math.sinh(R) / math.sinh(r)) ** 3, R, R + 40.0,
                       epsabs=0.0, epsrel=1e-13, limit=200)[0] / math.sinh(R) ** 3
         assert t4 == pytest.approx(oracle, rel=1e-12, abs=0.0)
     with pytest.raises(ValidationError):  # the series would need ~2e7 terms
-        geo.tail_past_rmax(geo.build_model(geo.Hyperbolic(1.0), 2, 1e-6))
+        _t_end(geo.Hyperbolic(1.0), 2, 1e-6)
 
 
 def test_hyperbolic_supremum_does_not_depend_on_rmax():
@@ -384,7 +418,7 @@ def test_lockstep_search_matches_scalar_oracle(request, fixture_name, p):
     assert rep.search_trace == trace
     if rep.at_infinity:
         assert rep.r_bar is None and rep.crit_residual is None
-        assert rep.B == max(math.exp(best_val), wgt._limit_infinity(weight, p))
+        assert rep.B == max(math.exp(best_val), weight.model.profile.q_at_infinity(weight.N, p))
         return
     assert (rep.B, rep.r_bar) == (math.exp(best_val), best_r)
     N, r = weight.N, np.float64(best_r)
