@@ -104,9 +104,9 @@ def build_parser(required: bool = True):
                       help="minimize the weighted Rayleigh quotient")
     r.add_argument("--p", type=_finite, required=required)
     r.add_argument("--rdomain", type=_finite, required=required)
-    for searching in (s, r):
+    for searching, name in ((s, "sweep"), (r, "rayleigh")):
         searching.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
-                               help="tolerance overrides (refine, rayleigh)")
+                               help=f"tolerance overrides ({', '.join(_TOLS[name])})")
 
     c = sp.add_parser("certificate", parents=shared,
                       help="nonradial failure growth certificate")
@@ -169,8 +169,12 @@ def _config_flags(path) -> list:
     return flags
 
 
+# the tolerances each searching command reads, with their defaults
+_TOLS = {"sweep": {"refine": 1e-10}, "rayleigh": {"refine": 1e-10, "rayleigh": 1e-11}}
+
+
 def _tols(args) -> dict:
-    out = {"refine": 1e-10, "rayleigh": 1e-11}
+    out = dict(_TOLS[args.command])
     for item in args.tol:
         key, _, val = item.partition("=")
         if key not in out:

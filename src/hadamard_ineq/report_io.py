@@ -4,17 +4,18 @@ Every file starts with a comment line carrying the tool version, a hash of
 the resolved run configuration, and a slug naming the quantity stored, so
 any output can be traced back to the exact invocation that produced it.
 A table is given column-major, as its column names and a sequence of
-equal-length columns, and written as CSV, or with ``names=None`` as gnuplot
-data: space-separated, no column line.  Float columns (a float64 array, or
-cells that are all floats) hold 17 significant digits (value-preserving for
-IEEE doubles), text columns their strings, any other column the ``fmt`` of
-each cell (``None`` is empty).  JSON is UTF-8 with sorted keys.
+equal-length columns, and ``write_csv`` writes it as CSV, or with
+``names=None`` as gnuplot data: space-separated, no column line.  Float
+columns (a float64 array, or cells that are all floats) hold 17 significant
+digits (value-preserving for IEEE doubles), text columns their strings, any
+other column the ``fmt`` of each cell (``None`` is empty).  JSON is UTF-8
+with sorted keys.
 
 The configuration hash is the first 16 hex digits of SHA-256, taken from
 CPython's builtin module (``_sha2`` on 3.12+, ``_sha256`` before), so no
 command loads ``hashlib`` and, with it, OpenSSL's libcrypto; ``hashlib``
 serves only an interpreter built without that module.  The digest is the
-same either way.
+same either way.  Of the package, this module loads only ``__version__``.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def _cells(column):
     return list(map(fmt, column)), "%s"
 
 
-def _write_table(path, comment, names, columns) -> Path:
-    """Write ``columns`` side by side under a ``# comment`` line, if any; a
-    column count other than ``len(names)`` or columns of unequal length raise."""
+def write_csv(path, cfg_hash: str, quantity: str, names, columns) -> Path:
+    """Write ``columns`` side by side under the header comment line; a column
+    count other than ``len(names)`` or columns of unequal length raise."""
     columns = [_cells(c) for c in columns]
     if names is not None and len(columns) != len(names):
         raise ValueError(f"{path} must hold {len(names)} columns")
@@ -80,16 +81,11 @@ def _write_table(path, comment, names, columns) -> Path:
     table = [None] * (n * width)  # row-major, one template for the whole body
     for j, (cells, _) in enumerate(columns):
         table[j::width] = cells
-    head = f"# {comment}\n" if comment else ""
+    head = f"# hadamard-ineq v{__version__} config={cfg_hash} quantity={quantity}\n"
     if names is not None:
         head += ",".join(names) + "\n"
     line = (" " if names is None else ",").join(spec for _, spec in columns) + "\n"
     return _save(path, head + line * n % tuple(table))
-
-
-def write_csv(path, cfg_hash: str, quantity: str, names, columns):
-    header = f"hadamard-ineq v{__version__} config={cfg_hash} quantity={quantity}"
-    return _write_table(path, header, names, columns)
 
 
 def _jsonable(x):

@@ -78,12 +78,18 @@ def _tridiagonal_matvec(main, off, x):
     return y
 
 
+def _in_domain(weight: WeightMeasure, R: float, name: str = "R_domain") -> float:
+    """R itself if it lies in (0, Rmax], read to 1e-12 relative; else OutOfDomain."""
+    if not 0.0 < R <= weight.Rmax * (1 + 1e-12):
+        raise OutOfDomain(f"{name} {R} must lie in (0, Rmax = {weight.Rmax}]")
+    return R
+
+
 class _Mesh:
     """P1 elements on the weight grid truncated at R_domain (Dirichlet there)."""
 
     def __init__(self, weight: WeightMeasure, R_domain: float, stride: int = 1):
-        if not 0.0 < R_domain <= weight.Rmax * (1 + 1e-12):
-            raise OutOfDomain(f"R_domain {R_domain} must lie in (0, Rmax = {weight.Rmax}]")
+        _in_domain(weight, R_domain)
         inner = weight.rgrid[weight.rgrid < R_domain * (1 - 1e-12)]
         nodes = np.concatenate([inner[::stride], [R_domain]])  # rgrid starts at the pole
         if len(nodes) < 8:
@@ -281,9 +287,7 @@ def quasi_euclidean_failure_scan(weight: WeightMeasure, p: float, R_list):
     stabilize above it.
     """
     out = []
-    for R in sorted(float(R) for R in R_list):
-        if R > weight.Rmax:
-            raise OutOfDomain(f"R = {R} beyond sampled range {weight.Rmax}")
+    for R in sorted(_in_domain(weight, float(R), "R =") for R in R_list):  # all checked first
         inner = weight.rgrid[(weight.rgrid > 0) & (weight.rgrid < R)]
         nodes = _sorted_unique(np.concatenate([inner, [R / 2.0, R]]))
         g = np.minimum(1.0, 2.0 * (R - nodes) / R)

@@ -40,7 +40,6 @@ __all__ = [
     "build_weight",
     "Q_at",
     "supremum_B",
-    "sandwich",
     "sandwich_factor",
     "lemma41_bound",
     "lemma42_bound",
@@ -83,7 +82,8 @@ def _gl5_between(f, lo, hi):
 @dataclass
 class WeightMeasure:
     """Tabulated W(r) and T(r) for the weight psi^(N-1) of a model, on its
-    ``grid_r``, which starts at the pole: ``build_model`` prepends r = 0."""
+    ``grid_r``, which starts at the pole: ``build_model`` prepends r = 0.
+    No angular factor enters: a ball's volume is ``unit_sphere_area(N) * W_at(r)``."""
 
     model: ModelFunction
     rgrid: np.ndarray
@@ -105,10 +105,6 @@ class WeightMeasure:
 
     def w_at(self, r):
         return np.exp(self.model.log_weight(r))
-
-    def ball_volume(self, r):
-        """Volume of the ball of radius r (the angular factor enters only here)."""
-        return unit_sphere_area(self.N) * self.W_at(r)
 
     def W_at(self, r):
         """Cumulative integral of w from 0, exact node values plus a local
@@ -140,9 +136,10 @@ class WeightMeasure:
 
 def build_weight(model: ModelFunction) -> WeightMeasure:
     """Tabulate W and T on the model grid, T finished by the law's T(Rmax)."""
-    if model.log_weight(model.Rmax) > 700.0:
-        raise ValidationError(
-            "weight overflows float64 at Rmax; reduce Rmax or the curvature scale")
+    log_w = model.log_weight(model.Rmax)
+    if abs(log_w) > 700.0:  # T(Rmax) needs 1/w(Rmax) as well as w(Rmax)
+        raise ValidationError(f"weight {'over' if log_w > 0 else 'under'}flows float64 "
+                              "at Rmax; change Rmax or the curvature scale")
     t_end = model.profile.tail_integral(model)
     rg = model.grid_r
     w_seg = _gl5_between(lambda s: np.exp(model.log_weight(s)), rg[:-1], rg[1:])
@@ -299,13 +296,6 @@ def sandwich_factor(p: float) -> float:
     if p <= 0:
         raise InvalidExponent(f"exponent must be positive, got {p}")
     return (1.0 + p / 2.0) ** (1.0 / p) * (1.0 + 2.0 / p) ** 0.5
-
-
-def sandwich(B: float, p: float):
-    """Two-sided enclosure of the best embedding constant from B."""
-    if not math.isfinite(B):
-        raise ValidationError("sandwich needs a finite B")
-    return (B, sandwich_factor(p) * B)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,21 @@ def test_overflowing_warping_table_prints_no_numpy_warning(tmp_path, capsys, arg
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("law", [
+    ["--profile", "euclidean"],
+    ["--profile", "hyperbolic", "--k", "1"],
+    ["--profile", "power", "--r0", "1e-101"],
+], ids=["euclidean", "hyperbolic", "power"])
+def test_weight_underflowing_at_rmax_is_a_usage_error(tmp_path, capsys, law):
+    # psi(Rmax)^4 ~ 1e-400: T(Rmax) needs 1/w(Rmax), which overflows float64
+    rc = run_cli(["sweep"] + law + ["--n", "5", "--rmax", "1e-100", "--p", "2.5",
+                                    "--out-dir", str(tmp_path / "m")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: weight underflows float64 at Rmax; "
+                                       "change Rmax or the curvature scale\n")
+    assert not (tmp_path / "m").exists()
+
+
 def test_model_validation_exit_code(tmp_path):
     rc = run_cli(["model", "--profile", "power", "--beta", "3", "--n", "3",
                   "--rmax", "20", "--out-dir", str(tmp_path)])
@@ -355,7 +370,7 @@ HYPERBOLIC_SWEEP = ["sweep", "--profile", "hyperbolic", "--k", "1", "--n", "3", 
     (PME_FLAGS + ["--profile", "euclidean", "--rmax", "10", "--snapshots", "-4"],
      "--snapshots must be 0 or more, got -4"),
     (HYPERBOLIC_SWEEP + ["--tol", "refine=-1"], "bad --tol value in 'refine=-1'"),
-    (HYPERBOLIC_SWEEP + ["--tol", "rayleigh=-5"], "bad --tol value in 'rayleigh=-5'"),
+    (FLAT_RAYLEIGH + ["--tol", "rayleigh=-5"], "bad --tol value in 'rayleigh=-5'"),
 ], ids=["snapshots", "tol_refine", "tol_rayleigh"])
 def test_negative_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv, message):
     rc = run_cli(argv + ["--out-dir", str(tmp_path / "m")])
@@ -366,13 +381,26 @@ def test_negative_counts_and_tolerances_are_usage_errors(tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("argv, message", [
     (HYPERBOLIC_SWEEP + ["--tol", "foo=1"],
-     "bad --tol entry 'foo=1', expected KEY=VALUE with KEY one of refine, rayleigh"),
+     "bad --tol entry 'foo=1', expected KEY=VALUE with KEY one of refine"),
     (HYPERBOLIC_SWEEP[:-1] + ["2:3:2.5"], "--p '2:3:2.5' needs a positive whole count"),
 ], ids=["tol_key", "p_count"])
 def test_an_unknown_tolerance_or_a_fractional_count_is_a_usage_error(tmp_path, capsys,
                                                                      argv, message):
     assert run_cli(argv + ["--out-dir", str(tmp_path / "m")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (HYPERBOLIC_SWEEP + ["--tol", "rayleigh=1e-3"], "refine"),
+    (FLAT_RAYLEIGH + ["--tol", "eigen=1e-3"], "refine, rayleigh"),
+], ids=["sweep", "rayleigh"])
+def test_a_tolerance_the_command_never_reads_is_refused(tmp_path, capsys, argv, keys):
+    # sweep runs no Rayleigh descent, so rayleigh= would change only the config hash
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "m")]) == 2
+    item = argv[-1]
+    assert capsys.readouterr().err == (f"error: bad --tol entry {item!r}, "
+                                       f"expected KEY=VALUE with KEY one of {keys}\n")
     assert not (tmp_path / "m").exists()
 
 
@@ -667,8 +695,8 @@ def test_abbreviated_flag_wins_over_config_file(tmp_path):
 CONFIG_CASES = {
     "tol": (["tol = refine=1e-3"], ["--tol", "refine=1e-3"]),
     "grid_start": (["grid_start = 1e-5"], ["--grid-start", "1e-5"]),
-    "tol_repeated": (["tol = refine=1e-3", "tol = rayleigh=1e-9"],
-                     ["--tol", "refine=1e-3", "--tol", "rayleigh=1e-9"]),
+    "tol_repeated": (["tol = refine=1e-3", "tol = refine=1e-4"],
+                     ["--tol", "refine=1e-3", "--tol", "refine=1e-4"]),
 }
 
 

@@ -508,3 +508,34 @@ def test_grid_spec_refuses_an_unknown_kind(rmax):
     # below rmax = 1 every kind is geometric, so the kind is checked first
     with pytest.raises(ValidationError, match="unknown grid kind 'bogus'"):
         geo.GridSpec(kind="bogus").nodes(rmax)
+
+
+# ---------------------------------------------------------------------------
+# refusals of public input
+# ---------------------------------------------------------------------------
+
+def _flat(Rmax=20.0, **kwargs):
+    return geo.build_model(geo.Euclidean(), 3, Rmax, **kwargs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _flat(grid=geo.GridSpec(r_start=0.0)), ValidationError,
+     r"grid start must lie in \(0, rmax\)"),
+    (lambda: _flat(grid=geo.GridSpec(r_start=20.0)), ValidationError,
+     r"grid start must lie in \(0, rmax\)"),
+    (lambda: _flat(Rmax=0.0), ValidationError, "Rmax must be positive, got 0.0"),
+    (lambda: _flat(Rmax=-1.0), ValidationError, "Rmax must be positive, got -1.0"),
+    (lambda: _flat(method="spline"), ValidationError, "unknown build method 'spline'"),
+    (lambda: geo.ricci_uniformization(_flat(), 16.5), OutOfDomain,
+     r"need 0 < R <= 0.8 Rmax = 16"),
+], ids=["grid_start_0", "grid_start_rmax", "rmax_0", "rmax_negative", "method",
+        "uniformization_past_0.8_rmax"])
+def test_public_input_refusals(call, error, message):
+    with pytest.raises(error, match=message) as refused:
+        call()
+    assert refused.type is error
+
+
+def test_lemma42_needs_the_threshold_law():
+    # below beta = 2 the law gives no Lemma 4.2 bracket, so none is offered
+    assert geo.PowerLaw(1.0, 1.0, 1.0).lemma42 is None

@@ -1,6 +1,6 @@
 """Static import hygiene of the package, read with ``ast``: every name in a
-module's ``__all__`` is defined there (only ``__init__`` re-exports imported
-names), and no module but ``__init__`` imports a name it never uses."""
+module's ``__all__`` is defined there, no module imports a name it never
+uses, and ``__init__`` imports nothing, so each name has one import path."""
 
 import ast
 from pathlib import Path
@@ -29,8 +29,6 @@ def test_every_exported_name_exists(path):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem == "__init__":
-            defined.update(_bound_names(node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(t.id for t in targets if isinstance(t, ast.Name))
@@ -41,11 +39,17 @@ def test_every_exported_name_exists(path):
         assert sorted(set(names) - defined) == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
-                         ids=[p.stem for p in MODULES if p.stem != "__init__"])
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
     tree = _tree(path)
     imported = {name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for name in _bound_names(node)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_the_package_root_imports_nothing():
+    # a submodule's names are imported from that submodule, never re-exported
+    tree = _tree(PACKAGE / "__init__.py")
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []

@@ -462,3 +462,67 @@ def test_barenblatt_solution_within_one_percent(flat_model):
     for state, t in zip(run.states[1:], times):
         exact = barenblatt(run.r_centers, t)
         assert np.max(np.abs(state.u - exact)) < 0.01 * np.max(exact)
+
+
+# ---------------------------------------------------------------------------
+# refusals of public input
+# ---------------------------------------------------------------------------
+
+def _states(t, sup):
+    return [pme.PMEState(t=float(ti), u=np.zeros(1), mass=1.0, sup=float(si), support_edge=0.0)
+            for ti, si in zip(t, sup)]
+
+
+def _run(flat_model, **kwargs):
+    config = dict(m=2.0, model=flat_model, R_domain=10.0, initial=pme.Characteristic(1.0),
+                  t_end=1e-3, n_cells=100)
+    return pme.pme_run(pme.PMEConfig(**{**config, **kwargs}))
+
+
+CENTERS = np.linspace(0.05, 4.95, 50)
+DECAYING_TO_1 = np.geomspace(1e-3, 1.0, 10)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: pme.Characteristic(0.0).values(CENTERS), ValidationError,
+     "characteristic datum needs positive size and height"),
+    (lambda m: pme.Characteristic(1.0, height=-1.0).values(CENTERS), ValidationError,
+     "characteristic datum needs positive size and height"),
+    (lambda m: pme.GaussianLike(0.0).values(CENTERS), ValidationError,
+     "gaussian-like datum needs positive scale and height"),
+    (lambda m: pme.GaussianLike(1.0, height=0.0).values(CENTERS), ValidationError,
+     "gaussian-like datum needs positive scale and height"),
+    (lambda m: pme.CustomTable(r=[0.0, 5.0], u=[1.0, -1.0]).values(CENTERS), ValidationError,
+     "custom datum must be nonnegative"),
+    (lambda m: _run(m, n_cells=49), ValidationError, "need at least 50 cells"),
+    (lambda m: _run(m, output_times=[5e-4, 2e-3]), ValidationError,
+     "output times exceed t_end"),
+    (lambda m: pme.log_correction_exponent(2.0, 2.0), ParameterOutOfRange,
+     r"need beta in \[0,2\) and m > 1"),
+    (lambda m: pme.log_correction_exponent(-0.5, 2.0), ParameterOutOfRange,
+     r"need beta in \[0,2\) and m > 1"),
+    (lambda m: pme.log_correction_exponent(1.0, 1.0), ParameterOutOfRange,
+     r"need beta in \[0,2\) and m > 1"),
+    (lambda m: pme.lower_curve(1.0, 2.0, 2.0, [10.0]), ParameterOutOfRange,
+     r"need beta in \[0,2\) and m > 1"),
+    (lambda m: pme.lower_curve(1.0, 1.0, 0.5, [10.0]), ParameterOutOfRange,
+     r"need beta in \[0,2\) and m > 1"),
+    (lambda m: pme.fit_smoothing(_states(DECAYING_TO_1, 1.0 / DECAYING_TO_1),
+                                 "power_with_log", beta=1.0), ValidationError,
+     "power_with_log needs m and beta"),
+    (lambda m: pme.fit_smoothing(_states(DECAYING_TO_1, 1.0 / DECAYING_TO_1),
+                                 "power_with_log", m=2.0), ValidationError,
+     "power_with_log needs m and beta"),
+    (lambda m: pme.fit_smoothing(_states(DECAYING_TO_1, np.ones(10))), InsufficientWindow,
+     "sup norm has not started decaying"),
+    (lambda m: pme.fit_envelopes(_states(DECAYING_TO_1, 1.0 / DECAYING_TO_1), 1.0, 2.0, 1.0,
+                                 window=(1e-3, 1.0)), InsufficientWindow,
+     "no data past t = 1 for the lower envelope"),
+], ids=["characteristic_size", "characteristic_height", "gaussian_scale", "gaussian_height",
+        "custom_sign", "cells", "output_times", "gamma_beta_2", "gamma_beta_negative",
+        "gamma_m_1", "lower_curve_beta_2", "lower_curve_m", "log_fit_without_m",
+        "log_fit_without_beta", "not_decaying", "nothing_past_t_1"])
+def test_public_input_refusals(flat_model, call, error, message):
+    with pytest.raises(error, match=message) as refused:
+        call(flat_model)
+    assert refused.type is error

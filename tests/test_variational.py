@@ -315,6 +315,26 @@ def test_failure_scan_critical(quasi_weight):
     assert all(x >= 1.0 / rep.sandwich_upper for _, x in scan)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, 1.0 + 1e-11, math.nan])
+def test_failure_scan_refuses_a_radius_off_the_model_before_any_work(quasi_weight,
+                                                                     monkeypatch, scale):
+    # R = 0 used to build its tent first, dividing by R; every R is checked up front
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan computed before it refused R")
+
+    monkeypatch.setattr(var, "plin_norms", no_work)
+    monkeypatch.setattr(var, "rayleigh_minimize", no_work)
+    with pytest.raises(OutOfDomain, match=r"R = .* must lie in \(0, Rmax = 1200.0\]"):
+        var.quasi_euclidean_failure_scan(quasi_weight, 3.0, [10.0, scale * quasi_weight.Rmax])
+
+
+def test_failure_scan_reaches_rmax_as_the_mesh_does(quasi_weight):
+    # _Mesh and rayleigh_minimize read Rmax to 1e-12 relative, and so does the scan
+    R = quasi_weight.Rmax * (1 + 1e-13)
+    [(R_scanned, ratio)] = var.quasi_euclidean_failure_scan(quasi_weight, 3.0, [R])
+    assert R_scanned == R and 0.0 < ratio < math.inf
+
+
 # ---------------------------------------------------------------------------
 # nonradial failure certificate
 # ---------------------------------------------------------------------------
@@ -356,3 +376,26 @@ def test_certificate_exponent_validation():
         var.nonradial_certificate(model, 1.5, 50.0)
     with pytest.raises(InvalidExponent):
         var.nonradial_certificate(model, 6.5, 50.0)
+
+
+# ---------------------------------------------------------------------------
+# refusals of public input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda w: var.DiscreteFunction([0.0, 1.0, 2.0], [1.0, 0.0]), ValidationError,
+     "nodes and values must be matching 1-d arrays"),
+    (lambda w: var.DiscreteFunction([[0.0, 1.0]], [[1.0, 0.0]]), ValidationError,
+     "nodes and values must be matching 1-d arrays"),
+    (lambda w: var.DiscreteFunction([0.0, 2.0, 1.0], [1.0, 0.5, 0.0]), ValidationError,
+     "nodes must be strictly increasing"),
+    (lambda w: var.poincare_eigen(w, 1e-5), GridTooCoarse,
+     "mesh has too few nodes inside R_domain"),
+    (lambda w: var.rayleigh_minimize(w, 3.0, 10.0,
+                                     init=var.DiscreteFunction([1.0, 2.0], [0.0, 0.0])),
+     ValidationError, "initial iterate vanishes identically"),
+], ids=["shape", "rank", "order", "too_few_nodes", "zero_iterate"])
+def test_public_input_refusals(hyperbolic_weight, call, error, message):
+    with pytest.raises(error, match=message) as refused:
+        call(hyperbolic_weight)
+    assert refused.type is error

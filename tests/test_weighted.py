@@ -69,7 +69,8 @@ def test_quasi_tail_against_quadrature(quasi_weight):
 def test_ball_volume(euclidean_weight):
     # flat N=3 ball: 4 pi r^3 / 3
     for r in (1.0, 5.0):
-        assert float(euclidean_weight.ball_volume(r)) == pytest.approx(
+        volume = wgt.unit_sphere_area(3) * euclidean_weight.W_at(r)
+        assert float(volume) == pytest.approx(
             4.0 * math.pi * r ** 3 / 3.0, rel=1e-12)
 
 
@@ -249,7 +250,7 @@ def test_every_weight_is_read_from_log_weight(monkeypatch):
 
     def measures(model):
         weight = wgt.build_weight(model)
-        return (weight.W_at(r), weight.ball_volume(r),
+        return (weight.W_at(r), wgt.unit_sphere_area(model.N) * weight.W_at(r),
                 weight.T_at(r), model.profile.tail_integral(model))
 
     def mass0():
@@ -427,16 +428,15 @@ def test_lockstep_search_matches_scalar_oracle(request, fixture_name, p):
     assert rep.crit_residual == abs(1.0 - math.exp(lnrhs - float(np.log(weight.T_at(r)))))
 
 
-def test_sandwich():
-    lo, up = wgt.sandwich(0.5, 2.0)
-    assert (lo, up) == (0.5, pytest.approx(1.0))
+def test_sandwich(euclidean_weight):
+    assert wgt.sandwich_factor(2.0) * 0.5 == pytest.approx(1.0)
     B6 = 3.0 ** (-1.0 / 6.0)
-    assert wgt.sandwich(B6, 6.0)[1] == pytest.approx(
+    assert wgt.sandwich_factor(6.0) * B6 == pytest.approx(
         4.0 ** (1.0 / 6.0) * (4.0 / 3.0) ** 0.5 * B6, rel=1e-12)
-    assert wgt.sandwich(B6, 6.0)[1] == pytest.approx(1.2114, abs=1e-4)
+    assert wgt.sandwich_factor(6.0) * B6 == pytest.approx(1.2114, abs=1e-4)
     assert wgt.sandwich_factor(1e8) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValidationError):
-        wgt.sandwich(math.inf, 2.0)
+    # a divergent B has no finite enclosure: flat N = 3 past p = 2* = 6
+    assert wgt.supremum_B(euclidean_weight, 7.0).sandwich == (math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -660,3 +660,54 @@ def test_plin_norms_is_exact_far_from_the_pole():
         exact += F(b) - F(a)
     _, lp = wgt.plin_norms(weight, r, g, 2.0)
     assert lp == pytest.approx(math.sqrt(float(exact)), rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# refusals of public input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda w: wgt.Q_at(w, 0.0, 1.0), InvalidExponent, "exponent must be positive, got 0.0"),
+    (lambda w: wgt.sandwich_factor(-1.0), InvalidExponent,
+     "exponent must be positive, got -1.0"),
+    (lambda w: wgt.lemma41_bound(3, 1.0, 1.0, 1.0, 3.0), ValidationError,
+     r"alpha must lie in \(0, 1\), got 1.0"),
+    (lambda w: wgt.lemma41_bound(3, 0.5, 0.0, 1.0, 3.0), ValidationError,
+     "c and r0 must be positive"),
+    (lambda w: wgt.lemma41_bound(3, 0.5, 1.0, -1.0, 3.0), ValidationError,
+     "c and r0 must be positive"),
+    (lambda w: wgt.lemma41_bound(3, 0.5, 1.0, 1.0, 2.0), InvalidExponent,
+     r"p must lie in \(2, 6.0\), got 2.0"),
+    (lambda w: wgt.lemma41_bound(3, 0.5, 1.0, 1.0, 6.0), InvalidExponent,
+     r"p must lie in \(2, 6.0\), got 6.0"),
+    (lambda w: wgt.lemma42_bound(3, 1.0, 1.0, 2.0, 1.0, 5.0), ValidationError,
+     "need c > 1, got 1.0"),
+    (lambda w: wgt.lemma42_bound(3, 2.0, 0.0, 2.0, 1.0, 5.0), ValidationError,
+     "need cprime > 0, q > 1, r0 > 0"),
+    (lambda w: wgt.lemma42_bound(3, 2.0, 1.0, 1.0, 1.0, 5.0), ValidationError,
+     "need cprime > 0, q > 1, r0 > 0"),
+    (lambda w: wgt.lemma42_bound(3, 2.0, 1.0, 2.0, 0.0, 5.0), ValidationError,
+     "need cprime > 0, q > 1, r0 > 0"),
+    (lambda w: wgt.lemma42_bound(3, 2.0, 1.0, 2.0, 1.0, 3.0), BelowCriticalExponent,
+     "p = 3.0 below threshold 3.33333"),
+    (lambda w: wgt.lemma42_bound(3, 2.0, 1.0, 2.0, 1.0, 6.0), InvalidExponent,
+     r"p must lie in \[3.33333\d*, 6.0\), got 6.0"),
+    (lambda w: wgt.critical_exponents(3, 0.0), ValidationError, "need C1 > 0 and N >= 2"),
+    (lambda w: wgt.critical_exponents(1, 2.0), ValidationError, "need C1 > 0 and N >= 2"),
+    (lambda w: wgt.mckean_bounds(3, 0.0), ValidationError, "need k > 0 and N >= 2"),
+    (lambda w: wgt.mckean_bounds(1, 1.0), ValidationError, "need k > 0 and N >= 2"),
+    # McKean's p = 2 has a finite B on the hyperbolic weight
+    (lambda w: wgt.scaling_regression(_reports(w, [2.0, 2.1, 2.2, 2.3, 2.4]), "p_to_2"),
+     ValidationError, "mode p_to_2 needs p > 2 throughout"),
+    (lambda w: wgt.plin_norms(w, [1.0, 2.0, 3.0], [1.0, 0.0], 3.0), ValidationError,
+     "nodes must be strictly increasing and match g"),
+    (lambda w: wgt.plin_norms(w, [1.0, 1.0, 3.0], [1.0, 0.5, 0.0], 3.0), ValidationError,
+     "nodes must be strictly increasing and match g"),
+], ids=["Q_at_p", "sandwich_factor_p", "lemma41_alpha", "lemma41_c", "lemma41_r0",
+        "lemma41_p_2", "lemma41_p_critical", "lemma42_c", "lemma42_cprime", "lemma42_q",
+        "lemma42_r0", "lemma42_below_threshold", "lemma42_p_critical", "critical_C1",
+        "critical_N", "mckean_k", "mckean_N", "p_to_2", "plin_shape", "plin_order"])
+def test_public_input_refusals(hyperbolic_weight, call, error, message):
+    with pytest.raises(error, match=message) as refused:
+        call(hyperbolic_weight)
+    assert refused.type is error
